@@ -12,20 +12,20 @@ Degraded mode is where the paper's protocol earns its "dynamic": a crashed
 server's clients still hold playout deadlines, and every segment instance
 the dead schedule owed them must reappear on a surviving replica within the
 remaining delivery window.  DHB can do this because its state *is* a
-:class:`~repro.core.schedule.SlotSchedule` — the single-future-instance
-index enumerates exactly what was lost (:func:`lost_instances`), and the
-window heuristic replaces each loss with a least-loaded placement in
+:class:`~repro.core.schedule.SlotSchedule` — its per-slot store enumerates
+exactly what was lost (:func:`lost_instances`), and the window heuristic
+replaces each loss with a least-loaded placement in
 ``[crash_slot, due_slot]`` (:func:`reschedule_instance`), sharing an
-already-scheduled instance on the survivor when one falls inside the
-window.  Map-timing protocols (UD, dnpb) keep no reschedulable state, so
-crash scenarios are refused for them (:func:`supports_rescheduling`) rather
-than silently dropping segments.
+already-scheduled instance on the survivor when the schedule's sharing
+query finds one inside the window.  Map-timing protocols (UD, dnpb) keep no
+reschedulable state, so crash scenarios are refused for them
+(:func:`supports_rescheduling`) rather than silently dropping segments.
 
 A rescheduled instance may land *earlier* than a survivor's own future
 instance of the same segment; the survivor's schedule then briefly carries
-two future instances.  That costs a little bandwidth, never correctness —
-the index keeps pointing at the later one, so subsequent admissions still
-share it.
+two future instances.  That costs a little bandwidth, never correctness:
+a latest-slot index keeps pointing at the later one, so subsequent
+admissions still share it, and a sorted index sees both.
 """
 
 from __future__ import annotations
@@ -227,10 +227,11 @@ def lost_instances(server: CappedServer, crash_slot: int) -> List[LostInstance]:
     """Enumerate the future instances a crash at ``crash_slot`` destroys.
 
     Must be called *before* :meth:`CappedServer.crash` (which discards the
-    schedules).  The single-future-instance invariant makes this a single
-    index read per (title, segment): anything at a slot ``>= crash_slot``
-    was not yet transmitted, including instances due in the crash slot
-    itself (the crash lands before that slot is finalized).
+    schedules).  Anything at a slot ``>= crash_slot`` was not yet
+    transmitted, including instances due in the crash slot itself (the
+    crash lands before that slot is finalized).  Instances come per title
+    in ``(segment, slot)`` order, every one of them — also a second future
+    instance of a segment (a shrunk window, an earlier failover placement).
     """
     lost: List[LostInstance] = []
     for title in server.titles:
@@ -240,11 +241,10 @@ def lost_instances(server: CappedServer, crash_slot: int) -> List[LostInstance]:
                 f"cannot enumerate lost instances of {type(protocol).__name__}; "
                 "crash scenarios require a reschedulable protocol (DHB)"
             )
-        schedule = protocol.schedule
-        for segment in range(1, schedule.n_segments + 1):
-            due = schedule.next_transmission(segment)
-            if due is not None and due >= crash_slot:
-                lost.append(LostInstance(title=title, segment=segment, due_slot=due))
+        lost.extend(
+            LostInstance(title=title, segment=segment, due_slot=due)
+            for segment, due in protocol.schedule.future_instances(crash_slot)
+        )
     return lost
 
 
@@ -298,8 +298,8 @@ def reschedule_instance(
             "instances; degraded mode requires DHB"
         )
     schedule = protocol.schedule
-    existing = schedule.next_transmission(segment)
-    if existing is not None and crash_slot <= existing <= due_slot:
+    existing = schedule.shareable(segment, crash_slot - 1, due_slot)
+    if existing is not None:
         return existing, True
     return schedule.place_latest_min(crash_slot, due_slot, segment), False
 

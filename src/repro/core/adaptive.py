@@ -23,21 +23,17 @@ stays fixed, which is what makes the retune loss-free:
   the schedule untouched, so later retunes (up *or* down) cannot invalidate
   a plan already handed out.  This is the same zero-loss invariant the
   cluster layer's fail-over re-homing relies on.
-* **No double-scheduling.**  The protocol keeps, per segment, the sorted
-  list of that segment's *future* instance slots and shares whenever one
-  falls inside the current window.  A freshly placed instance lands inside
-  every later same-slot request's window, so at most one instance of a
-  segment is ever placed per admission — and never twice in one slot.
+* **No double-scheduling.**  Admission is DHB's own Figure-6 loop
+  (:meth:`~repro.core.dhb.DHBProtocol._admit`) over the window vector
+  ``T[j] + S``: it shares whenever a future instance falls inside the
+  current window.  A freshly placed instance lands inside every later
+  same-slot request's window, so at most one instance of a segment is ever
+  placed per admission — and never twice in one slot.
 
-Why the per-segment future lists instead of
-:attr:`~repro.core.schedule.SlotSchedule.next_transmissions` (what static
-DHB uses)?  The schedule tracks only the *latest* future instance, which
-is sufficient under never-shrinking windows (the single-future-instance
-invariant).  When slack decreases, a window *shrinks*, the invariant
-breaks — an instance may exist beyond the new window's end — and trusting
-``next_transmission > slot`` would hand clients shared assignments they
-can never meet.  The sorted lists make the window check exact under any
-slack trajectory.
+A slack drop shrinks windows under instances already scheduled, so the
+schedule runs its sorted future-instance index
+(:class:`~repro.core.schedule.SlotSchedule` explains why the latest-slot
+index static DHB reads is not enough then).
 
 At saturation with slack ``S`` the expected bandwidth drops from ``H(n)``
 to ``H(n + S) − H(S)`` (each segment ``j`` broadcast every ``j + S``
@@ -52,14 +48,12 @@ its arrival sequence (batch and scalar drivers agree bit-for-bit).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.slotted import SlottedModel
 from .client import ClientPlan
-from .schedule import SlotSchedule
+from .dhb import DHBProtocol
 
 #: ``(requests_per_slot_threshold, slack_slots)`` rungs, ascending.
 SlackLadder = Tuple[Tuple[float, int], ...]
@@ -121,17 +115,9 @@ class SlotRateEstimator:
             raise ConfigurationError(
                 f"estimator fed slot {slot} after slot {self._slot}"
             )
-        self._fold(slot)
-        self._count = count
-
-    def _fold(self, new_slot: int) -> None:
-        alpha = self.alpha
-        self._ewma = alpha * self._count + (1.0 - alpha) * self._ewma
-        gap = new_slot - self._slot - 1
-        if gap > 0:
-            self._ewma *= (1.0 - alpha) ** gap
-        self._slot = new_slot
-        self._count = 0
+        # Fold the finished slot's count (and any empty slots) into the EWMA.
+        self._ewma = self.estimate_before(slot)
+        self._slot, self._count = slot, count
 
     def estimate_before(self, slot: int) -> float:
         """The EWMA as of just before ``slot``'s own arrivals (pure)."""
@@ -147,7 +133,7 @@ class SlotRateEstimator:
         return value
 
 
-class AdaptiveDHBProtocol(SlottedModel):
+class AdaptiveDHBProtocol(DHBProtocol):
     """DHB with an epoch-retuned slack dial (see module docstring).
 
     Parameters
@@ -175,6 +161,8 @@ class AdaptiveDHBProtocol(SlottedModel):
     DHB, schedule-for-schedule — the equivalence test pins that.
     """
 
+    shrinking_windows = True
+
     def __init__(
         self,
         n_segments: int,
@@ -183,8 +171,6 @@ class AdaptiveDHBProtocol(SlottedModel):
         alpha: float = 0.1,
         track_clients: bool = False,
     ):
-        if n_segments < 1:
-            raise ConfigurationError(f"n_segments must be >= 1, got {n_segments}")
         if epoch_slots < 1:
             raise ConfigurationError(f"epoch_slots must be >= 1, got {epoch_slots}")
         ladder = (
@@ -205,28 +191,26 @@ class AdaptiveDHBProtocol(SlottedModel):
             )
         if any(s < 0 for _, s in ladder):
             raise ConfigurationError("slack values must be >= 0")
-        self.n_segments = int(n_segments)
+        super().__init__(n_segments, track_clients=track_clients)
         self.slack_ladder: SlackLadder = ladder
         self.max_slack = max(s for _, s in ladder)
         self.epoch_slots = int(epoch_slots)
-        self.schedule = SlotSchedule(self.n_segments)
-        self.track_clients = track_clients
-        self.clients: List[ClientPlan] = []
         #: Slack each tracked client was admitted under (parallel to clients).
         self.client_slacks: List[int] = []
-        self.requests_admitted = 0
-        self.slack = ladder[0][1]
+        self._set_slack(ladder[0][1])
         self.max_slack_used = self.slack
         self.retunes: List[RetuneEvent] = []
         self._estimator = SlotRateEstimator(alpha)
         self._epoch: Optional[int] = None
-        # Per-segment sorted future instance slots (see module docstring for
-        # why next_transmissions is not sufficient under shrinking windows).
-        self._future: List[List[int]] = [[] for _ in range(self.n_segments)]
 
     # ------------------------------------------------------------------
     # Retuning
     # ------------------------------------------------------------------
+
+    def _set_slack(self, slack: int) -> None:
+        self.slack = slack
+        # Uniform periods T[j] = j, so the window vector is T[j] + S.
+        self._windows = list(range(1 + slack, self.n_segments + 1 + slack))
 
     def _slack_for(self, rate_per_slot: float) -> int:
         slack = self.slack_ladder[0][1]
@@ -237,120 +221,66 @@ class AdaptiveDHBProtocol(SlottedModel):
                 break
         return slack
 
-    def _maybe_retune(self, slot: int) -> None:
+    def _retune(self, slot: int, count: int) -> None:
+        """Retune at the first admission of an epoch, then count ``count``.
+
+        The first epoch has no signal yet and holds the ladder's initial
+        slack.
+        """
         epoch = slot // self.epoch_slots
-        if epoch == self._epoch:
-            return
-        first_epoch = self._epoch is None
-        self._epoch = epoch
-        if first_epoch:
-            return  # no signal yet; hold the ladder's initial slack
-        estimate = self._estimator.estimate_before(slot)
-        new_slack = self._slack_for(estimate)
-        if new_slack != self.slack:
-            self.retunes.append(
-                RetuneEvent(
-                    slot=slot,
-                    estimated_rate=estimate,
-                    old_slack=self.slack,
-                    new_slack=new_slack,
+        if self._epoch is not None and epoch != self._epoch:
+            estimate = self._estimator.estimate_before(slot)
+            new_slack = self._slack_for(estimate)
+            if new_slack != self.slack:
+                self.retunes.append(
+                    RetuneEvent(
+                        slot=slot,
+                        estimated_rate=estimate,
+                        old_slack=self.slack,
+                        new_slack=new_slack,
+                    )
                 )
-            )
-            self.slack = new_slack
-            if new_slack > self.max_slack_used:
-                self.max_slack_used = new_slack
-            if self.metrics is not None:
-                self.metrics.counter("protocol.retunes").inc()
+                self._set_slack(new_slack)
+                if new_slack > self.max_slack_used:
+                    self.max_slack_used = new_slack
+                if self.metrics is not None:
+                    self.metrics.counter("protocol.retunes").inc()
+        self._epoch = epoch
+        self._estimator.add(slot, count)
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
 
-    def _admit(self, slot: int, plan: Optional[ClientPlan]) -> int:
-        """One logical admission under the current slack; returns placements."""
-        schedule = self.schedule
-        slack = self.slack
-        placed = 0
-        for segment in range(1, self.n_segments + 1):
-            future = self._future[segment - 1]
-            if future:
-                # Prune instances at or before `slot`: transmitted already
-                # (or transmitting now — arrivals during a slot cannot
-                # receive that same slot, exactly as in static DHB).
-                drop = bisect.bisect_right(future, slot)
-                if drop:
-                    del future[:drop]
-            window_end = slot + segment + slack
-            if future and future[0] <= window_end:
-                if plan is not None:
-                    plan.assign(segment, future[0], shared=True)
-                continue
-            chosen = schedule.place_latest_min(slot + 1, window_end, segment)
-            bisect.insort(future, chosen)
-            placed += 1
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        return placed
-
     def handle_request(self, slot: int) -> Optional[ClientPlan]:
         """Admit one request arriving during ``slot``."""
-        self._maybe_retune(slot)
-        self._estimator.add(slot, 1)
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        placed = self._admit(slot, plan)
-        self.requests_admitted += 1
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc()
-            self.metrics.counter("protocol.instances_scheduled").inc(placed)
-        if plan is not None:
-            self.clients.append(plan)
-            self.client_slacks.append(self.slack)
-        return plan
+        self._retune(slot, 1)
+        return self._admit(slot, 1, 1, self._windows)
+
+    def handle_suffix_request(
+        self, slot: int, first_segment: int
+    ) -> Optional[ClientPlan]:
+        """Admit a suffix join (see DHB's) under the current slack."""
+        self._retune(slot, 1)
+        return super().handle_suffix_request(slot, first_segment)
 
     def handle_batch(self, slot: int, count: int) -> None:
         """Admit ``count`` same-slot requests in one batched admission.
 
-        The first admission leaves every segment with a future instance
-        inside ``(slot, slot + j + S]`` — inside every later same-slot
-        request's window (the slack cannot change mid-slot: retunes fire
-        only at the first admission of an epoch) — so requests 2..count
-        share everything.  Bit-for-bit equal to ``count`` scalar calls.
+        The slack cannot change mid-slot (retunes fire only at the first
+        admission of an epoch), so the batch shares exactly as static DHB's
+        does.  Bit-for-bit equal to ``count`` scalar calls.
         """
-        if count <= 0:
-            return
+        if count > 0:
+            self._retune(slot, count)
+            self._admit(slot, 1, count, self._windows)
+
+    def _admit(self, slot, first_segment, count, windows):
+        """DHB's kernel, recording each tracked client's admission slack."""
+        plan = super()._admit(slot, first_segment, count, windows)
         if self.track_clients:
-            for _ in range(count):
-                self.handle_request(slot)
-            return
-        self._maybe_retune(slot)
-        self._estimator.add(slot, count)
-        placed = self._admit(slot, None)
-        self.requests_admitted += count
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc(count)
-            self.metrics.counter("protocol.instances_scheduled").inc(placed)
-
-    # ------------------------------------------------------------------
-    # SlottedModel surface
-    # ------------------------------------------------------------------
-
-    def slot_load(self, slot: int) -> int:
-        """Segment instances transmitted during ``slot``."""
-        return self.schedule.load(slot)
-
-    def slot_weight(self, slot: int) -> float:
-        return self.schedule.weight(slot)
-
-    def slot_instances(self, slot: int) -> List[int]:
-        return self.schedule.segments_in(slot)
-
-    def release_before(self, slot: int) -> None:
-        """Garbage-collect schedule bookkeeping for slots ``< slot``.
-
-        The future lists prune themselves lazily at admission time, so
-        only the schedule store needs compacting here.
-        """
-        self.schedule.release_before(slot)
+            self.client_slacks.extend([self.slack] * count)
+        return plan
 
     @property
     def startup_wait_slots(self) -> int:

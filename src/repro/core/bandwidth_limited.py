@@ -9,9 +9,9 @@ segments in the same slot; skyscraper-family protocols cap that at two.
 ``client_cap`` segments during any one slot.  Consequences for scheduling:
 
 * an otherwise-shareable instance is useless to a client whose cap is
-  already exhausted in that slot, so the single-future-instance invariant of
-  base DHB no longer holds — the schedule may legitimately carry *duplicate*
-  future instances of a segment;
+  already exhausted in that slot, so the schedule may legitimately carry
+  *duplicate* future instances of a segment and runs its sorted
+  future-instance index (see :class:`~repro.core.schedule.SlotSchedule`);
 * a new instance must be placed in a window slot where the client still has
   reception capacity.
 
@@ -22,22 +22,24 @@ has spare client capacity even at ``cap == 1``.  With custom (smoothed)
 period vectors a pathological vector could exhaust the window; we then raise
 :class:`~repro.errors.SchedulingError` rather than silently violate either
 the deadline or the cap.
+
+Everything but that share/place step is DHB's (:mod:`repro.core.dhb`).
+Batches are admitted request by request: each client's receive budget
+makes same-slot admissions non-idempotent.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Optional, Union
 
 from ..errors import ConfigurationError, SchedulingError
-from ..sim.slotted import SlottedModel
 from .client import ClientPlan
+from .dhb import DHBProtocol
 from .heuristic import SlotChooser, latest_min_load_chooser
 from .periods import PeriodVector
-from .schedule import SlotSchedule
 
 
-class BandwidthLimitedDHB(SlottedModel):
+class BandwidthLimitedDHB(DHBProtocol):
     """DHB with at most ``client_cap`` concurrent receptions per client.
 
     Parameters
@@ -62,6 +64,8 @@ class BandwidthLimitedDHB(SlottedModel):
     True
     """
 
+    shrinking_windows = True
+
     def __init__(
         self,
         n_segments: Optional[int] = None,
@@ -72,117 +76,74 @@ class BandwidthLimitedDHB(SlottedModel):
     ):
         if client_cap < 1:
             raise ConfigurationError(f"client_cap must be >= 1, got {client_cap}")
-        if periods is None:
-            if n_segments is None:
-                raise ConfigurationError("give n_segments or an explicit periods vector")
-            periods = PeriodVector.uniform(n_segments)
-        elif not isinstance(periods, PeriodVector):
-            periods = PeriodVector(periods)
-        self.periods = periods
+        super().__init__(n_segments, periods, chooser, track_clients=track_clients)
         self.client_cap = int(client_cap)
-        self.chooser = chooser
-        self.schedule = SlotSchedule(periods.n_segments)
-        # Per-segment sorted future-instance slots (duplicates possible here).
-        self._future: List[List[int]] = [[] for _ in range(periods.n_segments)]
-        self.track_clients = track_clients
-        self.clients: List[ClientPlan] = []
-        self.requests_admitted = 0
 
-    @property
-    def n_segments(self) -> int:
-        """Number of segments ``n``."""
-        return self.periods.n_segments
+    def _admit(
+        self, slot: int, first_segment: int, count: int, windows: List[int]
+    ) -> Optional[ClientPlan]:
+        """Figure 6 with a cap-aware share/place step, one request at a time.
 
-    def _prune_past(self, segment: int, slot: int) -> None:
-        """Drop recorded instances of ``segment`` at slots ``<= slot``."""
-        instances = self._future[segment - 1]
-        cut = bisect_right(instances, slot)
-        if cut:
-            del instances[:cut]
-
-    def _shareable_slot(
-        self, segment: int, window_start: int, window_end: int, usage: Dict[int, int]
-    ) -> Optional[int]:
-        """Latest instance of ``segment`` in the window with client capacity."""
-        instances = self._future[segment - 1]
-        lo = bisect_left(instances, window_start)
-        hi = bisect_right(instances, window_end)
-        for index in range(hi - 1, lo - 1, -1):
-            slot = instances[index]
-            if usage.get(slot, 0) < self.client_cap:
-                return slot
-        return None
-
-    def handle_request(self, slot: int) -> Optional[ClientPlan]:
-        """Admit a request arriving during ``slot`` under the receive cap."""
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        usage: Dict[int, int] = {}
-        for segment in range(1, self.n_segments + 1):
-            self._prune_past(segment, slot)
-            window_start = slot + 1
-            window_end = slot + self.periods[segment]
-            shared_slot = self._shareable_slot(segment, window_start, window_end, usage)
-            if shared_slot is not None:
-                usage[shared_slot] = usage.get(shared_slot, 0) + 1
+        A request shares the latest window instance in a slot where it
+        still has reception capacity, else places a new instance in the
+        least-loaded (latest on ties) window slot that has some.
+        """
+        schedule = self.schedule
+        cap = self.client_cap
+        metrics = self.metrics
+        instances_before = schedule.total_instances
+        plan = None
+        for _ in range(count):
+            plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
+            usage: Dict[int, int] = {}
+            for segment in range(first_segment, self.n_segments + 1):
+                window_end = slot + windows[segment - 1]
+                shared = schedule.shareable(segment, slot, window_end)
+                while shared is not None and usage.get(shared, 0) >= cap:
+                    shared = schedule.shareable(segment, slot, shared - 1)
+                chosen = shared
+                if shared is None:
+                    chosen = self._place(segment, slot + 1, window_end, usage)
+                usage[chosen] = usage.get(chosen, 0) + 1
                 if plan is not None:
-                    plan.assign(segment, shared_slot, shared=True)
-                continue
-            feasible = [
-                k
-                for k in range(window_start, window_end + 1)
-                if usage.get(k, 0) < self.client_cap
-            ]
-            if not feasible:
-                raise SchedulingError(
-                    f"client cap {self.client_cap} leaves no feasible slot for "
-                    f"S{segment} in window [{window_start}, {window_end}]"
-                )
-            chosen = self._choose_among(feasible)
-            self.schedule.add(chosen, segment)
-            insort(self._future[segment - 1], chosen)
-            usage[chosen] = usage.get(chosen, 0) + 1
+                    plan.assign(segment, chosen, shared=shared is not None)
             if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
-        if plan is not None:
-            self.clients.append(plan)
+                self.clients.append(plan)
+        self.requests_admitted += count
+        if metrics is not None:
+            metrics.counter("protocol.requests").inc(count)
+            metrics.counter("protocol.instances_scheduled").inc(
+                schedule.total_instances - instances_before
+            )
         return plan
 
-    def _choose_among(self, feasible_slots: List[int]) -> int:
-        """Apply the heuristic over a possibly non-contiguous slot set.
+    def _place(
+        self, segment: int, window_start: int, window_end: int, usage: Dict[int, int]
+    ) -> int:
+        """Apply the heuristic over the window slots with client capacity.
 
-        The chooser interface works on contiguous windows, so we reproduce
-        its semantics directly: least-loaded feasible slot, then delegate the
-        tie-break by scanning in the chooser's preferred direction (latest
-        first for the default heuristic).
+        The chooser interface works on contiguous windows, so the paper's
+        rule is reproduced directly over a possibly non-contiguous set:
+        least-loaded feasible slot, ties to the latest.  A custom chooser
+        is consulted when the feasible slots are contiguous.
         """
-        # Evaluate loads once; pick per the paper's rule among feasible slots.
-        best_slot = feasible_slots[-1]
-        best_load = self.schedule.load(best_slot)
-        for slot in reversed(feasible_slots[:-1]):
-            load = self.schedule.load(slot)
-            if load < best_load:
-                best_slot, best_load = slot, load
-        if self.chooser is latest_min_load_chooser:
-            return best_slot
-        # Non-default choosers: restrict to a contiguous run when possible,
-        # otherwise fall back to the least-loaded/latest rule above.
-        contiguous = feasible_slots == list(
-            range(feasible_slots[0], feasible_slots[-1] + 1)
-        )
-        if contiguous:
-            return self.chooser(
-                self.schedule.load, feasible_slots[0], feasible_slots[-1]
+        feasible = [
+            k for k in range(window_start, window_end + 1) if usage.get(k, 0) < self.client_cap
+        ]
+        if not feasible:
+            raise SchedulingError(
+                f"client cap {self.client_cap} leaves no feasible slot for "
+                f"S{segment} in window [{window_start}, {window_end}]"
             )
-        return best_slot
-
-    def slot_load(self, slot: int) -> int:
-        """Segment instances transmitted during ``slot``."""
-        return self.schedule.load(slot)
-
-    def release_before(self, slot: int) -> None:
-        """Garbage-collect schedule bookkeeping for slots ``< slot``."""
-        self.schedule.release_before(slot)
+        load = self.schedule.load
+        if self.chooser is not latest_min_load_chooser and (
+            feasible[-1] - feasible[0] == len(feasible) - 1
+        ):
+            chosen = self.chooser(load, feasible[0], feasible[-1])
+        else:
+            chosen = max(feasible, key=lambda k: (-load(k), k))
+        self.schedule.add(chosen, segment)
+        return chosen
 
     def __repr__(self) -> str:
         return (

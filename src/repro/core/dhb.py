@@ -19,6 +19,14 @@ Algorithm, verbatim from the paper::
 Section 4 replaces the window bound ``i + j`` by ``i + T[j]`` for compressed
 video; the uniform CBR case is just ``T[j] = j``.  The heuristic is pluggable
 (see :mod:`repro.core.heuristic`) so the ablation benches can swap it.
+
+The loop is written once, as :meth:`DHBProtocol._admit`, over a window
+vector: entry ``j - 1`` is how many slots after the arrival ``S_j`` is due.
+Every variant is a window policy on top of it — suffix joins
+(:meth:`~DHBProtocol.handle_suffix_request`) start the loop later, adaptive
+DHB (:mod:`repro.core.adaptive`) adds a slack to every window, resumes
+(:mod:`repro.core.interactive`) shorten them — and the receive-cap extension
+(:mod:`repro.core.bandwidth_limited`) swaps in a cap-aware share/place step.
 """
 
 from __future__ import annotations
@@ -77,6 +85,10 @@ class DHBProtocol(SlottedModel):
     {1: 4, 2: 5}
     """
 
+    #: Whether this protocol's windows can shrink under instances already
+    #: scheduled, which selects :class:`SlotSchedule`'s sorted index mode.
+    shrinking_windows = False
+
     def __init__(
         self,
         n_segments: Optional[int] = None,
@@ -100,11 +112,14 @@ class DHBProtocol(SlottedModel):
         self.periods = periods
         self.chooser = chooser
         self.enable_sharing = enable_sharing
-        self.schedule = SlotSchedule(periods.n_segments, segment_weights)
+        self.schedule = SlotSchedule(
+            periods.n_segments, segment_weights, sorted_future=self.shrinking_windows
+        )
         self.track_clients = track_clients
         self.clients: List[ClientPlan] = []
         self.requests_admitted = 0
-        self._period_list = periods.as_list()
+        # Window vector of a fresh request: S_j is due T[j] slots after it.
+        self._windows = periods.as_list()
 
     @property
     def n_segments(self) -> int:
@@ -115,48 +130,8 @@ class DHBProtocol(SlottedModel):
         """Admit a request that arrived during ``slot`` (Figure 6).
 
         Returns the client's reception plan when ``track_clients`` is on.
-
-        When the chooser is the paper's default rule the admission runs on
-        the schedule's fused fast path (:meth:`SlotSchedule.choose_latest_min`
-        over the array load store); custom :class:`SlotChooser` callables go
-        through the equivalent generic loop, so ablation arms see identical
-        semantics.
         """
-        fused = self.chooser is latest_min_load_chooser
-        if fused and self.enable_sharing and not self.track_clients:
-            return self._handle_request_fast(slot)
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        schedule = self.schedule
-        instances_before = schedule.total_instances if self.metrics is not None else 0
-        for segment in range(1, self.n_segments + 1):
-            window_end = slot + self._period_list[segment - 1]
-            existing = (
-                schedule.next_transmission(segment)
-                if self.enable_sharing
-                else None
-            )
-            if existing is not None and existing > slot:
-                # The single-future-instance invariant guarantees
-                # existing <= window_end, so this instance is shareable.
-                if plan is not None:
-                    plan.assign(segment, existing, shared=True)
-                continue
-            if fused:
-                chosen = schedule.choose_latest_min(slot + 1, window_end)
-            else:
-                chosen = self.chooser(schedule.load, slot + 1, window_end)
-            schedule.add(chosen, segment)
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc()
-            self.metrics.counter("protocol.instances_scheduled").inc(
-                schedule.total_instances - instances_before
-            )
-        if plan is not None:
-            self.clients.append(plan)
-        return plan
+        return self._admit(slot, 1, 1, self._windows)
 
     def handle_suffix_request(
         self, slot: int, first_segment: int
@@ -173,95 +148,85 @@ class DHBProtocol(SlottedModel):
         segment is a configuration error (a fully cached title never joins
         the origin).
         """
-        if first_segment <= 1:
-            return self.handle_request(slot)
         if first_segment > self.n_segments:
             raise ConfigurationError(
                 f"first_segment {first_segment} beyond the last segment "
                 f"{self.n_segments}; fully cached titles do not join the origin"
             )
-        fused = self.chooser is latest_min_load_chooser
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        schedule = self.schedule
-        instances_before = schedule.total_instances if self.metrics is not None else 0
-        for segment in range(first_segment, self.n_segments + 1):
-            window_end = slot + self._period_list[segment - 1]
-            existing = (
-                schedule.next_transmission(segment)
-                if self.enable_sharing
-                else None
-            )
-            if existing is not None and existing > slot:
-                if plan is not None:
-                    plan.assign(segment, existing, shared=True)
-                continue
-            if fused:
-                chosen = schedule.choose_latest_min(slot + 1, window_end)
-            else:
-                chosen = self.chooser(schedule.load, slot + 1, window_end)
-            schedule.add(chosen, segment)
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc()
-            self.metrics.counter("protocol.instances_scheduled").inc(
-                schedule.total_instances - instances_before
-            )
-        if plan is not None:
-            self.clients.append(plan)
-        return plan
-
-    def _handle_request_fast(self, slot: int) -> None:
-        """Vectorised admission for the default heuristic.
-
-        One vector compare finds the segments with no shareable future
-        instance (at saturation only ~H(n) of n qualify); each of those is
-        then placed by the fused window-min kernel
-        (:meth:`SlotSchedule.place_latest_min_many`).  Processing stays in
-        ascending segment order and reads loads live, so the resulting
-        schedule is bit-for-bit the generic loop's.
-        """
-        self.handle_batch(slot, 1)
-        return None
+        return self._admit(slot, max(first_segment, 1), 1, self._windows)
 
     def handle_batch(self, slot: int, count: int) -> None:
         """Admit ``count`` same-slot requests in one batched admission.
 
-        Sharing collapses a slot's batch to a single admission: the first
-        request leaves every segment with a scheduled instance inside
-        ``(slot, slot + T[j]]`` — inside every later same-slot request's
-        window — so requests 2..count share everything and schedule
-        nothing.  Observably identical to ``count`` repeated
-        :meth:`handle_request` calls (schedule, counters, metrics), at the
-        cost of one.
+        Observably identical to ``count`` repeated :meth:`handle_request`
+        calls (schedule, counters, metrics); see :meth:`_admit` for why a
+        sharing batch costs one admission.
+        """
+        self._admit(slot, 1, count, self._windows)
 
-        Configurations outside the fused fast path (custom choosers,
-        sharing disabled, client tracking) fall back to the scalar loop,
-        whose semantics genuinely differ per request.
+    def _admit(
+        self, slot: int, first_segment: int, count: int, windows: List[int]
+    ) -> Optional[ClientPlan]:
+        """Figure 6, for every variant: admit ``count`` requests of ``slot``.
+
+        Each request needs segments ``first_segment .. n``, ``S_j`` within
+        ``(slot, slot + windows[j-1]]``: share an instance already in that
+        window, else place one in its least-loaded, latest slot.  Returns
+        the last request's plan when ``track_clients`` is on.
+
+        Sharing collapses a batch to a single pass: the first request leaves
+        every segment with an instance inside every later same-slot
+        request's window, so requests 2..count share everything and
+        schedule nothing.  Without sharing, or with per-client plans to
+        record, each request takes its own pass.
+
+        The default configuration splits that loop in two: the schedule
+        answers the sharing half for every segment at once
+        (:meth:`SlotSchedule.unshared_segments` — one vectorised compare on
+        the latest-slot index; at saturation only ~H(n) of n segments
+        qualify), then :meth:`SlotSchedule.place_latest_min_many` places
+        the rest in ascending segment order reading loads live —
+        bit-for-bit the loop's schedule.
         """
         if count <= 0:
-            return
-        fused = self.chooser is latest_min_load_chooser
-        if not (fused and self.enable_sharing and not self.track_clients):
-            for _ in range(count):
-                self.handle_request(slot)
-            return
+            return None
         schedule = self.schedule
-        needed = (schedule.next_transmissions <= slot).nonzero()[0]
-        placed = 0
-        if needed.size:
-            periods = self._period_list
-            indices = needed.tolist()
-            placed = schedule.place_latest_min_many(
-                slot + 1,
-                [slot + periods[index] for index in indices],
-                [index + 1 for index in indices],
-            )
+        metrics = self.metrics
+        instances_before = schedule.total_instances if metrics is not None else 0
+        fused = self.chooser is latest_min_load_chooser
+        plan = None
+        if fused and self.enable_sharing and not self.track_clients:
+            needed = schedule.unshared_segments(first_segment, slot, windows)
+            if needed:
+                schedule.place_latest_min_many(
+                    slot + 1, [slot + windows[segment - 1] for segment in needed], needed
+                )
+        else:
+            share = schedule.shareable if self.enable_sharing else None
+            passes = count if self.track_clients or share is None else 1
+            for _ in range(passes):
+                plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
+                for segment in range(first_segment, self.n_segments + 1):
+                    window_end = slot + windows[segment - 1]
+                    shared = share(segment, slot, window_end) if share else None
+                    if shared is not None:
+                        chosen = shared
+                    elif fused:
+                        chosen = schedule.place_latest_min(slot + 1, window_end, segment)
+                    else:
+                        chosen = self.chooser(schedule.load, slot + 1, window_end)
+                        schedule.add(chosen, segment)
+                    if plan is not None:
+                        plan.assign(segment, chosen, shared=shared is not None)
+                if plan is not None:
+                    self.clients.append(plan)
         self.requests_admitted += count
-        if self.metrics is not None:
-            self.metrics.counter("protocol.requests").inc(count)
-            self.metrics.counter("protocol.instances_scheduled").inc(placed)
+        if metrics is not None:
+            metrics.counter("protocol.requests").inc(count)
+            metrics.counter("protocol.instances_scheduled").inc(
+                schedule.total_instances - instances_before
+            )
+        return plan
 
     def slot_load(self, slot: int) -> int:
         """Segment instances transmitted during ``slot`` (streams of rate b)."""
@@ -282,6 +247,6 @@ class DHBProtocol(SlottedModel):
     def __repr__(self) -> str:
         kind = "uniform" if self.periods.is_uniform else "custom-periods"
         return (
-            f"DHBProtocol(n_segments={self.n_segments}, {kind}, "
+            f"{type(self).__name__}(n_segments={self.n_segments}, {kind}, "
             f"requests={self.requests_admitted})"
         )

@@ -6,30 +6,29 @@ who paused during segment ``j0`` and later resumes is simply a *mid-video
 request* — it needs segments ``j0 .. n`` with playout deadlines counted from
 its resume slot, so segment ``S_j`` must be received within
 ``j - j0 + 1`` slots (the uniform case; with custom periods,
-``T[j] - T[j0] + 1``, floored at 1).
+``T[j] - T[j0] + 1``, floored at 1).  That is DHB's Figure-6 loop over a
+shorter window vector.
 
 The twist for scheduling: resumed clients carry *tighter* windows for the
-same segments than fresh clients do, so the single-future-instance invariant
-of plain DHB no longer holds (a fresh client's instance of ``S_j`` may sit
-beyond a resumed client's window, forcing a second future instance).  Like
-the receive-cap extension, this scheduler therefore keeps a sorted list of
-future instances per segment and shares the *latest one inside the window*.
+same segments than fresh clients do (a fresh client's instance of ``S_j``
+may sit beyond a resumed client's window, forcing a second future
+instance), so the schedule runs its sorted future-instance index — see
+:class:`~repro.core.schedule.SlotSchedule` — and shares the *latest one
+inside the window*.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import ConfigurationError, SchedulingError
-from ..sim.slotted import SlottedModel
 from .client import ClientPlan
+from .dhb import DHBProtocol
 from .heuristic import SlotChooser, latest_min_load_chooser
 from .periods import PeriodVector
-from .schedule import SlotSchedule
 
 
-class InteractiveDHB(SlottedModel):
+class InteractiveDHB(DHBProtocol):
     """DHB with mid-video (resume) requests.
 
     Parameters
@@ -54,6 +53,8 @@ class InteractiveDHB(SlottedModel):
     1
     """
 
+    shrinking_windows = True
+
     def __init__(
         self,
         n_segments: Optional[int] = None,
@@ -61,25 +62,9 @@ class InteractiveDHB(SlottedModel):
         chooser: SlotChooser = latest_min_load_chooser,
         track_clients: bool = False,
     ):
-        if periods is None:
-            if n_segments is None:
-                raise ConfigurationError("give n_segments or an explicit periods vector")
-            periods = PeriodVector.uniform(n_segments)
-        elif not isinstance(periods, PeriodVector):
-            periods = PeriodVector(periods)
-        self.periods = periods
-        self.chooser = chooser
-        self.schedule = SlotSchedule(periods.n_segments)
-        self._future: List[List[int]] = [[] for _ in range(periods.n_segments)]
-        self.track_clients = track_clients
-        self.clients: List[ClientPlan] = []
-        self.requests_admitted = 0
+        super().__init__(n_segments, periods, chooser, track_clients=track_clients)
         self.resumes_admitted = 0
-
-    @property
-    def n_segments(self) -> int:
-        """Number of segments ``n``."""
-        return self.periods.n_segments
+        self._resume_windows: Dict[int, List[int]] = {1: self._windows}
 
     def window_length(self, segment: int, start_segment: int) -> int:
         """Slots by which ``S_segment`` may trail a request starting at
@@ -90,20 +75,6 @@ class InteractiveDHB(SlottedModel):
             )
         length = self.periods[segment] - self.periods[start_segment] + 1
         return max(length, 1)
-
-    def _prune_past(self, segment: int, slot: int) -> None:
-        instances = self._future[segment - 1]
-        cut = bisect_right(instances, slot)
-        if cut:
-            del instances[:cut]
-
-    def _shareable_slot(
-        self, segment: int, window_start: int, window_end: int
-    ) -> Optional[int]:
-        instances = self._future[segment - 1]
-        lo = bisect_left(instances, window_start)
-        hi = bisect_right(instances, window_end)
-        return instances[hi - 1] if hi > lo else None
 
     def handle_request(
         self, slot: int, start_segment: int = 1
@@ -117,26 +88,12 @@ class InteractiveDHB(SlottedModel):
             raise ConfigurationError(
                 f"start_segment {start_segment} outside 1..{self.n_segments}"
             )
-        plan = ClientPlan(arrival_slot=slot) if self.track_clients else None
-        for segment in range(start_segment, self.n_segments + 1):
-            self._prune_past(segment, slot)
-            window_start = slot + 1
-            window_end = slot + self.window_length(segment, start_segment)
-            shared = self._shareable_slot(segment, window_start, window_end)
-            if shared is not None:
-                if plan is not None:
-                    plan.assign(segment, shared, shared=True)
-                continue
-            chosen = self.chooser(self.schedule.load, window_start, window_end)
-            self.schedule.add(chosen, segment)
-            insort(self._future[segment - 1], chosen)
-            if plan is not None:
-                plan.assign(segment, chosen, shared=False)
-        self.requests_admitted += 1
+        if start_segment not in self._resume_windows:
+            shift = self.periods[start_segment] - 1
+            self._resume_windows[start_segment] = [max(t - shift, 1) for t in self.periods]
+        plan = self._admit(slot, start_segment, 1, self._resume_windows[start_segment])
         if start_segment > 1:
             self.resumes_admitted += 1
-        if plan is not None:
-            self.clients.append(plan)
         return plan
 
     def verify_resumed_plan(self, plan: ClientPlan, start_segment: int) -> None:
@@ -155,11 +112,3 @@ class InteractiveDHB(SlottedModel):
                     f"S{segment} at slot {assigned} outside "
                     f"({plan.arrival_slot}, {deadline}]"
                 )
-
-    def slot_load(self, slot: int) -> int:
-        """Segment instances transmitted during ``slot``."""
-        return self.schedule.load(slot)
-
-    def release_before(self, slot: int) -> None:
-        """Garbage-collect schedule bookkeeping for slots ``< slot``."""
-        self.schedule.release_before(slot)

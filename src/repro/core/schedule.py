@@ -1,40 +1,53 @@
 """The slotted transmission schedule.
 
 :class:`SlotSchedule` is the single mutable data structure behind every
-dynamic slotted protocol here (DHB, UD, dynamic NPB).  It records which
-segment instances are transmitted in which slot and answers the two queries
-the schedulers need:
+dynamic slotted protocol here (DHB and its variants, UD, dynamic NPB).  It
+records which segment instances are transmitted in which slot and answers
+the two queries the schedulers need:
 
 * ``load(slot)`` — how many instances (= data streams of bandwidth ``b``)
   slot already carries, and
-* ``next_transmission(segment)`` — the slot of the segment's only scheduled
-  future instance, if any.
+* ``shareable(segment, slot, window_end)`` — an instance of the segment in
+  ``(slot, window_end]`` that a new request can share, if any.
 
-The second query exploits a structural invariant of window-based sharing
-protocols: as long as every request checks the window ``[i+1, i+T[j]]``
-before scheduling ``S_j``, **at most one instance of each segment is ever
-scheduled in the strict future**.  (Any previous request arrived at some
-``i' <= i`` and placed its instance at ``k <= i' + T[j] <= i + T[j]``; if
-``k > i`` that instance lies inside the new request's window and is shared
-instead of duplicated.)
+The second query runs over a per-segment future-instance index with two
+modes, fixed by the protocol class that owns the schedule:
+
+* **latest slot** (the default).  As long as every request checks the
+  window ``[i+1, i+T[j]]`` before scheduling ``S_j`` and windows never
+  shrink, **at most one instance of each segment is ever scheduled in the
+  strict future**.  (Any previous request arrived at some ``i' <= i`` and
+  placed its instance at ``k <= i' + T[j] <= i + T[j]``; if ``k > i`` that
+  instance lies inside the new request's window and is shared instead of
+  duplicated.)  One array of latest slots, :attr:`next_transmissions`, then
+  answers every query, and static DHB reads it vectorised.
+* **sorted lists** (``sorted_future=True``).  When windows can shrink — an
+  adaptive slack drop, a resume that needs a segment sooner, a client
+  receive cap that rules a slot out — the invariant breaks: a segment may
+  have an instance beyond the new window's end, and trusting the latest
+  slot would hand clients shared assignments they can never meet.  Each
+  segment then keeps the sorted list of its future instance slots, pruned
+  lazily as queries move past them, so the window check is exact under any
+  window trajectory.
 
 Load storage is an array keyed by slot offset, not a per-slot dict: the
 active slot span of a window-sharing protocol is bounded by the largest
 period, so a flat ``array('q')`` indexed by ``slot - base`` gives O(1)
 scalar reads/writes at CPython-attribute speed *and* a zero-copy numpy view
-(:meth:`window_loads`) over any slot window for vectorised queries.
-:meth:`choose_latest_min` fuses the DHB heuristic (least-loaded slot, ties
-broken to the latest) with that store.  :meth:`release_before` advances the
-logical floor in O(1) amortised time and periodically compacts the backing
-array, keeping memory flat over arbitrarily long runs.  The schedule still
-keeps full per-slot instance lists, both for bandwidth auditing and so that
-tests can inspect the raw schedule.
+for vectorised window minima.  :meth:`place_latest_min` fuses the DHB
+heuristic (least-loaded slot, ties broken to the latest) with that store.
+:meth:`release_before` advances the logical floor in O(1) amortised time
+and periodically compacts the backing array, keeping memory flat over
+arbitrarily long runs.  The schedule still keeps full per-slot instance
+lists, for bandwidth auditing, for failover (:meth:`future_instances`) and
+so that tests can inspect the raw schedule.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_right, insort
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +60,15 @@ _INITIAL_CAPACITY = 256
 #: access on an ``array('q')`` costs ~0.2 µs, so small windows beat the
 #: fixed ~2 µs overhead of a numpy argmin call.
 _SMALL_WINDOW = 16
+
+
+def _slide(values: array, shift: int, capacity: int) -> array:
+    """``values[shift:]`` at the start of a zeroed array of exactly
+    ``capacity`` 8-byte cells (no over-allocation, unlike ``extend``)."""
+    fresh = array(values.typecode, bytes(8 * capacity))
+    live = values[shift:]
+    fresh[: len(live)] = live
+    return fresh
 
 
 class SlotSchedule:
@@ -63,6 +85,11 @@ class SlotSchedule:
         reports the per-slot weighted load, which is how the compressed-
         video experiment accounts *transmitted bytes* rather than allocated
         stream-slots.
+    sorted_future:
+        Index every future instance per segment (sorted lists) instead of
+        the latest slot only; required when admission windows can shrink
+        (see the module docstring).  Protocol classes fix this, it is not a
+        run option.
 
     Examples
     --------
@@ -72,11 +99,19 @@ class SlotSchedule:
     1
     >>> schedule.next_transmission(1)
     2
+    >>> schedule.shareable(1, slot=0, window_end=3)
+    2
     >>> schedule.next_transmission(5) is None
     True
     """
 
-    def __init__(self, n_segments: int, segment_weights: Optional[Sequence[float]] = None):
+    def __init__(
+        self,
+        n_segments: int,
+        segment_weights: Optional[Sequence[float]] = None,
+        *,
+        sorted_future: bool = False,
+    ):
         if n_segments < 1:
             raise SchedulingError(f"need >= 1 segment, got {n_segments}")
         self.n_segments = int(n_segments)
@@ -108,6 +143,10 @@ class SlotSchedule:
         # Fixed-size array('q'), so the numpy view stays valid for life.
         self._next_tx = array("q", [-1] * self.n_segments)
         self._next_tx_np = np.frombuffer(self._next_tx, dtype=np.int64)
+        # Sorted mode: _future[j-1] lists S_j's future instance slots.
+        self._future: Optional[List[List[int]]] = (
+            [[] for _ in range(self.n_segments)] if sorted_future else None
+        )
         self._released_before = 0
         self._total_instances = 0
 
@@ -134,36 +173,21 @@ class SlotSchedule:
             )
 
     def _ensure_capacity(self, slot: int) -> None:
-        """Grow (never in place) so that ``slot`` has a backing cell."""
-        needed = slot - self._base + 1
-        capacity = len(self._loads)
-        # Compact first: slide the window forward past released slots.
-        shift = self._released_before - self._base
-        if shift > 0 and needed - shift <= capacity:
-            fresh = self._loads[shift:]
-            fresh.extend(bytes(8 * shift))
-            self._replace_loads(fresh)
-            if self._weight_loads is not None:
-                fresh_w = self._weight_loads[shift:]
-                fresh_w.extend(bytes(8 * shift))
-                self._weight_loads = fresh_w
-            self._base = self._released_before
-            return
-        new_capacity = capacity
-        while new_capacity < needed - shift:
-            new_capacity *= 2
-        fresh = self._loads[shift:]
-        fresh.extend(bytes(8 * (new_capacity - len(fresh))))
-        self._replace_loads(fresh)
-        if self._weight_loads is not None:
-            fresh_w = self._weight_loads[shift:]
-            fresh_w.extend(bytes(8 * (new_capacity - len(fresh_w))))
-            self._weight_loads = fresh_w
-        self._base += shift
+        """Grow (never in place) so that ``slot`` has a backing cell.
 
-    def _replace_loads(self, fresh: array) -> None:
-        self._loads = fresh
-        self._loads_np = np.frombuffer(fresh, dtype=np.int64)
+        The fresh array starts at the released floor: sliding the window
+        forward past released slots comes first, doubling only if the live
+        span still does not fit.
+        """
+        shift = self._released_before - self._base
+        capacity = len(self._loads)
+        while capacity < slot - self._released_before + 1:
+            capacity *= 2
+        self._loads = _slide(self._loads, shift, capacity)
+        self._loads_np = np.frombuffer(self._loads, dtype=np.int64)
+        if self._weight_loads is not None:
+            self._weight_loads = _slide(self._weight_loads, shift, capacity)
+        self._base = self._released_before
 
     def add(self, slot: int, segment: int) -> None:
         """Schedule one instance of ``segment`` in ``slot``."""
@@ -190,6 +214,8 @@ class SlotSchedule:
         self._total_instances += 1
         if slot > self._next_tx[segment - 1]:
             self._next_tx[segment - 1] = slot
+        if self._future is not None:
+            insort(self._future[segment - 1], slot)
 
     def load(self, slot: int) -> int:
         """Number of instances scheduled in ``slot`` (streams of rate ``b``)."""
@@ -225,72 +251,78 @@ class SlotSchedule:
         slot = self._next_tx[segment - 1]
         return None if slot < 0 else slot
 
-    def has_instance_within(self, segment: int, first_slot: int, last_slot: int) -> bool:
-        """Whether ``segment`` has an instance in ``[first_slot, last_slot]``.
+    def shareable(self, segment: int, slot: int, window_end: int) -> Optional[int]:
+        """Latest instance of ``segment`` in ``(slot, window_end]``, or ``None``.
 
-        Uses the single-future-instance invariant, so this is O(1).
+        The sharing query of Figure 6 for a request arriving during
+        ``slot``.  Latest-slot mode reads the single future instance the
+        invariant allows; sorted mode first prunes instances at or before
+        ``slot`` (transmitted already, or transmitting now — arrivals during
+        a slot cannot receive that same slot), so successive queries must
+        not move ``slot`` backwards past an instance they still need.
         """
-        next_tx = self.next_transmission(segment)
-        return next_tx is not None and first_slot <= next_tx <= last_slot
+        future = self._future
+        if future is None:
+            scheduled = self._next_tx[segment - 1]
+            return scheduled if slot < scheduled <= window_end else None
+        instances = future[segment - 1]
+        if instances and instances[0] <= slot:
+            del instances[: bisect_right(instances, slot)]
+        end = bisect_right(instances, window_end)
+        return instances[end - 1] if end else None
 
-    def window_loads(self, first_slot: int, last_slot: int) -> np.ndarray:
-        """Zero-copy numpy view of the loads of ``[first_slot, last_slot]``.
+    def unshared_segments(
+        self, first_segment: int, slot: int, windows: Sequence[int]
+    ) -> List[int]:
+        """Segments ``first_segment .. n`` with nothing to share, ascending.
 
-        The view aliases the live store: it is only valid until the next
-        :meth:`add` / :meth:`release_before` and must not be written to.
-        ``first_slot`` must not be below the released floor.
+        ``S_j`` qualifies when no instance lies in
+        ``(slot, slot + windows[j-1]]`` — the sharing half of a whole
+        Figure-6 admission, answered before any placement (placing ``S_j``
+        changes no other segment's answer).  Latest-slot mode is one
+        vectorised compare against :attr:`next_transmissions`, taking the
+        window ends on trust from the invariant; sorted mode prunes and
+        checks each segment's list.
         """
-        if last_slot < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        if last_slot - self._base >= len(self._loads):
-            self._ensure_capacity(last_slot)
-        base = self._base
-        return self._loads_np[first_slot - base : last_slot - base + 1]
+        future = self._future
+        if future is None:
+            indices = (self._next_tx_np <= slot).nonzero()[0]
+            if first_segment > 1:
+                indices = indices[indices >= first_segment - 1]
+            return [index + 1 for index in indices.tolist()]
+        needed = []
+        start = first_segment - 1
+        for segment, instances, window in zip(
+            range(first_segment, self.n_segments + 1), future[start:], windows[start:]
+        ):
+            if instances and instances[0] <= slot:
+                del instances[: bisect_right(instances, slot)]
+            if not instances or instances[0] > slot + window:
+                needed.append(segment)
+        return needed
 
-    def choose_latest_min(self, first_slot: int, last_slot: int) -> int:
-        """Least-loaded slot of ``[first_slot, last_slot]``, latest tie wins.
+    def future_instances(self, from_slot: int) -> List[Tuple[int, int]]:
+        """Every ``(segment, slot)`` instance at ``slot >= from_slot``, sorted.
 
-        Fused fast path of the paper's heuristic
-        (:func:`repro.core.heuristic.latest_min_load_chooser`): bit-for-bit
-        the same choice, but read straight off the load array — a reverse
-        Python scan for small windows, a vectorised argmin otherwise.
+        Read from the per-slot store, so every owed instance is listed in
+        either index mode — a segment with two future instances (a shrunk
+        window, a failover placement) yields both.
         """
-        if last_slot < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        if last_slot - self._base >= len(self._loads):
-            self._ensure_capacity(last_slot)
-        base = self._base
-        if last_slot - first_slot < _SMALL_WINDOW:
-            loads = self._loads
-            best_slot = last_slot
-            best_load = loads[last_slot - base]
-            for slot in range(last_slot - 1, first_slot - 1, -1):
-                load = loads[slot - base]
-                if load < best_load:
-                    best_slot, best_load = slot, load
-            return best_slot
-        window = self._loads_np[first_slot - base : last_slot - base + 1]
-        # argmin of the reversed view finds the first minimum from the end,
-        # which *is* the latest among equals.
-        return last_slot - int(window[::-1].argmin())
+        return sorted(
+            (segment, slot)
+            for slot, bucket in self._slots.items()
+            if slot >= from_slot
+            for segment in bucket
+        )
 
     def place_latest_min(self, first_slot: int, last_slot: int, segment: int) -> int:
-        """Fused :meth:`choose_latest_min` + :meth:`add`; returns the slot.
+        """Schedule ``segment`` in the least-loaded slot of ``[first_slot, last_slot]``.
 
-        The admission hot path of the dynamic protocols: one call picks the
-        least-loaded/latest slot of the window and schedules ``segment``
-        there, skipping the bounds work :meth:`add` would repeat (the chosen
-        slot is inside the just-validated window by construction).
+        Ties go to the latest slot: the fused form of the paper's heuristic
+        (:func:`repro.core.heuristic.latest_min_load_chooser`) plus
+        :meth:`add` — bit-for-bit the same choice, read straight off the
+        load array (a reverse Python scan for small windows, a vectorised
+        argmin otherwise).  Returns the chosen slot.
         """
         if not 1 <= segment <= self.n_segments:
             self._check_segment(segment)
@@ -316,6 +348,8 @@ class SlotSchedule:
                 if load < best_load:
                     chosen_index, best_load = index, load
         else:
+            # argmin of the reversed view finds the first minimum from the
+            # end, which *is* the latest among equals.
             chosen_index = high - int(self._loads_np[low : high + 1][::-1].argmin())
         chosen = base + chosen_index
         loads[chosen_index] += 1
@@ -329,6 +363,8 @@ class SlotSchedule:
         self._total_instances += 1
         if chosen > self._next_tx[segment - 1]:
             self._next_tx[segment - 1] = chosen
+        if self._future is not None:
+            insort(self._future[segment - 1], chosen)
         return chosen
 
     def place_latest_min_many(
@@ -347,6 +383,8 @@ class SlotSchedule:
         This is the admission kernel of the batched protocols: a whole
         slot's worth of requests reduces (via the sharing invariant) to one
         pass over the segments that lack a shareable future instance.
+        Sorted-mode schedules place one at a time, keeping the loop below
+        free of index-mode checks.
         """
         if len(last_slots) != len(segments):
             raise SchedulingError(
@@ -354,6 +392,10 @@ class SlotSchedule:
             )
         if not segments:
             return 0
+        if self._future is not None:
+            for last_slot, segment in zip(last_slots, segments):
+                self.place_latest_min(first_slot, last_slot, segment)
+            return len(segments)
         for segment in segments:
             if not 1 <= segment <= self.n_segments:
                 self._check_segment(segment)
@@ -426,14 +468,9 @@ class SlotSchedule:
         self._released_before = slot
         # Keep the backing array aligned with the active span: once the
         # released prefix dominates the capacity, slide the window forward
-        # (amortised O(1) per released slot).
-        if slot - self._base >= len(self._loads):
-            # Everything stored is released; restart the array at the floor.
-            self._base = slot
-            self._replace_loads(array("q", bytes(8 * len(self._loads))))
-            if self._weight_loads is not None:
-                self._weight_loads = array("d", bytes(8 * len(self._weight_loads)))
-        elif slot - self._base > max(_INITIAL_CAPACITY, len(self._loads) // 2):
+        # (amortised O(1) per released slot; when everything stored is
+        # released, this restarts the array at the floor).
+        if slot - self._base >= max(_INITIAL_CAPACITY, len(self._loads) // 2):
             self._ensure_capacity(slot)
 
     def occupied_slots(self) -> List[int]:

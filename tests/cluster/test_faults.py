@@ -14,10 +14,23 @@ from repro.cluster.faults import (
     supports_rescheduling,
 )
 from repro.cluster.topology import ServerSpec, uniform_topology
+from repro.core.adaptive import AdaptiveDHBProtocol
 from repro.core.dhb import DHBProtocol
+from repro.core.interactive import InteractiveDHB
 from repro.errors import ClusterError
 from repro.protocols.ud import UniversalDistributionProtocol
 from repro.sim.rng import RandomStreams
+
+
+def hosting(protocol):
+    """A one-title server around an already-driven protocol."""
+    return CappedServer(ServerSpec(0, 100), [0], lambda title: protocol)
+
+
+def owed(protocol, crash_slot):
+    """Instances scheduled at or after ``crash_slot``, read off slot loads."""
+    horizon = crash_slot + 4 * protocol.n_segments + 64
+    return sum(protocol.slot_load(slot) for slot in range(crash_slot, horizon))
 
 
 def make_server(server_id, titles=(0,), capacity=10):
@@ -138,3 +151,46 @@ class TestDegradedMode:
         report = fail_over(crashed, lambda title: [], crash_slot=2)
         assert report.lost_for_good == 5  # S_2..S_6
         assert report.events == []
+
+
+class TestLostInstancesEnumeratesEveryOwedInstance:
+    """A segment with two future instances loses both in a crash."""
+
+    def test_adaptive_after_slack_drop(self):
+        protocol = AdaptiveDHBProtocol(20, ((0.0, 0), (2.0, 6)), epoch_slots=4)
+        for slot in range(45):
+            protocol.handle_batch(slot, 4)
+        protocol.handle_request(49)  # still slack 6: instances up to 49+j+6
+        protocol.handle_request(54)  # slack drops to 0: windows shrink
+        assert protocol.retunes[-1].slot == 54
+        assert protocol.retunes[-1].new_slack == 0
+        lost = lost_instances(hosting(protocol), crash_slot=55)
+        assert len(lost) == owed(protocol, 55) > protocol.n_segments
+
+    def test_interactive_resume(self):
+        protocol = InteractiveDHB(6)
+        protocol.handle_request(0)
+        protocol.handle_request(0, start_segment=6)  # S6 twice: slots 1, 6
+        lost = lost_instances(hosting(protocol), crash_slot=1)
+        assert len(lost) == owed(protocol, 1) == 7
+        assert [(i.segment, i.due_slot) for i in lost][-2:] == [(6, 1), (6, 6)]
+
+    def test_static_survivor_of_an_earlier_failover(self):
+        protocol = DHBProtocol(n_segments=20)
+        for slot in range(5):
+            protocol.handle_request(slot)
+        # A failover placement lands before the survivor's own S20.
+        own = protocol.schedule.next_transmission(20)
+        placed, shared = reschedule_instance(protocol, 6, segment=20, due_slot=8)
+        assert not shared and placed < own
+        lost = lost_instances(hosting(protocol), crash_slot=6)
+        assert len(lost) == owed(protocol, 6) == 19
+        assert [i.due_slot for i in lost if i.segment == 20] == [placed, own]
+
+    def test_adaptive_admissions_share_failover_placements(self):
+        protocol = AdaptiveDHBProtocol(8, ((0.0, 0),), track_clients=True)
+        protocol.handle_request(0)  # S_j at slot j
+        placed, shared = reschedule_instance(protocol, 4, segment=3, due_slot=6)
+        assert not shared and 4 <= placed <= 6
+        plan = protocol.handle_request(4)  # needs S3 in (4, 7]
+        assert plan.shared[3] and plan.assignments[3] == placed

@@ -1,6 +1,5 @@
 """Tests for repro.core.schedule."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,12 +38,39 @@ def test_next_transmission_tracks_latest():
     assert schedule.next_transmission(1) == 5
 
 
-def test_has_instance_within():
+def test_shareable_latest_slot_mode():
     schedule = SlotSchedule(n_segments=5)
     schedule.add(4, 2)
-    assert schedule.has_instance_within(2, 2, 5)
-    assert not schedule.has_instance_within(2, 5, 9)
-    assert not schedule.has_instance_within(3, 0, 100)
+    assert schedule.shareable(2, 1, 5) == 4
+    assert schedule.shareable(2, 4, 9) is None  # transmitting now, not future
+    assert schedule.shareable(2, 1, 3) is None  # beyond the window
+    assert schedule.shareable(3, 0, 100) is None
+    # Admission windows are taken on trust: only S2 is already covered.
+    assert schedule.unshared_segments(1, 1, [1] * 5) == [1, 3, 4, 5]
+    assert schedule.unshared_segments(3, 1, [1] * 5) == [3, 4, 5]
+
+
+def test_shareable_sorted_mode_sees_every_future_instance():
+    schedule = SlotSchedule(n_segments=3, sorted_future=True)
+    for slot in (9, 2, 5):
+        schedule.add(slot, 1)
+    schedule.place_latest_min(3, 4, 1)  # idle window: latest slot, 4
+    # Shrunk windows still find the latest instance inside them.
+    assert [schedule.shareable(1, 1, end) for end in (8, 4, 3)] == [5, 4, 2]
+    assert schedule.shareable(1, 1, 100) == 9
+    assert schedule.unshared_segments(1, 1, [2, 1, 1]) == [2, 3]
+    assert schedule.unshared_segments(1, 1, [0, 1, 1]) == [1, 2, 3]
+    # Queries prune what they have moved past.
+    assert schedule.shareable(1, 5, 8) is None
+    assert schedule.shareable(1, 5, 9) == 9
+    assert schedule.next_transmission(1) == 9
+
+
+def test_future_instances_lists_duplicates_in_segment_order():
+    schedule = SlotSchedule(n_segments=3)
+    for slot, segment in ((6, 3), (2, 1), (4, 2), (5, 2), (1, 3)):
+        schedule.add(slot, segment)
+    assert schedule.future_instances(2) == [(1, 2), (2, 4), (2, 5), (3, 6)]
 
 
 def test_release_before_bounds_memory_but_keeps_index():
@@ -120,32 +146,11 @@ def test_interleaved_adds_and_large_releases():
     assert schedule.total_instances == 12
 
 
-class TestWindowLoads:
-    def test_view_matches_loads(self):
-        schedule = SlotSchedule(n_segments=5)
-        for slot, segment in ((2, 1), (2, 2), (4, 3), (5, 4)):
-            schedule.add(slot, segment)
-        window = schedule.window_loads(1, 6)
-        assert window.tolist() == [0, 2, 0, 1, 1, 0]
-        assert window.dtype == np.int64
-
-    def test_view_is_live(self):
-        schedule = SlotSchedule(n_segments=5)
-        window = schedule.window_loads(1, 3)
-        assert window.tolist() == [0, 0, 0]
-        schedule.add(2, 1)
-        assert window.tolist() == [0, 1, 0]
-
-    def test_empty_window_rejected(self):
-        schedule = SlotSchedule(n_segments=2)
-        with pytest.raises(SchedulingError):
-            schedule.window_loads(5, 4)
-
-    def test_window_below_released_floor_rejected(self):
-        schedule = SlotSchedule(n_segments=2)
-        schedule.release_before(10)
-        with pytest.raises(SchedulingError):
-            schedule.window_loads(8, 12)
+def place_and_check(schedule, first, last, segment=1):
+    """``place_latest_min`` picks exactly the paper's reference slot."""
+    expected = latest_min_load_chooser(schedule.load, first, last)
+    assert schedule.place_latest_min(first, last, segment) == expected
+    return expected
 
 
 class TestChooseLatestMin:
@@ -154,23 +159,20 @@ class TestChooseLatestMin:
         for slot, segment in ((1, 1), (2, 2), (2, 3), (4, 4)):
             schedule.add(slot, segment)
         for first, last in ((1, 4), (2, 2), (1, 6), (3, 5)):
-            assert schedule.choose_latest_min(first, last) == (
-                latest_min_load_chooser(schedule.load, first, last)
-            )
+            place_and_check(schedule, first, last)
 
     def test_large_window_uses_vector_path(self):
         schedule = SlotSchedule(n_segments=99)
         schedule.add(30, 1)
         schedule.add(77, 2)
         # Window of 99 slots (> the small-window threshold).
-        assert schedule.choose_latest_min(1, 99) == latest_min_load_chooser(
-            schedule.load, 1, 99
-        )
+        place_and_check(schedule, 1, 99)
+        place_and_check(schedule, 1, 99)
 
     def test_empty_window_rejected(self):
         schedule = SlotSchedule(n_segments=2)
         with pytest.raises(SchedulingError):
-            schedule.choose_latest_min(3, 2)
+            schedule.place_latest_min(3, 2, 1)
 
 
 class TestPlaceLatestMin:
@@ -180,7 +182,7 @@ class TestPlaceLatestMin:
         for slot, segment in ((1, 1), (3, 2), (3, 3)):
             reference.add(slot, segment)
             fused.add(slot, segment)
-        expected = reference.choose_latest_min(1, 4)
+        expected = latest_min_load_chooser(reference.load, 1, 4)
         reference.add(expected, 4)
         chosen = fused.place_latest_min(1, 4, 4)
         assert chosen == expected
@@ -207,14 +209,11 @@ class TestPlaceLatestMin:
     width=st.integers(0, 30),
 )
 def test_choose_latest_min_agrees_with_reference(instances, first, width):
-    """Property: the fused chooser == the paper's reference rule, always."""
+    """Property: the fused placement == the paper's reference rule, always."""
     schedule = SlotSchedule(n_segments=8)
     for slot, segment in instances:
         schedule.add(slot, segment)
-    last = first + width
-    assert schedule.choose_latest_min(first, last) == latest_min_load_chooser(
-        schedule.load, first, last
-    )
+    place_and_check(schedule, first, first + width)
 
 
 @given(
@@ -255,6 +254,18 @@ class TestWeights:
         schedule.add(1, 1)
         schedule.release_before(2)
         assert schedule.weight(1) == 0.0
+
+    def test_compaction_moves_weights_with_loads(self):
+        schedule = SlotSchedule(n_segments=2, segment_weights=[3.0, 5.0])
+        expected = {}
+        for floor in list(range(0, 3000, 7)) + [10**6]:
+            segment = 1 + floor % 2
+            schedule.add(floor + 20, segment)
+            expected[floor + 20] = expected.get(floor + 20, 0.0) + [3.0, 5.0][segment - 1]
+            schedule.release_before(floor)
+            for slot in range(floor, floor + 30):
+                assert schedule.weight(slot) == expected.get(slot, 0.0)
+                assert schedule.load(slot) == (slot in expected)
 
     def test_weight_validation(self):
         with pytest.raises(SchedulingError):
