@@ -121,10 +121,13 @@ def bench_dhb_10m() -> Dict[str, float]:
 
     The ROADMAP's production-scale target: a saturated 99-segment DHB
     point whose trace no longer fits a per-request Python loop.  The
-    detail records throughput, the measured speedup over the scalar loop
-    on a 200k-request prefix of the same trace (the regression gate
-    requires >= 5x), and the process peak RSS (gated < 1 GiB — the
+    detail records throughput, the measured speedup over the scalar
+    baseline on a 200k-request prefix of the same trace (the regression
+    gate requires >= 5x), and the process peak RSS (gated < 1 GiB — the
     streaming statistics keep the run's footprint at the trace itself).
+    The scalar baseline is ``columnar=False``: the same driver loop, with
+    each slot's batch admitted request by request through
+    ``handle_request``, so the ratio isolates batched admission.
     """
     d = 1.0
     horizon = 100_000
@@ -138,7 +141,7 @@ def bench_dhb_10m() -> Dict[str, float]:
     columnar_seconds = time.perf_counter() - start
     if not result.columnar:
         raise AssertionError("10M bench did not take the columnar path")
-    # Scalar baseline on a prefix at the same saturation density
+    # Per-request admission on a prefix at the same saturation density
     # (~100 requests/slot), so the ratio compares per-request costs.
     prefix_slots = 2_000
     prefix = arrivals[: int(np.searchsorted(arrivals, float(prefix_slots)))]
@@ -158,12 +161,14 @@ def bench_dhb_10m() -> Dict[str, float]:
 
 
 def bench_fig7_columnar() -> Dict[str, float]:
-    """The quick Figure-7 sweep, columnar vs forced-scalar, cross-checked.
+    """The quick Figure-7 sweep, batched vs per-request admission, cross-checked.
 
-    Runs the sweep the normal way (slotted points take the columnar hot
-    path) and re-measures every slotted cell with ``columnar=False``;
-    fails loudly on any difference, so the entry doubles as a bit-for-bit
-    equivalence check (``verified``) alongside its timing.
+    Runs the sweep the normal way (slotted points admit each slot's batch
+    through ``handle_batch``) and re-measures every slotted cell with
+    ``columnar=False``, which admits the same batches request by request
+    inside the same driver loop; fails loudly on any difference, so the
+    entry doubles as a bit-for-bit equivalence check (``verified``)
+    alongside its timing.
     """
     from repro.protocols.registry import ProtocolContext, build_protocol
     from repro.sim.slotted import SlottedModel

@@ -43,7 +43,7 @@ margin the ``repro-cli adaptive-study`` day study measures.
 The rate signal is an EWMA over per-slot admission counts with geometric
 decay across empty slots; retunes happen lazily at the first admission of
 each ``epoch_slots``-slot epoch, so the protocol stays deterministic in
-its arrival sequence (batch and scalar drivers agree bit-for-bit).
+its arrival sequence (batched and per-request admission agree bit-for-bit).
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class SlotRateEstimator:
     ``(1 - alpha)**g`` so the estimate tracks the *rate*, not just the
     nonzero samples.  Folding is deferred, so feeding one ``add(slot, n)``
     or ``n`` separate ``add(slot, 1)`` calls is indistinguishable — the
-    property that keeps the batched and scalar drivers bit-for-bit equal.
+    property that keeps batched and per-request admission bit-for-bit equal.
     """
 
     def __init__(self, alpha: float = 0.1):

@@ -2,8 +2,6 @@
 
 * :mod:`repro.experiments.config` / :mod:`repro.experiments.runner` — sweep
   configuration and the protocol-agnostic measurement loop.
-* :mod:`repro.experiments.parallel` — process-pool fan-out of sweep grids
-  (bit-for-bit identical to the serial path; ``REPRO_SWEEP_JOBS`` control).
 * :mod:`repro.experiments.fig1to5` — the protocol-illustration figures
   (deterministic schedule maps, reproduced verbatim).
 * :mod:`repro.experiments.fig7` — average bandwidth vs arrival rate
@@ -21,13 +19,11 @@ from .fig1to5 import render_figure, render_all_figures
 from .fig7 import FIG7_PROTOCOLS, run_fig7
 from .fig8 import FIG8_PROTOCOLS, run_fig8
 from .fig9 import run_fig9
-from .parallel import ParallelSweepExecutor
 from .runner import measure_protocol, sweep_protocols
 
 __all__ = [
     "FIG7_PROTOCOLS",
     "FIG8_PROTOCOLS",
-    "ParallelSweepExecutor",
     "SweepConfig",
     "measure_protocol",
     "render_all_figures",

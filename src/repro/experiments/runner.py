@@ -119,11 +119,10 @@ def measure_protocol(
         Extra fields copied into every trace record (protocol label,
         rate, ...).
     columnar:
-        Allow the slotted driver's columnar hot path (pre-bucketed
-        batched admission; bit-for-bit identical results).  It engages
-        only for numpy arrival arrays with no trace sink attached;
-        ``False`` forces the scalar per-request loop (equivalence tests
-        and the bench baseline use it).
+        Admit each slot's batch through the protocol's own
+        ``handle_batch`` (default).  ``False`` admits it request by request
+        inside the same driver loop (equivalence tests and the bench
+        baseline use it); results are bit-for-bit identical.
     """
     if rate_per_hour <= 0:
         raise ConfigurationError("rate must be > 0")

@@ -19,9 +19,7 @@ when given a :class:`CheckpointStore`, and threads metrics/manifest/trace
 state uniformly — bit-for-bit identical results on every backend, and on
 a resumed run versus an uninterrupted one.
 
-See ``docs/ARCHITECTURE.md`` for the layering diagram and the migration
-notes for the pre-runtime entry points
-(:mod:`repro.experiments.parallel` is now a thin shim over this package).
+See ``docs/ARCHITECTURE.md`` for the layering diagram.
 """
 
 from .backends import (

@@ -1,4 +1,4 @@
-"""The local process-pool backend (the pre-backend ``pool.run_ordered``).
+"""The local process-pool backend.
 
 Semantics carried over from the original single pool, plus one fix:
 

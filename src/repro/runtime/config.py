@@ -9,9 +9,8 @@ precedence chain::
 i.e. an explicit function argument always wins, an unset argument falls
 back to the :class:`RuntimeConfig` object in play, and an unset config
 field falls back to the environment (then to the baked-in default).
-Before this module existed, ``experiments.parallel.resolve_n_jobs`` and
-the cluster scenario pool each read ``REPRO_SWEEP_JOBS`` independently;
-now both route through :meth:`RuntimeConfig.resolve_n_jobs`.
+Every reader of ``REPRO_SWEEP_JOBS`` routes through
+:meth:`RuntimeConfig.resolve_n_jobs`.
 
 Environment variables
 ---------------------
@@ -207,7 +206,7 @@ DEFAULT_CONFIG = RuntimeConfig()
 def resolve_n_jobs(
     n_jobs: Optional[int] = None, config: Optional[RuntimeConfig] = None
 ) -> int:
-    """Resolve a worker count outside any Engine (legacy call sites).
+    """Resolve a worker count outside any Engine.
 
     Same semantics as :meth:`RuntimeConfig.resolve_n_jobs`; ``config``
     defaults to :data:`DEFAULT_CONFIG`.

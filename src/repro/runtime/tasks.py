@@ -15,10 +15,9 @@ Built-in kinds
     stationary rate (req/hour) or a digest-keyed
     :class:`~repro.workload.spec.WorkloadSpec` (nonstationary sweeps);
     float payloads are bit-identical to pre-workload runs.  Slotted cells
-    run on the columnar slotted hot path (arrival traces are numpy arrays)
-    unless a per-slot trace sink is attached, so every entry point that
-    fans work through the Engine — figure sweeps, ablations, catalog
-    studies, the CLI — gets batched admission for free.
+    run on the columnar slotted driver, traced or not, so every entry
+    point that fans work through the Engine — figure sweeps, ablations,
+    catalog studies, the CLI — gets batched admission for free.
 ``fig9-series``
     One Figure-9 series: ``(series_name, SweepConfig, video | None)`` →
     :class:`~repro.analysis.metrics.ProtocolSeries`.

@@ -10,7 +10,7 @@ sketches live here:
   sketch state and therefore the same quantile estimates.  This is the
   sketch on the slotted hot path: waiting times are bounded by the slot
   duration ``d``, and the columnar driver must report bit-for-bit the same
-  numbers as the scalar driver.
+  numbers as a per-request loop.
 * :class:`P2Quantile` — the classic Jain & Chlamtac (1985) piecewise-
   parabolic estimator of a single quantile in O(1) memory with *no* prior
   range knowledge.  Its estimate depends on arrival order, which makes it
@@ -44,7 +44,7 @@ class BinnedQuantileSketch:
     Because the state is a pure count vector, scalar :meth:`add` calls and
     batched :meth:`add_array` calls commute: any interleaving over the same
     multiset of observations yields identical state.  The slotted
-    simulation's columnar and scalar paths rely on exactly that property.
+    simulation's batched wait accounting relies on exactly that property.
 
     >>> sketch = BinnedQuantileSketch(upper=10.0, n_bins=10)
     >>> for value in [1.0, 2.0, 3.0, 9.0]:

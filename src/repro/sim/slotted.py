@@ -12,22 +12,17 @@ earlier slots has been processed (no protocol may schedule into the current
 or a past slot), so the driver records slot ``s`` just before delivering the
 arrivals of slot ``s``.
 
-Two execution paths produce bit-for-bit identical results:
+The driver has one loop.  It pre-buckets the whole arrival trace into slots
+with one ``np.searchsorted`` against the slot boundaries and hands each
+slot's batch to :meth:`SlottedModel.handle_batch` — one protocol call per
+*occupied slot* instead of one per request, which is what makes
+10M-request horizons tractable.  Per-slot trace records are read from the
+same loop, after the slot's batch.
 
-* the **scalar path** delivers arrivals one at a time through
-  :meth:`SlottedModel.handle_request` and is taken whenever a per-slot trace
-  sink is attached (traces need the exact per-request cadence), when the
-  arrivals are a generic Python sequence, or when ``columnar=False``;
-* the **columnar path** pre-buckets the whole (numpy) arrival trace into
-  slots with one ``np.searchsorted`` against the slot boundaries and hands
-  each slot's batch to :meth:`SlottedModel.handle_batch` — one protocol call
-  per *occupied slot* instead of one per request, which is what makes
-  10M-request horizons tractable.
-
-Waiting-time statistics stream in bounded memory on both paths: a running
-sum/max (bit-identical to the list-based fold they replaced) plus a
-fixed-size :class:`~repro.sim.sketches.BinnedQuantileSketch` over ``[0, d]``
-for the tail (p50/p99).
+Waiting-time statistics stream in bounded memory: a running sum/max
+(bit-identical to a per-request left-to-right fold) plus a fixed-size
+:class:`~repro.sim.sketches.BinnedQuantileSketch` over ``[0, d]`` for the
+tail (p50/p99).
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -153,7 +149,8 @@ class SlottedResult:
     #: ``[0, d]``; 0.0 when no post-warmup request was measured).
     wait_p50: float = 0.0
     wait_p99: float = 0.0
-    #: Which driver path produced this result (columnar = batched slots).
+    #: Which admission entry produced this result: the protocol's batched
+    #: ``handle_batch`` (True) or the base per-request loop (False).
     columnar: bool = False
 
     def scaled_mean(self, stream_bandwidth: float) -> float:
@@ -198,15 +195,15 @@ class SlottedSimulation:
     trace:
         Optional :class:`~repro.obs.trace.TraceSink` receiving one record
         per simulated slot (see :mod:`repro.obs.trace` for the schema).
-        Attaching a trace forces the scalar path — trace records carry the
-        exact per-request cadence of the slow-path semantics.
     trace_context:
         Extra fields (protocol label, rate, ...) copied into every trace
         record.
     columnar:
-        Allow the batched fast path for numpy arrival arrays (default).
-        ``False`` forces the scalar path — used by equivalence tests and
-        the speedup benches; results are bit-for-bit identical either way.
+        Admit each slot's batch through the protocol's own
+        :meth:`SlottedModel.handle_batch` (default).  ``False`` admits it
+        through the base class's loop over single admissions instead —
+        used by equivalence tests and the speedup benches; results are
+        bit-for-bit identical either way.
     """
 
     def __init__(
@@ -241,126 +238,42 @@ class SlottedSimulation:
     def run(self, arrival_times: Sequence[float]) -> SlottedResult:
         """Simulate the protocol over ``arrival_times`` (seconds, sorted).
 
-        Arrivals beyond the horizon are ignored.  Returns the measured
-        bandwidth and waiting-time statistics.  Accepts any sorted,
-        indexable sequence — typically the runner's (read-only, shared)
-        numpy trace — and never copies it.
-
-        Numpy arrays take the columnar path (sortedness checked once,
-        upfront) unless a trace sink is attached or ``columnar=False``;
-        generic sequences take the scalar path with the incremental
-        sortedness check.  Both paths return identical results.
-        """
-        arrivals = arrival_times
-        if isinstance(arrivals, np.ndarray) and arrivals.ndim == 1:
-            # Sortedness hoisted out of the hot loop: one vectorised pass
-            # over the whole trace instead of a compare per delivery.
-            if arrivals.size > 1 and not bool(
-                np.all(arrivals[1:] >= arrivals[:-1])
-            ):
-                raise SimulationError("arrival times must be sorted")
-            if self.columnar and self.trace is None:
-                return self._run_columnar(arrivals)
-            return self._run_scalar(arrivals, presorted=True)
-        return self._run_scalar(arrivals, presorted=False)
-
-    def _run_scalar(
-        self, arrivals: Sequence[float], presorted: bool
-    ) -> SlottedResult:
-        """Per-request delivery loop (the reference semantics)."""
-        d = self.slot_duration
-        metrics = self.metrics
-        trace = self.trace
-        recorder = SlotLoadRecorder(
-            self.warmup_slots, keep_series=self.keep_series, registry=metrics
-        )
-        weight_stats = OnlineStats()
-        wait_sketch = BinnedQuantileSketch(d, WAIT_SKETCH_BINS)
-        wait_sum = 0.0
-        wait_max = 0.0
-        measured_requests = 0
-        previous = -math.inf
-        arrival_index = 0
-        ignored = 0
-        n_arrivals = len(arrivals)
-        if metrics is not None:
-            self.protocol.bind_metrics(metrics)
-            run_span = metrics.timer("sim.run_seconds").time()
-            run_span.__enter__()
-
-        for slot in range(self.horizon_slots):
-            # All requests from slots < slot have been processed, so the load
-            # of `slot` is final: no future request may touch it (protocols
-            # only schedule into slots >= slot + 1).
-            recorder.record(slot, self.protocol.slot_load(slot))
-            if slot >= self.warmup_slots:
-                weight_stats.add(self.protocol.slot_weight(slot))
-
-            slot_end = (slot + 1) * d
-            first_index = arrival_index
-            first_ignored = ignored
-            while arrival_index < n_arrivals and arrivals[arrival_index] < slot_end:
-                t = arrivals[arrival_index]
-                if not presorted:
-                    if t < previous:
-                        raise SimulationError("arrival times must be sorted")
-                    previous = t
-                if t >= slot * d:  # ignore arrivals before the simulated epoch
-                    self.protocol.handle_request(slot)
-                    if slot >= self.warmup_slots:
-                        # Service begins at the next slot boundary.
-                        wait = slot_end - t
-                        wait_sum += wait
-                        if wait > wait_max:
-                            wait_max = wait
-                        wait_sketch.add(wait)
-                        measured_requests += 1
-                else:
-                    ignored += 1
-                arrival_index += 1
-
-            if trace is not None:
-                record = dict(self.trace_context)
-                record.update(
-                    kind="slot",
-                    slot=slot,
-                    streams=self.protocol.slot_load(slot),
-                    weight=self.protocol.slot_weight(slot),
-                    instances=self.protocol.slot_instances(slot),
-                    arrivals=arrival_index - first_index - (ignored - first_ignored),
-                    measured=slot >= self.warmup_slots,
-                )
-                trace.emit(record)
-            # Released only now so the trace could still read the slot; the
-            # numbers are unchanged (releases only drop slots < slot).
-            self.protocol.release_before(slot)
-
-        recorder.finish()
-        if metrics is not None:
-            run_span.__exit__(None, None, None)
-            metrics.counter("sim.slots").inc(self.horizon_slots)
-            metrics.counter("sim.requests").inc(arrival_index - ignored)
-            metrics.counter("sim.arrivals_ignored").inc(ignored)
-            metrics.gauge("sim.warmup_slots").set(self.warmup_slots)
-        return self._result(
-            recorder, weight_stats, wait_sketch, wait_sum, wait_max,
-            measured_requests, columnar=False,
-        )
-
-    def _run_columnar(self, arrivals: np.ndarray) -> SlottedResult:
-        """Batched delivery: one :meth:`SlottedModel.handle_batch` per slot.
+        Arrivals beyond the horizon, and before the simulated epoch
+        (``t < 0``), are ignored.  Returns the measured bandwidth and
+        waiting-time statistics.  Accepts any sorted 1-D sequence of
+        numbers: it is viewed as float64 with ``np.asarray``, which never
+        copies the runtime's (read-only, shared) float64 traces.
 
         The whole trace is bucketed into slots with a single
-        ``np.searchsorted`` against the slot boundaries; waiting times are
-        accumulated per batch with a running-sum continuation (``cumsum``
-        seeded with the running total is the same left-to-right fold the
-        scalar path performs, so the mean is bit-for-bit identical).
-        Memory stays bounded: no per-request Python objects, a fixed-size
-        wait sketch, and the protocol releases slots as the loop advances.
+        ``np.searchsorted`` against the slot boundaries, and each occupied
+        slot's batch is admitted with one call (see ``columnar``).  Waiting
+        times are accumulated per batch with a running-sum continuation
+        (``cumsum`` seeded with the running total is the same left-to-right
+        fold a per-request loop performs, so the mean is bit-for-bit
+        identical).  Memory stays bounded: no per-request Python objects,
+        a fixed-size wait sketch, and the protocol releases slots as the
+        loop advances.
+
+        Raises :class:`SimulationError`, before anything is admitted, when
+        the arrivals are not 1-D, are unsorted or contain NaN.
         """
+        arrivals = np.asarray(arrival_times, dtype=np.float64)
+        if arrivals.ndim != 1:
+            raise SimulationError(
+                f"arrival times must be 1-D, got shape {arrivals.shape}"
+            )
+        # One vectorised pass over the whole trace; NaN fails every
+        # comparison, so it is caught here too for two or more arrivals.
+        if arrivals.size > 1:
+            if not bool(np.all(arrivals[1:] >= arrivals[:-1])):
+                raise SimulationError("arrival times must be sorted and not NaN")
+        elif arrivals.size == 1 and math.isnan(arrivals[0]):
+            raise SimulationError("arrival times must not be NaN")
+
         d = self.slot_duration
         protocol = self.protocol
         metrics = self.metrics
+        trace = self.trace
         horizon = self.horizon_slots
         warmup = self.warmup_slots
         recorder = SlotLoadRecorder(
@@ -373,21 +286,27 @@ class SlottedSimulation:
             run_span = metrics.timer("sim.run_seconds").time()
             run_span.__enter__()
 
-        # Slot boundaries (s+1)*d, computed exactly as the scalar loop does
-        # (int -> float64 conversion then one multiply); cuts[s] counts the
-        # arrivals strictly before the end of slot s.
+        # Slot boundaries (s+1)*d, computed as Python computes (slot+1)*d
+        # (int -> float64 conversion then one multiply) so waits match a
+        # per-request loop bit for bit; cuts[s] counts the arrivals strictly
+        # before the end of slot s.
         boundaries = np.arange(1, horizon + 1, dtype=np.int64) * d
         cuts = np.searchsorted(arrivals, boundaries, side="left").tolist()
         n_within = cuts[-1]
         # Arrivals before the simulated epoch (t < 0) land in slot 0's
-        # bucket but are never delivered — same rule as the scalar loop.
+        # bucket but are never delivered.
         ignored = int(np.searchsorted(arrivals, 0.0, side="left"))
 
         record = recorder.record
         add_weight = weight_stats.add
         slot_load = protocol.slot_load
         slot_weight = protocol.slot_weight
-        handle_batch = protocol.handle_batch
+        # The protocol's batched admission, or the base class's loop of
+        # single admissions; either way one call per occupied slot.
+        if self.columnar:
+            handle_batch = protocol.handle_batch
+        else:
+            handle_batch = MethodType(SlottedModel.handle_batch, protocol)
         release_before = protocol.release_before
         sketch_add_array = wait_sketch.add_array
         wait_sum = 0.0
@@ -395,6 +314,9 @@ class SlottedSimulation:
         measured_requests = 0
         begin = ignored
         for slot in range(horizon):
+            # All requests from slots < slot have been admitted, so the
+            # load of `slot` is final: protocols only schedule into slots
+            # >= slot + 1.
             record(slot, slot_load(slot))
             if slot >= warmup:
                 add_weight(slot_weight(slot))
@@ -417,11 +339,26 @@ class SlottedSimulation:
                         if block_max > wait_max:
                             wait_max = block_max
                         # cumsum seeded with the running total IS the
-                        # scalar path's sequential fold, bit for bit.
+                        # per-request sequential fold, bit for bit.
                         waits[0] += wait_sum
                         wait_sum = float(waits.cumsum()[-1])
                     measured_requests += count
                 begin = end
+            if trace is not None:
+                # Read after the slot's batch, before its release.
+                trace_record = dict(self.trace_context)
+                trace_record.update(
+                    kind="slot",
+                    slot=slot,
+                    streams=slot_load(slot),
+                    weight=slot_weight(slot),
+                    instances=protocol.slot_instances(slot),
+                    arrivals=count,
+                    measured=slot >= warmup,
+                )
+                trace.emit(trace_record)
+            # Released only now so the trace could still read the slot; the
+            # numbers are unchanged (releases only drop slots < slot).
             release_before(slot)
 
         recorder.finish()
@@ -431,22 +368,6 @@ class SlottedSimulation:
             metrics.counter("sim.requests").inc(n_within - ignored)
             metrics.counter("sim.arrivals_ignored").inc(ignored)
             metrics.gauge("sim.warmup_slots").set(warmup)
-        return self._result(
-            recorder, weight_stats, wait_sketch, wait_sum, wait_max,
-            measured_requests, columnar=True,
-        )
-
-    def _result(
-        self,
-        recorder: SlotLoadRecorder,
-        weight_stats: OnlineStats,
-        wait_sketch: BinnedQuantileSketch,
-        wait_sum: float,
-        wait_max: float,
-        measured_requests: int,
-        columnar: bool,
-    ) -> SlottedResult:
-        """Reduce the shared accumulators to a :class:`SlottedResult`."""
         return SlottedResult(
             slot_duration=self.slot_duration,
             slots_measured=recorder.slots_measured,
@@ -460,5 +381,5 @@ class SlottedSimulation:
             series=recorder.series,
             wait_p50=wait_sketch.quantile(0.5) if measured_requests else 0.0,
             wait_p99=wait_sketch.quantile(0.99) if measured_requests else 0.0,
-            columnar=columnar,
+            columnar=self.columnar,
         )

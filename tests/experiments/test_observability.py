@@ -9,10 +9,10 @@ import pytest
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.fig9 import run_fig9
-from repro.experiments.parallel import ParallelSweepExecutor, SweepPoint
-from repro.experiments.runner import observed_sweep
+from repro.experiments.runner import observed_sweep, sweep_protocols
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import MemoryTraceSink, Observation
+from repro.runtime import Engine, RunSpec
 
 QUICK = SweepConfig().quick(
     rates_per_hour=(10.0, 100.0), base_hours=2.0, min_requests=10
@@ -24,8 +24,9 @@ DETERMINISTIC_SECTIONS = ("counters", "gauges", "histograms")
 def _observed_series(n_jobs, trace=None):
     registry = MetricsRegistry()
     observation = Observation(metrics=registry, trace=trace)
-    executor = ParallelSweepExecutor(n_jobs=n_jobs)
-    series = executor.sweep(["dhb", "npb"], QUICK, observation=observation)
+    series = sweep_protocols(
+        ["dhb", "npb"], QUICK, observation=observation, engine=Engine(n_jobs=n_jobs)
+    )
     return series, registry
 
 
@@ -58,13 +59,12 @@ class TestRegistryMergeAcrossWorkers:
         assert labels == sorted(labels, key=["dhb", "npb"].index)
 
     def test_observation_does_not_change_measurements(self):
-        executor = ParallelSweepExecutor(n_jobs=1)
-        plain = executor.sweep(["dhb"], QUICK)
+        plain = sweep_protocols(["dhb"], QUICK, engine=Engine(n_jobs=1))
         observed, _ = _observed_series(n_jobs=1)
         assert plain[0].points == observed[0].points
 
     def test_fig9_shared_registry_does_not_change_measurements(self):
-        # Unlike the executor path (fresh registry per grid cell), fig9
+        # Unlike the sweep path (fresh registry per grid cell), fig9
         # threads ONE registry through every (protocol, rate) measurement;
         # a recorder that aliased the cumulative sim.slot_load histogram
         # would corrupt every point after the first.
@@ -82,13 +82,12 @@ class TestRegistryMergeAcrossWorkers:
     def test_measure_points_merges_per_cell_registries(self):
         registry = MetricsRegistry()
         observation = Observation(metrics=registry)
-        points = [
-            SweepPoint("npb", "npb", rate) for rate in QUICK.rates_per_hour
+        specs = [
+            RunSpec("sweep-point", ("npb", "npb", rate, QUICK), label="npb")
+            for rate in QUICK.rates_per_hour
         ]
-        ParallelSweepExecutor(n_jobs=1).measure_points(
-            points, QUICK, observation=observation
-        )
-        assert registry.counter("measure.points").value == len(points)
+        Engine(n_jobs=1).run_values(specs, observation=observation)
+        assert registry.counter("measure.points").value == len(specs)
         assert registry.counter("sim.slots").value > 0
 
 

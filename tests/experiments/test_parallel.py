@@ -1,21 +1,17 @@
-"""Tests for repro.experiments.parallel (and the runner's trace cache)."""
+"""Parallel sweeps through the Engine (and the runner's trace cache)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import SweepConfig
-from repro.experiments.parallel import (
-    N_JOBS_ENV,
-    ParallelSweepExecutor,
-    SweepPoint,
-    resolve_n_jobs,
-)
 from repro.experiments.runner import (
     arrivals_for_rate,
     clear_trace_cache,
     sweep_protocols,
 )
+from repro.runtime import Engine, RunSpec
+from repro.runtime.config import N_JOBS_ENV, resolve_n_jobs
 
 
 CONFIG = SweepConfig().quick(
@@ -63,18 +59,19 @@ class TestParallelEqualsSerial:
             assert a.points == b.points
 
     def test_measure_points_preserves_order(self):
-        points = [
-            SweepPoint("npb", "npb", rate) for rate in CONFIG.rates_per_hour
+        specs = [
+            RunSpec("sweep-point", ("npb", "npb", rate, CONFIG), label="npb")
+            for rate in CONFIG.rates_per_hour
         ]
-        serial = ParallelSweepExecutor(n_jobs=1).measure_points(points, CONFIG)
-        pooled = ParallelSweepExecutor(n_jobs=2).measure_points(points, CONFIG)
+        serial = Engine(n_jobs=1).run_values(specs)
+        pooled = Engine(n_jobs=2).run_values(specs)
         assert serial == pooled
         assert [p.rate_per_hour for p in serial] == list(CONFIG.rates_per_hour)
 
     def test_sweep_labels_must_parallel_names(self):
         with pytest.raises(ConfigurationError):
-            ParallelSweepExecutor(n_jobs=1).sweep(
-                ["dhb", "ud"], CONFIG, labels=["only-one"]
+            sweep_protocols(
+                ["dhb", "ud"], CONFIG, labels=["only-one"], engine=Engine(n_jobs=1)
             )
 
 

@@ -2,9 +2,9 @@
 
 ``golden_runtime.json`` predates the columnar path entirely, so matching it
 is the strongest equivalence statement available: the batched driver and the
-legacy per-request loop agree bit for bit on the full figure-7 sweep.  This
-module also pins *which* path the runtime actually takes, so the golden
-match cannot silently degenerate into scalar-vs-scalar.
+per-request admission agree bit for bit on the full figure-7 sweep.  This
+module also pins *which* admission the runtime actually takes, so the golden
+match cannot silently degenerate into per-request vs per-request.
 """
 
 import json
@@ -70,20 +70,21 @@ def test_every_fig7_cell_matches_golden_on_both_paths(columnar):
 
 
 def test_sweep_points_actually_run_columnar(monkeypatch):
-    """The runtime's slotted cells take the batched path, not the fallback."""
+    """The runtime's slotted cells admit through ``handle_batch``."""
     columnar_runs = []
-    original = slotted.SlottedSimulation._run_columnar
+    original = slotted.SlottedSimulation.run
 
     def spy(self, arrivals):
-        columnar_runs.append(self.protocol)
-        return original(self, arrivals)
+        result = original(self, arrivals)
+        columnar_runs.append(result.columnar)
+        return result
 
-    monkeypatch.setattr(slotted.SlottedSimulation, "_run_columnar", spy)
+    monkeypatch.setattr(slotted.SlottedSimulation, "run", spy)
     run_fig7(QUICK, engine=Engine(n_jobs=1))
     slotted_cells = sum(
         isinstance(quick_protocol(name, rate), SlottedModel)
         for name, _ in FIG7_PROTOCOLS
         for rate in QUICK.rates_per_hour
     )
-    assert len(columnar_runs) == slotted_cells
+    assert columnar_runs == [True] * slotted_cells
     assert slotted_cells > 0

@@ -130,11 +130,3 @@ class TestTraceCacheSize:
     def test_non_positive_rejected(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig().resolve_trace_cache_size(0)
-
-
-def test_shim_reexports_same_objects():
-    """The deprecated parallel module forwards the runtime's resolver."""
-    from repro.experiments import parallel
-
-    assert parallel.N_JOBS_ENV is N_JOBS_ENV
-    assert parallel.resolve_n_jobs is resolve_n_jobs

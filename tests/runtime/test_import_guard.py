@@ -52,8 +52,3 @@ def test_backend_modules_do_hold_the_imports():
     """The guard is meaningful: the allowed modules really use the plumbing."""
     assert any(banned_imports(BACKENDS / "process_pool.py"))
     assert any(banned_imports(BACKENDS / "socket_worker.py"))
-
-
-def test_legacy_pool_shim_is_clean():
-    """The deprecated ``runtime.pool`` shim no longer owns a pool itself."""
-    assert not any(banned_imports(SRC / "runtime" / "pool.py"))

@@ -1,17 +1,18 @@
-"""Columnar slotted path: batched admission == scalar, bit for bit.
+"""Columnar slotted path: batched admission == per-request, bit for bit.
 
 Two layers of equivalence guard the hot path:
 
 * protocol level — ``handle_batch(slot, count)`` must leave every protocol
   in exactly the state ``count`` repeated ``handle_request(slot)`` calls
   produce (hypothesis property over random admission sequences);
-* driver level — ``SlottedSimulation`` with ``columnar=True`` must return
-  the exact result of the scalar per-request loop on the same trace.
+* driver level — ``SlottedSimulation`` must return the exact result (and
+  trace records) of the per-request reference loop in
+  :mod:`tests.sim.reference`, whatever the input type, with or without a
+  trace sink, and with ``columnar=False``.
 """
 
-import ast
-import importlib.util
-import pathlib
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from repro.protocols.fb import FastBroadcasting
 from repro.protocols.ud import UniversalDistributionProtocol
 from repro.runtime.seeds import arrival_trace
 from repro.sim.slotted import SlottedModel, SlottedSimulation
+
+from .reference import reference_run
 
 N_SEGMENTS = 20
 
@@ -49,6 +52,9 @@ class LoopProtocol(SlottedModel):
 
     def slot_load(self, slot):
         return self.loads.get(slot, 0)
+
+    def slot_weight(self, slot):
+        return 0.75 * self.loads.get(slot, 0)  # distinct from the load
 
 
 def protocol_state(protocol):
@@ -92,91 +98,101 @@ def test_default_handle_batch_loops_over_handle_request():
     assert protocol.calls == [3, 3, 3, 3]
 
 
-def run_pair(make_protocol, arrivals, d=10.0, horizon=60, warmup=6):
-    columnar = SlottedSimulation(
-        make_protocol(), d, horizon, warmup, keep_series=True
-    ).run(arrivals)
-    scalar = SlottedSimulation(
-        make_protocol(), d, horizon, warmup, keep_series=True, columnar=False
-    ).run(arrivals)
-    return columnar, scalar
+#: Ways to feed the driver: numpy array, plain list, array with a trace
+#: sink attached, array admitted through the base per-request loop.
+FEEDS = ("array", "list", "traced", "per_request")
 
 
-def assert_identical(columnar, scalar):
-    assert columnar.columnar is True
-    assert scalar.columnar is False
-    for field_name in (
-        "slot_duration",
-        "slots_measured",
-        "mean_streams",
-        "max_streams",
-        "n_requests",
-        "mean_wait",
-        "max_wait",
-        "mean_weight",
-        "max_weight",
-        "series",
-        "wait_p50",
-        "wait_p99",
-    ):
-        assert getattr(columnar, field_name) == getattr(scalar, field_name), field_name
+def run_against_reference(make_protocol, arrivals, feed="array", d=10.0,
+                          horizon=60, warmup=6):
+    """Run the driver on one feed and assert it equals the reference loop."""
+    sink = MemoryTraceSink() if feed == "traced" else None
+    result = SlottedSimulation(
+        make_protocol(), d, horizon, warmup, keep_series=True, trace=sink,
+        columnar=feed != "per_request",
+    ).run(arrivals.tolist() if feed == "list" else arrivals)
+    expected, records = reference_run(make_protocol(), arrivals, d, horizon, warmup)
+    assert result.columnar is (feed != "per_request")
+    assert dataclasses.replace(result, columnar=False) == expected
+    if sink is not None:
+        assert sink.records == records
+    return result
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOL_FACTORIES))
-def test_driver_paths_agree_on_poisson_traces(name):
+def feed_cases(names):
+    """``(name, feed)`` cases; the array feed keeps the bare name as its id."""
+    return [
+        pytest.param(name, feed, id=name if feed == "array" else f"{name}-{feed}")
+        for name in names
+        for feed in FEEDS
+    ]
+
+
+@pytest.mark.parametrize("name, feed", feed_cases(sorted(PROTOCOL_FACTORIES)))
+def test_driver_paths_agree_on_poisson_traces(name, feed):
     for seed in (1, 2, 3):
         arrivals = arrival_trace(seed, workload=1800.0, horizon_hours=1.0)
         arrivals = arrivals[arrivals < 600.0]
-        columnar, scalar = run_pair(PROTOCOL_FACTORIES[name], arrivals)
-        assert_identical(columnar, scalar)
+        run_against_reference(PROTOCOL_FACTORIES[name], arrivals, feed)
 
 
 def test_driver_paths_agree_for_default_loop_protocol():
     arrivals = arrival_trace(9, workload=3600.0, horizon_hours=1.0)
-    columnar, scalar = run_pair(LoopProtocol, arrivals, horizon=120)
-    assert_identical(columnar, scalar)
+    for feed in FEEDS:
+        run_against_reference(LoopProtocol, arrivals, feed, horizon=120)
 
 
 def test_fixed_protocol_batches_to_constant_load():
     arrivals = arrival_trace(5, workload=720.0, horizon_hours=1.0)
-    columnar, scalar = run_pair(
-        lambda: FastBroadcasting(n_segments=N_SEGMENTS), arrivals
-    )
-    assert_identical(columnar, scalar)
+    run_against_reference(lambda: FastBroadcasting(n_segments=N_SEGMENTS), arrivals)
 
 
 def test_negative_arrivals_ignored_on_both_paths():
     arrivals = np.array([-25.0, -0.5, 3.0, 14.0, 95.0])
-    columnar, scalar = run_pair(
-        lambda: DHBProtocol(n_segments=5), arrivals, warmup=0
-    )
-    assert_identical(columnar, scalar)
-    assert columnar.n_requests == 3  # the two pre-epoch arrivals are dropped
+    for feed in FEEDS:
+        result = run_against_reference(
+            lambda: DHBProtocol(n_segments=5), arrivals, feed, warmup=0
+        )
+        assert result.n_requests == 3  # the two pre-epoch arrivals are dropped
 
 
-def test_trace_sink_forces_the_scalar_path():
-    arrivals = np.array([3.0, 14.0, 25.0])
-    sink = MemoryTraceSink()
+class BatchOnlyProtocol(LoopProtocol):
+    """Admits whole batches; a per-request admission is a driver bug."""
+
+    def handle_request(self, slot):
+        raise AssertionError("driver admitted a request on its own")
+
+    def handle_batch(self, slot, count):
+        self.calls.append((slot, count))
+        self.loads[slot + 1] = self.loads.get(slot + 1, 0) + count
+
+
+@pytest.mark.parametrize("feed", ["array", "list", "traced"])
+def test_driver_never_admits_request_by_request(feed):
+    arrivals = arrival_trace(9, workload=3600.0, horizon_hours=1.0)
+    protocol = BatchOnlyProtocol()
     result = SlottedSimulation(
-        DHBProtocol(n_segments=5), 10.0, 10, trace=sink
-    ).run(arrivals)
-    assert result.columnar is False
-    assert len(sink.records) == 10  # one record per slot: trace intact
+        protocol, 10.0, 120, trace=MemoryTraceSink() if feed == "traced" else None
+    ).run(arrivals.tolist() if feed == "list" else arrivals)
+    assert result.columnar is True
+    assert sum(count for _, count in protocol.calls) == result.n_requests > 1
+    assert len(protocol.calls) < result.n_requests  # real batches, one per slot
 
 
-def test_generic_sequences_take_the_scalar_path():
-    result = SlottedSimulation(DHBProtocol(n_segments=5), 10.0, 10).run(
-        [3.0, 14.0, 25.0]
-    )
-    assert result.columnar is False
+class RequestOnlyProtocol(LoopProtocol):
+    """Its batched override must stay unused under ``columnar=False``."""
+
+    def handle_batch(self, slot, count):
+        raise AssertionError("columnar=False called the batched override")
 
 
 def test_columnar_false_forces_the_scalar_path():
-    arrivals = np.array([3.0, 14.0])
-    result = SlottedSimulation(
-        DHBProtocol(n_segments=5), 10.0, 10, columnar=False
-    ).run(arrivals)
+    protocol = RequestOnlyProtocol()
+    result = SlottedSimulation(protocol, 10.0, 10, columnar=False).run(
+        np.array([3.0, 4.0, 14.0])
+    )
     assert result.columnar is False
+    assert protocol.calls == [0, 0, 1]  # one handle_request per arrival
 
 
 def test_unsorted_numpy_trace_rejected_upfront():
@@ -188,43 +204,25 @@ def test_unsorted_numpy_trace_rejected_upfront():
     assert protocol.requests_admitted == 0
 
 
-def test_unsorted_generic_sequence_rejected_incrementally():
+def test_unsorted_generic_sequence_rejected_upfront():
+    protocol = DHBProtocol(n_segments=5)
     with pytest.raises(SimulationError):
-        SlottedSimulation(DHBProtocol(n_segments=5), 10.0, 10).run([50.0, 3.0])
+        SlottedSimulation(protocol, 10.0, 10).run([3.0, 50.0, 14.0])
+    assert protocol.requests_admitted == 0
 
 
-# -- CH100: the columnar branch must never fall back to per-request loops --
-
-_LINT = pathlib.Path(__file__).resolve().parents[2] / "tools" / "lint.py"
-_SLOTTED = (
-    pathlib.Path(__file__).resolve().parents[2]
-    / "src" / "repro" / "sim" / "slotted.py"
+@pytest.mark.parametrize(
+    "arrivals",
+    [
+        pytest.param(np.array([[3.0, 14.0], [25.0, 36.0]]), id="2-d-array"),
+        pytest.param([[3.0], [14.0]], id="nested-list"),
+        pytest.param([1.0, math.nan, 3.0], id="nan-inside"),
+        pytest.param([1.0, 3.0, math.nan], id="nan-last"),
+        pytest.param([math.nan], id="single-nan"),
+    ],
 )
-
-
-def load_lint():
-    spec = importlib.util.spec_from_file_location("repro_lint", _LINT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_columnar_branch_has_no_per_request_calls():
-    lint = load_lint()
-    tree = ast.parse(_SLOTTED.read_text(), filename=str(_SLOTTED))
-    assert lint._columnar_guard(_SLOTTED, tree) == []
-
-
-def test_columnar_guard_flags_per_request_loops(tmp_path):
-    lint = load_lint()
-    offender = tmp_path / "repro" / "sim" / "slotted.py"
-    offender.parent.mkdir(parents=True)
-    offender.write_text(
-        "class Sim:\n"
-        "    def _run_columnar(self, arrivals):\n"
-        "        for t in arrivals:\n"
-        "            self.protocol.handle_request(0)\n"
-    )
-    tree = ast.parse(offender.read_text())
-    findings = lint._columnar_guard(offender, tree)
-    assert [(line, code) for line, code, _ in findings] == [(4, "CH100")]
+def test_malformed_arrivals_rejected_before_admission(arrivals):
+    protocol = DHBProtocol(n_segments=5)
+    with pytest.raises(SimulationError):
+        SlottedSimulation(protocol, 10.0, 10).run(arrivals)
+    assert protocol.requests_admitted == 0

@@ -18,10 +18,6 @@ dependencies at lint time) still gate the codebase:
   execution plumbing — pools and wire protocols alike (one dispatch
   discipline, one determinism contract); everything else submits
   :class:`RunSpec` batches to the Engine.
-* **CH100** — a ``handle_request`` call inside the columnar branch of
-  ``repro/sim/slotted.py`` (any function whose name contains
-  ``columnar``).  The columnar hot path exists to eliminate the
-  per-request Python loop; batching must go through ``handle_batch``.
 
 A trailing ``# noqa`` comment (bare or with codes) suppresses findings on
 that line, mirroring ruff.  Exit status is 1 when any finding survives.
@@ -73,40 +69,6 @@ def _pool_guard(path: pathlib.Path, tree: ast.Module) -> List[Tuple[int, str, st
                         "RT100",
                         f"{name!r} imported outside repro.runtime.backends "
                         "(submit RunSpecs to the Engine instead)",
-                    )
-                )
-    return findings
-
-
-def _columnar_guard(
-    path: pathlib.Path, tree: ast.Module
-) -> List[Tuple[int, str, str]]:
-    """CH100 findings: per-request loops inside the columnar branch.
-
-    Within ``repro/sim/slotted.py``, any function whose name mentions
-    ``columnar`` must never reference ``handle_request`` — batched
-    admission is the whole point of that branch.
-    """
-    posix = path.resolve().as_posix()
-    if not posix.endswith("/repro/sim/slotted.py"):
-        return []
-    findings: List[Tuple[int, str, str]] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if "columnar" not in node.name.lower():
-            continue
-        for inner in ast.walk(node):
-            referenced = (
-                isinstance(inner, ast.Attribute) and inner.attr == "handle_request"
-            ) or (isinstance(inner, ast.Name) and inner.id == "handle_request")
-            if referenced:
-                findings.append(
-                    (
-                        inner.lineno,
-                        "CH100",
-                        f"handle_request referenced inside columnar "
-                        f"branch {node.name!r} (use handle_batch)",
                     )
                 )
     return findings
@@ -241,7 +203,6 @@ def check_file(path: pathlib.Path) -> List[Tuple[int, str, str]]:
     checker.finish(tree, source)
     findings.extend(checker.findings)
     findings.extend(_pool_guard(path, tree))
-    findings.extend(_columnar_guard(path, tree))
     suppressed = _noqa_lines(source)
     kept = []
     for lineno, code, message in findings:
