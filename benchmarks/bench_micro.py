@@ -65,7 +65,7 @@ def test_workahead_packing(benchmark):
 
 
 def test_stream_tapping_request_handling(benchmark):
-    """Interval arithmetic under a busy tapping group."""
+    """Per-request cost of the latest-transmitter map under a busy tapping group."""
     times = PoissonArrivals(500.0).generate(
         4 * 3600.0, np.random.default_rng(0)
     )

@@ -6,6 +6,14 @@ its duration.  A reactive protocol therefore reduces, for measurement
 purposes, to the set of busy intervals it generates.  The driver feeds
 arrivals to the protocol, collects the intervals, and measures mean and peak
 concurrency inside a post-warmup window.
+
+The driver's own cost per request is kept small: the trace is checked once
+(sorted, 1-D, NaN-free), cut at the horizon and the warmup with
+``np.searchsorted``, and handed to the protocol as Python floats; busy
+intervals are flushed to :class:`~repro.sim.recorder.TimeWeightedRecorder`
+in large batches, which clips them with one vectorised pass and takes the
+peak with one sort and search.  The results are bit-for-bit those of a
+request-by-request loop over the same trace.
 """
 
 from __future__ import annotations
@@ -14,12 +22,19 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
+from .arrivals import sorted_arrivals
 from .recorder import TimeWeightedRecorder
 from .sketches import P2Quantile
 
 if TYPE_CHECKING:
     from ..obs.registry import MetricsRegistry
+
+#: Requests admitted between two flushes of their busy intervals into the
+#: recorder, bounding the driver's per-request memory.
+_CHUNK = 1 << 16
 
 #: A server stream: (start_time, end_time) in seconds.
 BusyInterval = Tuple[float, float]
@@ -127,7 +142,17 @@ class ContinuousSimulation:
         self.metrics = metrics
 
     def run(self, arrival_times: Sequence[float]) -> ReactiveResult:
-        """Simulate over sorted ``arrival_times`` and measure concurrency."""
+        """Simulate over sorted ``arrival_times`` and measure concurrency.
+
+        Arrivals at or beyond the horizon are ignored.  Raises
+        :class:`~repro.errors.SimulationError`, before anything is
+        admitted, when the arrivals are not 1-D, are unsorted or contain
+        NaN (:func:`~repro.sim.arrivals.sorted_arrivals`).
+        """
+        arrivals = sorted_arrivals(arrival_times)
+        n_requests = int(np.searchsorted(arrivals, self.horizon, side="left"))
+        first_measured = int(np.searchsorted(arrivals[:n_requests], self.warmup, side="left"))
+        protocol = self.protocol
         metrics = self.metrics
         recorder = TimeWeightedRecorder(self.warmup, self.horizon)
         # Startup delays stream in bounded memory: a running sum/max (the
@@ -137,35 +162,42 @@ class ContinuousSimulation:
         wait_sum = 0.0
         wait_max = 0.0
         wait_sketch = P2Quantile(0.99)
-        n_measured = 0
-        n_requests = 0
         n_streams = 0
         if metrics is not None:
-            self.protocol.bind_metrics(metrics)
+            protocol.bind_metrics(metrics)
             run_span = metrics.timer("sim.run_seconds").time()
             run_span.__enter__()
-        for t in arrival_times:
-            if t >= self.horizon:
-                break
-            n_requests += 1
-            for start, end in self.protocol.handle_request(t):
-                recorder.add_interval(start, end)
-                n_streams += 1
-            if t >= self.warmup:
-                n_measured += 1
-                wait = self.protocol.startup_delay(t)
+        handle = protocol.handle_request
+        delay = protocol.startup_delay
+        sketch = wait_sketch.add
+        streams: List[BusyInterval] = []
+        extend = streams.extend
+        for lo in range(0, n_requests, _CHUNK):
+            hi = min(lo + _CHUNK, n_requests)
+            cut = min(max(first_measured, lo), hi)
+            # Python floats (bit-identical to the float64 trace) keep the
+            # protocols' arithmetic off numpy scalars.
+            for t in arrivals[lo:cut].tolist():
+                extend(handle(t))
+            for t in arrivals[cut:hi].tolist():
+                extend(handle(t))
+                wait = delay(t)
                 wait_sum += wait
                 if wait > wait_max:
                     wait_max = wait
-                wait_sketch.add(wait)
-        for start, end in self.protocol.finish(self.horizon):
-            recorder.add_interval(start, end)
-            n_streams += 1
+                sketch(wait)
+            n_streams += len(streams)
+            recorder.add_intervals(streams)
+            streams.clear()
+        extend(protocol.finish(self.horizon))
+        n_streams += len(streams)
+        recorder.add_intervals(streams)
         if metrics is not None:
             run_span.__exit__(None, None, None)
             metrics.counter("sim.requests").inc(n_requests)
             metrics.counter("sim.streams_started").inc(n_streams)
             metrics.gauge("sim.horizon_seconds").set(self.horizon)
+        n_measured = n_requests - first_measured
         return ReactiveResult(
             window_length=recorder.window_length,
             mean_streams=recorder.mean_concurrency(),
@@ -175,3 +207,4 @@ class ContinuousSimulation:
             max_wait=wait_max,
             wait_p99=wait_sketch.value if n_measured else 0.0,
         )
+

@@ -11,7 +11,11 @@
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import sub
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import SimulationError
 from .stats import OnlineStats
@@ -104,6 +108,9 @@ class TimeWeightedRecorder:
     * ``mean_concurrency`` — total clipped busy time divided by window length,
     * ``max_concurrency`` — peak simultaneous intervals, via endpoint sweep.
 
+    The clipped intervals are kept as a start column and an end column in
+    insertion order; :meth:`add_intervals` clips a whole batch at once.
+
     >>> rec = TimeWeightedRecorder(0.0, 10.0)
     >>> rec.add_interval(0.0, 5.0)
     >>> rec.add_interval(2.0, 8.0)
@@ -120,21 +127,31 @@ class TimeWeightedRecorder:
             )
         self.window_start = float(window_start)
         self.window_end = float(window_end)
-        self._intervals: List[Tuple[float, float]] = []
+        self._starts: List[float] = []
+        self._ends: List[float] = []
 
     def add_interval(self, start: float, end: float) -> None:
         """Record one busy interval ``[start, end)`` (clipped to the window)."""
-        if end < start:
-            raise SimulationError(f"interval ends before it starts: [{start}, {end})")
-        clipped_start = max(start, self.window_start)
-        clipped_end = min(end, self.window_end)
-        if clipped_end > clipped_start:
-            self._intervals.append((clipped_start, clipped_end))
+        self.add_intervals(((start, end),))
 
     def add_intervals(self, intervals: Sequence[Tuple[float, float]]) -> None:
-        """Record a batch of busy intervals."""
-        for start, end in intervals:
-            self.add_interval(start, end)
+        """Record a batch of busy intervals ``[start, end)`` (clipped to the window).
+
+        Nothing is recorded if any interval ends before it starts.
+        """
+        pairs = np.fromiter(
+            chain.from_iterable(intervals), dtype=np.float64, count=2 * len(intervals)
+        ).reshape(-1, 2)
+        starts, ends = pairs[:, 0], pairs[:, 1]
+        reversed_ = ends < starts
+        if reversed_.any():
+            start, end = pairs[int(np.argmax(reversed_))].tolist()
+            raise SimulationError(f"interval ends before it starts: [{start}, {end})")
+        starts = np.maximum(starts, self.window_start)
+        ends = np.minimum(ends, self.window_end)
+        kept = ends > starts
+        self._starts.extend(starts[kept].tolist())
+        self._ends.extend(ends[kept].tolist())
 
     @property
     def window_length(self) -> float:
@@ -142,27 +159,28 @@ class TimeWeightedRecorder:
         return self.window_end - self.window_start
 
     def total_busy_time(self) -> float:
-        """Sum of clipped interval lengths (channel-seconds of bandwidth)."""
-        return sum(end - start for start, end in self._intervals)
+        """Sum of clipped interval lengths (channel-seconds of bandwidth).
+
+        Summed with ``sum`` in insertion order, so the total does not depend
+        on how the intervals were batched.
+        """
+        return sum(map(sub, self._ends, self._starts))
 
     def mean_concurrency(self) -> float:
         """Time-weighted average number of simultaneously busy channels."""
         return self.total_busy_time() / self.window_length
 
     def max_concurrency(self) -> int:
-        """Peak number of simultaneously busy channels (endpoint sweep)."""
-        if not self._intervals:
+        """Peak number of simultaneously busy channels (endpoint sweep).
+
+        Ends sort before starts at equal times, so back-to-back intervals do
+        not double count: just after the ``i``-th start (in sorted order)
+        ``i + 1`` intervals have started and those ending at or before it
+        have finished.
+        """
+        if not self._starts:
             return 0
-        # +1 at starts, -1 at ends; ends sort before starts at equal times so
-        # that back-to-back intervals do not double count.
-        points: List[Tuple[float, int]] = []
-        for start, end in self._intervals:
-            points.append((start, 1))
-            points.append((end, -1))
-        points.sort(key=lambda p: (p[0], p[1]))
-        level = 0
-        peak = 0
-        for _, delta in points:
-            level += delta
-            peak = max(peak, level)
-        return peak
+        starts = np.sort(np.array(self._starts))
+        ends = np.sort(np.array(self._ends))
+        finished = np.searchsorted(ends, starts, side="right")
+        return int((np.arange(1, starts.size + 1) - finished).max())

@@ -28,14 +28,14 @@ tail (p50/p99).
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field
 from types import MethodType
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
+from .arrivals import sorted_arrivals
 from .recorder import SlotLoadRecorder
 from .sketches import BinnedQuantileSketch
 from .stats import OnlineStats
@@ -254,21 +254,11 @@ class SlottedSimulation:
         a fixed-size wait sketch, and the protocol releases slots as the
         loop advances.
 
-        Raises :class:`SimulationError`, before anything is admitted, when
-        the arrivals are not 1-D, are unsorted or contain NaN.
+        Raises :class:`~repro.errors.SimulationError`, before anything is
+        admitted, when the arrivals are not 1-D, are unsorted or contain
+        NaN (:func:`~repro.sim.arrivals.sorted_arrivals`).
         """
-        arrivals = np.asarray(arrival_times, dtype=np.float64)
-        if arrivals.ndim != 1:
-            raise SimulationError(
-                f"arrival times must be 1-D, got shape {arrivals.shape}"
-            )
-        # One vectorised pass over the whole trace; NaN fails every
-        # comparison, so it is caught here too for two or more arrivals.
-        if arrivals.size > 1:
-            if not bool(np.all(arrivals[1:] >= arrivals[:-1])):
-                raise SimulationError("arrival times must be sorted and not NaN")
-        elif arrivals.size == 1 and math.isnan(arrivals[0]):
-            raise SimulationError("arrival times must not be NaN")
+        arrivals = sorted_arrivals(arrival_times)
 
         d = self.slot_duration
         protocol = self.protocol

@@ -1,10 +1,13 @@
-"""Tests for repro.protocols.intervals."""
+"""Tests for the interval arithmetic of the stream-tapping oracle."""
+
+import doctest
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.protocols.intervals import clip, normalize, subtract, total_length
+from . import intervals
+from .intervals import clip, normalize, subtract, total_length
 
 interval = st.tuples(st.floats(0, 100), st.floats(0, 100)).map(
     lambda p: (min(p), max(p))
@@ -70,3 +73,9 @@ def test_subtract_partition_property(base, covers):
                 continue  # zero-width covers are empty: nothing to intersect
             # Gaps never intersect any non-empty cover.
             assert gap_end <= cover_start or gap_start >= cover_end
+
+
+def test_module_doctests():
+    results = doctest.testmod(intervals, verbose=False)
+    assert results.attempted > 0
+    assert results.failed == 0

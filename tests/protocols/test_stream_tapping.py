@@ -1,12 +1,21 @@
-"""Tests for repro.protocols.stream_tapping."""
+"""Tests for repro.protocols.stream_tapping.
+
+The latest-transmitter map is checked against the rescanning loop of
+:mod:`tests.protocols.tapping_reference`, bit for bit.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.protocols.stream_tapping import StreamTappingProtocol
+from repro.runtime.seeds import arrival_trace
 from repro.sim.continuous import ContinuousSimulation
 from repro.workload.arrivals import PoissonArrivals
+
+from .tapping_reference import ReferenceStreamTapping
 
 
 def make(duration=100.0, **kwargs):
@@ -124,3 +133,73 @@ def test_mean_cost_tracks_patching_theory(rng):
 def test_validation():
     with pytest.raises(ConfigurationError):
         StreamTappingProtocol(duration=0.0)
+
+
+@pytest.mark.parametrize(
+    "before, late",
+    [((0.0, 5.0), 3.0), ((0.0, 5.0), float("nan")), ((), float("nan"))],
+    ids=["earlier", "nan", "first-nan"],
+)
+def test_arrival_before_the_previous_one_rejected(before, late):
+    protocol, fresh = make(), make()
+    for t in before:
+        protocol.handle_request(t)
+        fresh.handle_request(t)
+    with pytest.raises(SimulationError):
+        protocol.handle_request(late)
+    assert protocol.requests_served == len(before)
+    # The rejected call left no state behind; a tie with 5.0 is in order.
+    assert protocol.handle_request(5.0) == fresh.handle_request(5.0)
+    assert protocol.complete_streams == fresh.complete_streams
+
+
+def _bits(streams):
+    return [(start.hex(), end.hex()) for start, end in streams]
+
+
+def assert_matches_reference(times, **kwargs):
+    fast = StreamTappingProtocol(**kwargs)
+    slow = ReferenceStreamTapping(**kwargs)
+    for t in times:
+        assert _bits(fast.handle_request(t)) == _bits(slow.handle_request(t)), t
+    assert fast.complete_streams == slow.complete_streams
+    assert fast.requests_served == slow.requests_served
+
+
+# Gaps between arrivals: exact ties, bursts of near-ties, ordinary gaps and
+# long silences that end groups.
+_gap = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-6),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 400.0),
+    st.sampled_from([0.1, 0.5, 1.0, 2.5, 10.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(0.0, 1e6),
+    gaps=st.lists(_gap, min_size=1, max_size=80),
+    duration=st.sampled_from([100.0, 250.0, 7200.0]),
+    mode=st.sampled_from(["rate", "online", "window", "short-window", "no-extra"]),
+    rate=st.floats(1.0, 5000.0),
+)
+def test_map_matches_rescanning_reference(start, gaps, duration, mode, rate):
+    times = np.cumsum([start] + gaps).tolist()
+    kwargs = {"duration": duration}
+    if mode == "rate":
+        kwargs["expected_rate_per_hour"] = rate
+    elif mode == "window":
+        kwargs["restart_window"] = duration
+    elif mode == "short-window":
+        kwargs["restart_window"] = rate / 100.0
+    elif mode == "no-extra":
+        kwargs.update(expected_rate_per_hour=rate, extra_tapping=False)
+    assert_matches_reference(times, **kwargs)
+
+
+@pytest.mark.parametrize("rate", [10.0, 1000.0])
+def test_map_matches_rescanning_reference_on_paper_traces(rate):
+    times = arrival_trace(4242, rate, 20.0).tolist()
+    assert_matches_reference(times, duration=7200.0, expected_rate_per_hour=rate)

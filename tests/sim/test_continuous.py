@@ -1,9 +1,27 @@
-"""Tests for repro.sim.continuous."""
+"""Tests for repro.sim.continuous.
 
+The driver is checked against the per-request loop of
+:mod:`tests.sim.continuous_reference` for every reactive protocol, bit for
+bit.
+"""
+
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.protocols.batching import BatchingProtocol
+from repro.protocols.catching import SelectiveCatchingProtocol
+from repro.protocols.hmsm import HMSMProtocol
+from repro.protocols.patching import PatchingProtocol
+from repro.protocols.stream_tapping import StreamTappingProtocol
+from repro.runtime.seeds import arrival_trace
+from repro.server.channels import UnicastVODServer
+from repro.sim import continuous
 from repro.sim.continuous import ContinuousSimulation, ReactiveModel
+
+from .continuous_reference import reference_run
 
 
 class FixedCostProtocol(ReactiveModel):
@@ -80,3 +98,99 @@ def test_invalid_configuration():
         ContinuousSimulation(FixedCostProtocol(1.0), horizon=10.0, warmup=10.0)
     with pytest.raises(ConfigurationError):
         ContinuousSimulation(FixedCostProtocol(1.0), horizon=10.0, warmup=-1.0)
+
+
+class RecordingProtocol(FixedCostProtocol):
+    """Remembers every time it was asked to admit."""
+
+    def __init__(self):
+        super().__init__(stream_length=1.0)
+        self.seen = []
+
+    def handle_request(self, time):
+        self.seen.append(time)
+        return super().handle_request(time)
+
+
+@pytest.mark.parametrize(
+    "arrivals",
+    [
+        [0.0, 50.0, 10.0, 20.0],
+        [0.0, float("nan"), 20.0],
+        [0.0, 20.0, float("nan")],
+        [float("nan")],
+        [[0.0, 1.0], [2.0, 3.0]],
+    ],
+    ids=["unsorted", "nan-inside", "nan-last", "single-nan", "2-d"],
+)
+def test_malformed_arrivals_rejected_before_admission(arrivals):
+    protocol = RecordingProtocol()
+    with pytest.raises(SimulationError):
+        ContinuousSimulation(protocol, horizon=100.0).run(arrivals)
+    assert protocol.seen == []
+
+
+def test_arrivals_reach_the_protocol_as_python_floats():
+    protocol = RecordingProtocol()
+    ContinuousSimulation(protocol, horizon=100.0).run(np.array([1.0, 2.5, 99.0, 100.0]))
+    assert protocol.seen == [1.0, 2.5, 99.0]
+    assert all(type(t) is float for t in protocol.seen)
+
+
+DURATION = 7200.0
+
+REACTIVE_FACTORIES = {
+    "tapping": lambda rate: StreamTappingProtocol(DURATION, expected_rate_per_hour=rate),
+    "tapping-online": lambda rate: StreamTappingProtocol(DURATION),
+    "patching": lambda rate: PatchingProtocol(DURATION, expected_rate_per_hour=rate),
+    "batching": lambda rate: BatchingProtocol(DURATION, window=300.0),
+    "catching": lambda rate: SelectiveCatchingProtocol(
+        DURATION, expected_rate_per_hour=rate
+    ),
+    "hmsm": lambda rate: HMSMProtocol(DURATION),
+    "unicast": lambda rate: UnicastVODServer(n_channels=12, duration=DURATION),
+}
+
+
+def _bits(result):
+    """A result as a tuple whose floats compare bit for bit."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(result)
+    )
+
+
+@pytest.mark.parametrize("rate", [5.0, 200.0])
+@pytest.mark.parametrize("name", sorted(REACTIVE_FACTORIES))
+def test_driver_matches_reference_loop(name, rate):
+    """Same ReactiveResult as the per-request loop, bit for bit."""
+    horizon = 40 * 3600.0
+    warmup = horizon * 0.1
+    arrivals = arrival_trace(2001, rate, 40.0)
+    make = REACTIVE_FACTORIES[name]
+    expected = reference_run(make(rate), arrivals, horizon, warmup)
+    result = ContinuousSimulation(make(rate), horizon, warmup).run(arrivals)
+    assert _bits(result) == _bits(expected)
+    assert result.n_requests > 0
+
+
+@pytest.mark.parametrize("name", ["tapping", "batching", "catching"])
+def test_flush_batches_do_not_change_the_result(name, monkeypatch):
+    """Many small interval flushes, split across the warmup, change nothing."""
+    horizon = 40 * 3600.0
+    warmup = horizon * 0.1
+    arrivals = arrival_trace(2001, 200.0, 40.0)
+    make = REACTIVE_FACTORIES[name]
+    expected = reference_run(make(200.0), arrivals, horizon, warmup)
+    monkeypatch.setattr(continuous, "_CHUNK", 7)
+    result = ContinuousSimulation(make(200.0), horizon, warmup).run(arrivals)
+    assert _bits(result) == _bits(expected)
+
+
+def test_delays_and_flushes_are_exercised():
+    """The batching and catching cases above really wait and flush."""
+    horizon = 40 * 3600.0
+    arrivals = arrival_trace(2001, 200.0, 40.0)
+    batching = ContinuousSimulation(REACTIVE_FACTORIES["batching"](200.0), horizon)
+    assert batching.run(arrivals).mean_wait > 0.0
+    catching = REACTIVE_FACTORIES["catching"](200.0)
+    assert catching.finish(horizon)

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim.recorder import SlotLoadRecorder, TimeWeightedRecorder
 
+from .continuous_reference import ListRecorder
+
 
 class TestSlotLoadRecorder:
     def test_basic_stats(self):
@@ -138,3 +140,29 @@ class TestTimeWeightedRecorder:
         rec = TimeWeightedRecorder(0.0, 100.0)
         rec.add_intervals(intervals)
         assert rec.mean_concurrency() <= rec.max_concurrency() + 1e-12
+
+
+# Endpoints on a coarse grid so ties, back-to-back intervals and intervals
+# straddling either window edge are common.
+_point = st.integers(-4, 24).map(lambda k: k * 0.5)
+_interval = st.tuples(_point, _point).map(lambda p: (min(p), max(p)))
+
+
+@given(batches=st.lists(st.lists(_interval, max_size=12), max_size=6))
+def test_batches_match_one_interval_at_a_time(batches):
+    """add_intervals == the tuple-list reference fed one interval at a time."""
+    batched = TimeWeightedRecorder(1.0, 9.0)
+    reference = ListRecorder(1.0, 9.0)
+    for batch in batches:
+        batched.add_intervals(batch)
+        for start, end in batch:
+            reference.add_interval(start, end)
+    assert batched.mean_concurrency().hex() == reference.mean_concurrency().hex()
+    assert batched.max_concurrency() == reference.max_concurrency()
+
+
+def test_reversed_interval_in_a_batch_rejected():
+    rec = TimeWeightedRecorder(0.0, 10.0)
+    with pytest.raises(SimulationError, match=r"\[5.0, 4.0\)"):
+        rec.add_intervals([(1.0, 2.0), (5.0, 4.0)])
+    assert rec.total_busy_time() == 0
