@@ -11,6 +11,7 @@ measure exactly that, plus the other constructive hot paths.
 import numpy as np
 
 from repro.core.dhb import DHBProtocol
+from repro.protocols.base import verify_static_map
 from repro.protocols.npb import pagoda_map
 from repro.protocols.stream_tapping import StreamTappingProtocol
 from repro.smoothing.packing import pack_video
@@ -49,6 +50,21 @@ def test_pagoda_packing(benchmark):
     """Constructing the six-stream NPB map (the Figures 7/8 substrate)."""
     result = benchmark(lambda: pagoda_map(6, n_segments=99))
     assert result.n_segments == 99
+
+
+def test_pagoda_full_map_verified(benchmark):
+    """Building and verifying the full six-stream NPB map (203 segments).
+
+    Its last stream repeats only every 7,927,920 slots, so any step that
+    expands the map to its hyperperiod dominates this bench.
+    """
+
+    def build_and_verify():
+        static_map = pagoda_map(6)
+        verify_static_map(static_map)
+        return static_map
+
+    assert benchmark(build_and_verify).n_segments == 203
 
 
 def test_matrix_trace_generation(benchmark):

@@ -50,12 +50,10 @@ from .protocols import (
     DynamicSkyscraperProtocol,
     FastBroadcasting,
     HMSMProtocol,
-    HarmonicBroadcasting,
     NewPagodaBroadcasting,
     PatchingProtocol,
     SelectiveCatchingProtocol,
     SkyscraperBroadcasting,
-    StaggeredBroadcasting,
     StreamTappingProtocol,
     UniversalDistributionProtocol,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "DynamicSkyscraperProtocol",
     "FastBroadcasting",
     "HMSMProtocol",
-    "HarmonicBroadcasting",
     "NewPagodaBroadcasting",
     "PatchingProtocol",
     "PeriodVector",
@@ -101,7 +98,6 @@ __all__ = [
     "SlottedResult",
     "SlottedSimulation",
     "SmoothingError",
-    "StaggeredBroadcasting",
     "StreamTappingProtocol",
     "UnicastVODServer",
     "UniversalDistributionProtocol",

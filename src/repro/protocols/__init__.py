@@ -5,7 +5,6 @@ Fixed (proactive) broadcasting schedules:
 * :mod:`repro.protocols.fb` — Fast Broadcasting (Juhn & Tseng).
 * :mod:`repro.protocols.npb` — New Pagoda Broadcasting (Pâris).
 * :mod:`repro.protocols.sb` — Skyscraper Broadcasting (Hua & Sheu).
-* :mod:`repro.protocols.harmonic` — Harmonic broadcasting (extension).
 
 Dynamic slotted protocols:
 
@@ -24,25 +23,21 @@ Reactive (continuous-time) protocols:
   (Eager & Vernon).
 * :mod:`repro.protocols.dsb` — dynamic skyscraper broadcasting
   (Eager & Vernon).
-* :mod:`repro.protocols.staggered` — staggered broadcasting (the primordial
-  near-VOD baseline).
 
 :mod:`repro.protocols.registry` maps protocol names to factories for the CLI
 and the sweep harness.
 """
 
-from .base import StaticBroadcastProtocol, StaticMap, verify_static_map
+from .base import StaticBroadcastProtocol, StaticMap, Train, verify_static_map
 from .batching import BatchingProtocol
 from .catching import SelectiveCatchingProtocol
 from .dnpb import DynamicPagodaProtocol
 from .dsb import DynamicSkyscraperProtocol
 from .fb import FastBroadcasting, fb_segments_for_streams, fb_streams_for_segments
-from .harmonic import HarmonicBroadcasting, PolyharmonicBroadcasting
 from .hmsm import HMSMProtocol
 from .npb import NewPagodaBroadcasting, pagoda_capacity, pagoda_streams_for_segments
 from .patching import PatchingProtocol, optimal_patching_window
 from .sb import SkyscraperBroadcasting, skyscraper_widths
-from .staggered import StaggeredBroadcasting
 from .stream_tapping import StreamTappingProtocol
 from .ud import UniversalDistributionProtocol
 
@@ -52,16 +47,14 @@ __all__ = [
     "DynamicSkyscraperProtocol",
     "FastBroadcasting",
     "HMSMProtocol",
-    "HarmonicBroadcasting",
     "NewPagodaBroadcasting",
     "PatchingProtocol",
-    "PolyharmonicBroadcasting",
     "SelectiveCatchingProtocol",
     "SkyscraperBroadcasting",
-    "StaggeredBroadcasting",
     "StaticBroadcastProtocol",
     "StaticMap",
     "StreamTappingProtocol",
+    "Train",
     "UniversalDistributionProtocol",
     "fb_segments_for_streams",
     "fb_streams_for_segments",

@@ -1,88 +1,122 @@
 """Shared machinery for the fixed (proactive) broadcasting protocols.
 
-A fixed broadcasting protocol is completely described by a **static map**:
-for each data stream, a periodic pattern of segment numbers.  FB, NPB and SB
-differ only in that map (the paper's Figures 1–3), so they share
-:class:`StaticBroadcastProtocol`, which
+A fixed broadcasting protocol is completely described by a **static map**,
+stored as one *train* per segment: the slots ``offset + t * period`` of one
+stream, during each of which that stream transmits the segment.  FB, NPB and
+SB differ only in their trains (the paper's Figures 1–3).  NPB (Pâris 1999)
+is defined by trains; FB and SB cycle each stream through a group of ``W``
+segments, so the group's ``i``-th segment rides train ``(stream, W, i)``.
+They share :class:`StaticBroadcastProtocol`, which
 
 * answers the slotted-simulation interface (the server bandwidth of a fixed
   protocol is simply its stream count — "their bandwidth requirements are
   not affected by the request arrival rate"), and
 * exposes the map itself, so tests can verify the delivery guarantee and the
   experiment harness can print the paper's figures.
+
+Trains keep every lookup independent of the map's hyperperiod, which for
+the six-stream pagoda map is 7,927,920 slots on its last stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from math import gcd
+from typing import Dict, List, Mapping
 
 from ..errors import ConfigurationError, SchedulingError
 from ..sim.slotted import SlottedModel
 
+#: What :meth:`StaticMap.segment_at` reports for a slot no train occupies.
+IDLE = 0
+
 
 @dataclass(frozen=True)
-class StaticMap:
-    """A fixed segment-to-stream map.
+class Train:
+    """The slots ``offset + t * period`` of 0-based ``stream``."""
 
-    Attributes
+    stream: int
+    period: int
+    offset: int
+
+
+class StaticMap:
+    """A fixed segment-to-stream map stored as trains.
+
+    Parameters
     ----------
-    patterns:
-        ``patterns[s]`` is the repeating segment pattern of stream ``s``
-        (0-based streams); stream ``s`` transmits
-        ``patterns[s][slot % len(patterns[s])]`` during ``slot``.
-    n_segments:
-        Total number of video segments covered by the map.
+    trains:
+        ``{train: segment}`` for segments ``1..n``.
+    n_streams:
+        Number of data streams the map occupies.
+
+    Raises
+    ------
+    SchedulingError
+        Unless ``0 <= offset < period`` and the stream is in range for
+        every train, each segment ``1..n`` rides exactly one train, and no
+        two trains of one stream share a slot.
+
+    Examples
+    --------
+    >>> simple = StaticMap({Train(0, 1, 0): 1, Train(1, 2, 0): 2,
+    ...                     Train(1, 2, 1): 3}, n_streams=2)
+    >>> print(simple.render(4))
+    Stream 1  S1 S1 S1 S1
+    Stream 2  S2 S3 S2 S3
     """
 
-    patterns: List[List[int]]
-    n_segments: int
+    def __init__(self, trains: Mapping[Train, int], n_streams: int):
+        by_segment: Dict[int, Train] = {}
+        for train, segment in trains.items():
+            if not (0 <= train.offset < train.period and 0 <= train.stream < n_streams):
+                raise SchedulingError(f"S{segment}: {train} invalid in {n_streams} streams")
+            if segment in by_segment:
+                raise SchedulingError(f"S{segment} rides two trains")
+            by_segment[segment] = train
+        missing = sorted(set(range(1, len(by_segment) + 1)) - set(by_segment))
+        if missing:
+            raise SchedulingError(f"map never broadcasts segments {missing}")
+        self.trains = tuple(by_segment[j] for j in range(1, len(by_segment) + 1))
+        self.n_streams = n_streams
+        # Per stream: {period: {offset: segment}}, read on ``slot % period``.
+        self._lookup: List[Dict[int, Dict[int, int]]] = [{} for _ in range(n_streams)]
+        for segment, train in enumerate(self.trains, start=1):
+            stream = self._lookup[train.stream]
+            for period, by_offset in stream.items():
+                # Two trains meet iff their offsets agree mod gcd(periods).
+                step = gcd(period, train.period)
+                if any((offset - train.offset) % step == 0 for offset in by_offset):
+                    raise SchedulingError(f"S{segment}: {train} collides")
+            stream.setdefault(train.period, {})[train.offset] = segment
 
     @property
-    def n_streams(self) -> int:
-        """Number of data streams the map occupies."""
-        return len(self.patterns)
+    def n_segments(self) -> int:
+        """Total number of video segments covered by the map."""
+        return len(self.trains)
 
     def segment_at(self, stream: int, slot: int) -> int:
-        """Segment broadcast by 0-based ``stream`` during ``slot``."""
-        pattern = self.patterns[stream]
-        return pattern[slot % len(pattern)]
+        """Segment broadcast by 0-based ``stream`` during ``slot`` (or IDLE)."""
+        for period, by_offset in self._lookup[stream].items():
+            segment = by_offset.get(slot % period)
+            if segment is not None:
+                return segment
+        return IDLE
 
     def segments_in_slot(self, slot: int) -> List[int]:
-        """All segments broadcast during ``slot``, one per stream."""
-        return [self.segment_at(stream, slot) for stream in range(self.n_streams)]
+        """Segments broadcast during ``slot``, in stream order; idle streams
+        contribute nothing."""
+        segments = (self.segment_at(stream, slot) for stream in range(self.n_streams))
+        return [segment for segment in segments if segment != IDLE]
 
     def period_of(self, segment: int) -> int:
-        """Broadcast period of ``segment``: gap between consecutive instances.
-
-        Raises :class:`~repro.errors.SchedulingError` when the segment's
-        occurrences are not evenly spaced within its stream pattern (every
-        protocol reproduced here uses evenly spaced instances).
-        """
-        for pattern in self.patterns:
-            hits = [idx for idx, seg in enumerate(pattern) if seg == segment]
-            if not hits:
-                continue
-            length = len(pattern)
-            gaps = {
-                (hits[(k + 1) % len(hits)] - hits[k]) % length or length
-                for k in range(len(hits))
-            }
-            if len(gaps) != 1:
-                raise SchedulingError(
-                    f"segment S{segment} is unevenly spaced in its stream"
-                )
-            return gaps.pop()
-        raise SchedulingError(f"segment S{segment} missing from the map")
+        """Broadcast period of ``segment``: gap between consecutive instances."""
+        if not 1 <= segment <= len(self.trains):
+            raise SchedulingError(f"segment S{segment} missing from the map")
+        return self.trains[segment - 1].period
 
     def render(self, n_slots: int = 6) -> str:
-        """ASCII rendering in the style of the paper's Figures 1–3.
-
-        >>> simple = StaticMap(patterns=[[1], [2, 3]], n_segments=3)
-        >>> print(simple.render(4))
-        Stream 1  S1 S1 S1 S1
-        Stream 2  S2 S3 S2 S3
-        """
+        """ASCII rendering in the style of the paper's Figures 1–3."""
         width = len(f"S{self.n_segments}")
         lines = []
         for stream in range(self.n_streams):
@@ -94,41 +128,44 @@ class StaticMap:
         return "\n".join(lines)
 
 
+def cycling_map(widths: List[int]) -> StaticMap:
+    """Map in which stream ``s`` cycles through the next ``widths[s]``
+    segments; the ``i``-th of them rides train ``(s, widths[s], i)``.
+
+    >>> print(cycling_map([1, 2]).render(4))
+    Stream 1  S1 S1 S1 S1
+    Stream 2  S2 S3 S2 S3
+    """
+    trains: Dict[Train, int] = {}
+    for stream, width in enumerate(widths):
+        for position in range(width):
+            trains[Train(stream, width, position)] = len(trains) + 1
+    return StaticMap(trains, n_streams=len(widths))
+
+
 def verify_static_map(static_map: StaticMap, exhaustive_arrivals: int = 0) -> None:
     """Check the delivery guarantee of a fixed map.
 
     A client arriving during slot ``i`` must find every segment ``S_j``
-    broadcast at least once during ``[i+1, i+j]``.  Because every protocol
-    here spaces a segment's occurrences evenly (:meth:`StaticMap.period_of`
-    enforces it), the guarantee is *exactly* equivalent to
-    ``period_of(S_j) <= j`` for every segment — any window of ``j``
-    consecutive slots then contains an occurrence.  That check is O(map
-    size), so it stays fast even for maps whose pattern hyper-period is
-    astronomically large (the six-stream pagoda map mixes train periods like
-    49, 56 and 91).
+    broadcast at least once during ``[i+1, i+j]``.  ``S_j`` rides one train,
+    which visits its stream every ``period_of(S_j)`` slots, so the guarantee
+    is *exactly* equivalent to every segment ``1..n`` having a train with
+    ``period_of(S_j) <= j`` — any window of ``j`` consecutive slots then
+    contains an occurrence.  That check is one lookup per segment, however
+    large the map's hyperperiod.
 
     Parameters
     ----------
     exhaustive_arrivals:
         Additionally replay this many concrete arrival slots with a sliding
-        window — a redundant cross-check used by the test suite on small
-        maps (0 skips it).
+        window — a redundant cross-check that costs
+        ``exhaustive_arrivals * n_segments`` slot lookups (0 skips it).
 
     Raises
     ------
     SchedulingError
         On the first violated segment or (arrival slot, segment) pair.
     """
-    seen_segments: Dict[int, bool] = {
-        j: False for j in range(1, static_map.n_segments + 1)
-    }
-    for pattern in static_map.patterns:
-        for segment in pattern:
-            if segment in seen_segments:
-                seen_segments[segment] = True
-    missing = [j for j, seen in seen_segments.items() if not seen]
-    if missing:
-        raise SchedulingError(f"map never broadcasts segments {missing}")
     for segment in range(1, static_map.n_segments + 1):
         period = static_map.period_of(segment)
         if period > segment:

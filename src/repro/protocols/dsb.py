@@ -23,7 +23,7 @@ from typing import Dict, Optional, Set
 
 from ..errors import ConfigurationError
 from ..sim.slotted import SlottedModel
-from .sb import sb_map, sb_streams_for_segments, skyscraper_widths
+from .sb import sb_streams_for_segments, skyscraper_widths
 
 
 class DynamicSkyscraperProtocol(SlottedModel):
@@ -58,7 +58,6 @@ class DynamicSkyscraperProtocol(SlottedModel):
         if n_streams is None:
             n_streams = sb_streams_for_segments(n_segments, width_cap)
         self.widths = skyscraper_widths(n_streams, width_cap)
-        self.map = sb_map(n_streams, width_cap)
         # Per stream: set of marked cycle start slots.
         self._marked_cycles: Dict[int, Set[int]] = {
             g: set() for g in range(len(self.widths))
@@ -69,7 +68,7 @@ class DynamicSkyscraperProtocol(SlottedModel):
     @property
     def n_segments(self) -> int:
         """Total segments covered by the widths."""
-        return self.map.n_segments
+        return sum(self.widths)
 
     @property
     def n_streams(self) -> int:

@@ -16,10 +16,10 @@ every deadline and lets UD be configured with the paper's 99 segments.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
-from .base import StaticBroadcastProtocol, StaticMap
+from .base import StaticBroadcastProtocol, StaticMap, cycling_map
 
 
 def fb_segments_for_streams(n_streams: int) -> int:
@@ -62,12 +62,8 @@ def fb_map(n_streams: int, n_segments: Optional[int] = None) -> StaticMap:
             f"{n_streams} FB streams carry between {2 ** (n_streams - 1)} and "
             f"{capacity} segments, not {n_segments}"
         )
-    patterns: List[List[int]] = []
-    for stream in range(1, n_streams + 1):
-        first = 2 ** (stream - 1)
-        last = min(2 * first - 1, n_segments)
-        patterns.append(list(range(first, last + 1)))
-    return StaticMap(patterns=patterns, n_segments=n_segments)
+    last = 2 ** (n_streams - 1)  # first segment of the last stream
+    return cycling_map([2**s for s in range(n_streams - 1)] + [n_segments - last + 1])
 
 
 class FastBroadcasting(StaticBroadcastProtocol):

@@ -25,29 +25,17 @@ For three streams this packer emits the paper's Figure 2 *verbatim*
 and it beats FB's ``2**k - 1`` capacity for every ``k >= 3``.  Like every
 pagoda-family protocol its capacity tracks the harmonic bound: 99 segments —
 the configuration of Figures 7 and 8 — fit in six streams.
+
+The packer's ``{train: segment}`` assignment is stored as is: it is the
+:class:`~repro.protocols.base.StaticMap`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError, SchedulingError
-from .base import StaticBroadcastProtocol, StaticMap
-
-#: Idle-slot marker in patterns when capacity exceeds the requested segments.
-IDLE = 0
-
-
-@dataclass(frozen=True)
-class _Train:
-    """An arithmetic progression of slots within one stream."""
-
-    stream: int
-    period: int
-    offset: int
-
+from ..errors import ConfigurationError
+from .base import StaticBroadcastProtocol, StaticMap, Train
 
 def _prime_factors(value: int) -> List[int]:
     """Prime factors of ``value`` in ascending order (with multiplicity)."""
@@ -64,21 +52,21 @@ def _prime_factors(value: int) -> List[int]:
     return factors
 
 
-def _pack(n_streams: int, max_segments: Optional[int]) -> Tuple[List[_Train], Dict[_Train, int]]:
+def _pack(n_streams: int, max_segments: Optional[int]) -> Tuple[List[Train], Dict[Train, int]]:
     """Greedy pagoda packing of segments onto ``n_streams`` streams.
 
     Returns the leftover free trains and the segment assignment.
     """
-    free: List[_Train] = []
+    free: List[Train] = []
     next_stream = 0
-    assignment: Dict[_Train, int] = {}
+    assignment: Dict[Train, int] = {}
     segment = 0
     while max_segments is None or segment < max_segments:
         segment += 1
         candidates = list(free)
         if next_stream < n_streams:
-            candidates.append(_Train(next_stream, 1, 0))
-        best: Optional[_Train] = None
+            candidates.append(Train(next_stream, 1, 0))
+        best: Optional[Train] = None
         best_period = 0
         for train in candidates:
             achievable = train.period * (segment // train.period)
@@ -106,13 +94,13 @@ def _pack(n_streams: int, max_segments: Optional[int]) -> Tuple[List[_Train], Di
         for factor in _prime_factors(segment // best.period):
             for branch in range(1, factor):
                 free.append(
-                    _Train(
+                    Train(
                         current.stream,
                         current.period * factor,
                         current.offset + branch * current.period,
                     )
                 )
-            current = _Train(current.stream, current.period * factor, current.offset)
+            current = Train(current.stream, current.period * factor, current.offset)
         assignment[current] = segment
     return free, assignment
 
@@ -152,8 +140,8 @@ def pagoda_map(n_streams: int, n_segments: Optional[int] = None) -> StaticMap:
         Stream count ``k``.
     n_segments:
         Segments to place (defaults to the full capacity).  Unused trains
-        become idle slots (marker 0) — the allocated bandwidth is still
-        ``k`` streams, as in the paper's flat NPB curve.
+        stay idle: nothing is sent on them, but the allocated bandwidth is
+        still ``k`` streams, as in the paper's flat NPB curve.
 
     Examples
     --------
@@ -169,24 +157,9 @@ def pagoda_map(n_streams: int, n_segments: Optional[int] = None) -> StaticMap:
         raise ConfigurationError(
             f"{n_streams} streams fit {capacity} segments, not {n_segments}"
         )
-    free, assignment = _pack(n_streams, max_segments=n_segments)
+    _, assignment = _pack(n_streams, max_segments=n_segments)
     used_streams = 1 + max(train.stream for train in assignment)
-    # Per-stream pattern length: lcm of that stream's train periods.
-    lengths = [1] * used_streams
-    for train in list(assignment) + list(free):
-        if train.stream < used_streams:
-            lengths[train.stream] = (
-                lengths[train.stream]
-                * train.period
-                // gcd(lengths[train.stream], train.period)
-            )
-    patterns: List[List[int]] = [[IDLE] * lengths[s] for s in range(used_streams)]
-    for train, segment in assignment.items():
-        for slot in range(train.offset, lengths[train.stream], train.period):
-            if patterns[train.stream][slot] != IDLE:
-                raise SchedulingError("pagoda trains collided; packer bug")
-            patterns[train.stream][slot] = segment
-    return StaticMap(patterns=patterns, n_segments=n_segments)
+    return StaticMap(assignment, n_streams=used_streams)
 
 
 class NewPagodaBroadcasting(StaticBroadcastProtocol):

@@ -12,8 +12,10 @@ the UD reverts to a conventional FB protocol."
 arriving during slot ``i`` consumes, for each segment, the *first* map
 occurrence at or after slot ``i + 1`` (its set-top box listens to all
 streams); the server marks exactly those occurrences for transmission.
-Because occurrences of a segment are evenly spaced with a period no larger
-than the segment's deadline, the first occurrence is always on time, and
+Each segment rides one train of the map, so its occurrences are evenly
+spaced with a period no larger than its deadline: the first occurrence at or
+after ``i + 1`` is ``offset + ceil((i + 1 - offset) / period) * period``,
+always on time, and
 marking is idempotent — overlapping requests share marked occurrences, which
 is where all the bandwidth savings come from.
 
@@ -31,12 +33,11 @@ instance".
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 import numpy as np
 
 from ..core.schedule import SlotSchedule
-from ..errors import ConfigurationError
 from ..sim.slotted import SlottedModel
 from .base import StaticMap
 
@@ -52,23 +53,14 @@ class OnDemandMapProtocol(SlottedModel):
 
     def __init__(self, static_map: StaticMap):
         self.map = static_map
-        # Per segment: (period, first-occurrence offset) within the map.
-        self._timing: List[Tuple[int, int]] = []
-        for segment in range(1, static_map.n_segments + 1):
-            period = static_map.period_of(segment)
-            offset = self._first_offset(static_map, segment, period)
-            self._timing.append((period, offset))
-        self._periods_np = np.array([p for p, _ in self._timing], dtype=np.int64)
-        self._offsets_np = np.array([o for _, o in self._timing], dtype=np.int64)
+        self._periods_np = np.array(
+            [train.period for train in static_map.trains], dtype=np.int64
+        )
+        self._offsets_np = np.array(
+            [train.offset for train in static_map.trains], dtype=np.int64
+        )
         self._schedule = SlotSchedule(static_map.n_segments)
         self.requests_admitted = 0
-
-    @staticmethod
-    def _first_offset(static_map: StaticMap, segment: int, period: int) -> int:
-        for slot in range(period):
-            if segment in static_map.segments_in_slot(slot):
-                return slot
-        raise ConfigurationError(f"segment S{segment} missing from map")
 
     @property
     def n_segments(self) -> int:
@@ -94,7 +86,8 @@ class OnDemandMapProtocol(SlottedModel):
 
     def next_occurrence(self, segment: int, after_slot: int) -> int:
         """First slot ``>= after_slot`` in which ``segment`` is broadcast."""
-        period, offset = self._timing[segment - 1]
+        train = self.map.trains[segment - 1]
+        period, offset = train.period, train.offset
         if after_slot <= offset:
             return offset
         return offset + -(-(after_slot - offset) // period) * period

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import ConfigurationError
-from .base import StaticBroadcastProtocol, StaticMap
+from .base import StaticBroadcastProtocol, StaticMap, cycling_map
 
 
 def skyscraper_widths(n_streams: int, width_cap: Optional[int] = None) -> List[int]:
@@ -82,13 +82,7 @@ def sb_map(n_streams: int, width_cap: Optional[int] = None) -> StaticMap:
     Stream 2  S2 S3 S2 S3
     Stream 3  S4 S5 S4 S5
     """
-    widths = skyscraper_widths(n_streams, width_cap)
-    patterns: List[List[int]] = []
-    first = 1
-    for width in widths:
-        patterns.append(list(range(first, first + width)))
-        first += width
-    return StaticMap(patterns=patterns, n_segments=first - 1)
+    return cycling_map(skyscraper_widths(n_streams, width_cap))
 
 
 class SkyscraperBroadcasting(StaticBroadcastProtocol):

@@ -3,11 +3,19 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.protocols.base import StaticBroadcastProtocol, StaticMap, verify_static_map
+from repro.protocols.base import (
+    StaticBroadcastProtocol,
+    StaticMap,
+    Train,
+    verify_static_map,
+)
 
 
 def simple_map():
-    return StaticMap(patterns=[[1], [2, 3]], n_segments=3)
+    # Stream 1 carries S1 every slot; stream 2 alternates S2 and S3.
+    return StaticMap(
+        {Train(0, 1, 0): 1, Train(1, 2, 0): 2, Train(1, 2, 1): 3}, n_streams=2
+    )
 
 
 def test_segment_at_cycles():
@@ -31,10 +39,41 @@ def test_period_of_missing_segment():
         simple_map().period_of(9)
 
 
-def test_period_of_uneven_spacing_detected():
-    uneven = StaticMap(patterns=[[1, 1, 2, 1]], n_segments=2)
-    with pytest.raises(SchedulingError):
-        uneven.period_of(1)
+@pytest.mark.parametrize(
+    "trains, reason",
+    [
+        # S2 (slots 0, 2, 4, ...) and S3 (slots 0, 3, 6, ...) meet in slot 0.
+        ({Train(0, 1, 0): 1, Train(1, 2, 0): 2, Train(1, 3, 0): 3}, "collides"),
+        # Overlap only modulo gcd(4, 6) = 2: slots 1, 5, 9 and 3, 9, 15.
+        ({Train(0, 1, 0): 1, Train(1, 4, 1): 2, Train(1, 6, 3): 3}, "collides"),
+        ({Train(0, 1, 0): 1, Train(1, 2, 0): 2, Train(1, 2, 1): 2}, "two trains"),
+        ({Train(0, 1, 0): 1, Train(1, 2, 2): 2, Train(1, 2, 1): 3}, "invalid"),
+        ({Train(0, 1, 0): 1, Train(1, 2, -1): 2, Train(1, 2, 1): 3}, "invalid"),
+        ({Train(0, 1, 0): 1, Train(2, 2, 0): 2, Train(1, 2, 1): 3}, "invalid"),
+        ({Train(0, 1, 0): 1, Train(-1, 2, 0): 2, Train(1, 2, 1): 3}, "invalid"),
+    ],
+    ids=[
+        "overlapping-trains",
+        "overlap-mod-gcd",
+        "segment-on-two-trains",
+        "offset-at-period",
+        "negative-offset",
+        "stream-out-of-range",
+        "negative-stream",
+    ],
+)
+def test_malformed_trains_rejected_at_construction(trains, reason):
+    with pytest.raises(SchedulingError, match=reason):
+        StaticMap(trains, n_streams=2)
+
+
+def test_disjoint_trains_of_mixed_periods_accepted():
+    # Periods 2 and 4 share a stream without meeting: slots 0, 2, 4, ...
+    # and 1, 5, 9, ... and 3, 7, 11, ...
+    mixed = StaticMap(
+        {Train(0, 2, 0): 1, Train(0, 4, 1): 2, Train(0, 4, 3): 3}, n_streams=1
+    )
+    assert [mixed.segment_at(0, s) for s in range(8)] == [1, 2, 1, 3] * 2
 
 
 def test_render():
@@ -49,15 +88,19 @@ def test_verify_accepts_valid_map():
 
 def test_verify_rejects_late_segment():
     # S2 every 3 slots violates its 2-slot deadline.
-    bad = StaticMap(patterns=[[1], [2, 3, 3]], n_segments=3)
+    bad = StaticMap(
+        {Train(0, 1, 0): 1, Train(1, 3, 0): 2, Train(1, 3, 1): 3}, n_streams=2
+    )
     with pytest.raises(SchedulingError):
         verify_static_map(bad)
 
 
 def test_verify_rejects_missing_segment():
-    missing = StaticMap(patterns=[[1], [3, 3]], n_segments=3)
-    with pytest.raises(SchedulingError):
-        verify_static_map(missing)
+    # S2 rides no train: the map is rejected as soon as it is built.
+    with pytest.raises(SchedulingError, match=r"never broadcasts segments \[2\]"):
+        verify_static_map(
+            StaticMap({Train(0, 1, 0): 1, Train(1, 1, 0): 3}, n_streams=2)
+        )
 
 
 def test_exhaustive_check_agrees_with_period_check():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.trace import MemoryTraceSink
 from repro.protocols.base import verify_static_map
 from repro.protocols.npb import (
     NewPagodaBroadcasting,
@@ -77,6 +78,24 @@ def test_protocol_by_segment_count():
     npb = NewPagodaBroadcasting(n_segments=99)
     assert npb.n_allocated_streams == 6
     assert npb.slot_load(0) == 6  # allocated bandwidth, idle trains included
+
+
+def test_idle_trains_transmit_no_segment():
+    """A partial map's idle train slots send nothing — no phantom ``S0`` —
+    while the allocated bandwidth stays at six streams."""
+    from repro.sim.slotted import SlottedSimulation
+
+    npb = NewPagodaBroadcasting(n_segments=99)
+    sink = MemoryTraceSink()
+    hyperperiod = 27_720  # lcm of the six streams' train periods
+    SlottedSimulation(
+        npb, slot_duration=1.0, horizon_slots=hyperperiod, trace=sink
+    ).run([0.5, 100.5])
+    assert len(sink.records) == hyperperiod
+    assert all(0 not in record["instances"] for record in sink.records)
+    assert {record["streams"] for record in sink.records} == {6}
+    transmitted = {s for record in sink.records for s in record["instances"]}
+    assert transmitted == set(range(1, 100))
 
 
 def test_constructor_validation():

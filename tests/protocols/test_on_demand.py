@@ -1,12 +1,16 @@
 """Tests for repro.protocols.on_demand — shared UD/dynamic-NPB machinery."""
 
 
-from repro.protocols.base import StaticMap
+from repro.protocols.base import StaticMap, Train
 from repro.protocols.on_demand import OnDemandMapProtocol
 
 
 def make_protocol():
-    return OnDemandMapProtocol(StaticMap(patterns=[[1], [2, 3]], n_segments=3))
+    return OnDemandMapProtocol(
+        StaticMap(
+            {Train(0, 1, 0): 1, Train(1, 2, 0): 2, Train(1, 2, 1): 3}, n_streams=2
+        )
+    )
 
 
 def test_idle_system_transmits_nothing():
