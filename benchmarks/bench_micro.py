@@ -11,6 +11,7 @@ measure exactly that, plus the other constructive hot paths.
 import numpy as np
 
 from repro.core.dhb import DHBProtocol
+from repro.experiments.adaptive import default_day_workload
 from repro.protocols.base import verify_static_map
 from repro.protocols.npb import pagoda_map
 from repro.protocols.stream_tapping import StreamTappingProtocol
@@ -103,3 +104,16 @@ def test_poisson_generation(benchmark):
     rng = np.random.default_rng(1)
     result = benchmark(lambda: PoissonArrivals(1000.0).generate(100 * 3600.0, rng))
     assert len(result) > 50_000
+
+
+def test_nhpp_day_generation(benchmark):
+    """Thinned diurnal + event-ring day (the adaptive study's, at 1x).
+
+    About 14.6k thinning candidates, 2.4k kept: the draw loop plus one
+    rate evaluation per chunk.  A rate call per candidate would show up
+    here as nearly twice the time.
+    """
+    process = default_day_workload().process()
+    rng = np.random.default_rng(1)
+    result = benchmark(lambda: process.generate(24 * 3600.0, rng))
+    assert len(result) > 2000

@@ -28,8 +28,7 @@ from repro.protocols.npb import pagoda_streams_for_segments
 from repro.sim.continuous import ContinuousSimulation
 from repro.sim.slotted import SlottedSimulation
 from repro.units import HOUR, TWO_HOURS
-from repro.workload.arrivals import NonHomogeneousPoisson
-from repro.workload.diurnal import child_daytime_profile
+from repro.workload.diurnal import DiurnalArrivals, child_daytime_profile
 
 N_SEGMENTS = 99
 DAYS = 2
@@ -48,7 +47,7 @@ def bucket_means(series: List[int], slots_per_bucket: int) -> List[float]:
 def main() -> None:
     profile = child_daytime_profile(peak_rate_per_hour=PEAK_RATE)
     horizon = DAYS * 24 * HOUR
-    process = NonHomogeneousPoisson(profile.rate_at, profile.max_rate_per_hour)
+    process = DiurnalArrivals(profile)
     times = process.generate(horizon, RandomStreams(7).get("arrivals"))
     print(
         f"{len(times)} requests over {DAYS} days "

@@ -1,4 +1,4 @@
-"""Workload generation: arrival processes, request streams, popularity models.
+"""Workload generation: arrival processes and popularity models.
 
 The paper's evaluation assumes Poisson request arrivals for a single video
 (Section 3: "requests for a particular video were distributed according to a
@@ -22,10 +22,14 @@ from .arrivals import (
     SuperposedArrivals,
     TraceArrivals,
 )
-from .diurnal import DiurnalProfile, adult_evening_profile, child_daytime_profile
+from .diurnal import (
+    DiurnalArrivals,
+    DiurnalProfile,
+    adult_evening_profile,
+    child_daytime_profile,
+)
 from .flash import FlashCrowd
 from .popularity import ZipfCatalog
-from .requests import Request, requests_from_times
 from .spatial import EventRings
 from .spec import (
     WORKLOAD_GRAMMAR,
@@ -38,13 +42,13 @@ from .spec import (
 __all__ = [
     "ArrivalProcess",
     "DeterministicArrivals",
+    "DiurnalArrivals",
     "DiurnalProfile",
     "EventRings",
     "FlashCrowd",
     "MMPPArrivals",
     "NonHomogeneousPoisson",
     "PoissonArrivals",
-    "Request",
     "SuperposedArrivals",
     "TraceArrivals",
     "WORKLOAD_GRAMMAR",
@@ -54,6 +58,5 @@ __all__ = [
     "as_workload",
     "child_daytime_profile",
     "parse_workload",
-    "requests_from_times",
     "workload_or_none",
 ]

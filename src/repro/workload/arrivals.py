@@ -124,11 +124,23 @@ class TraceArrivals(ArrivalProcess):
         return self.times[self.times < horizon]
 
 
+#: Thinning candidates drawn before their rates are evaluated in one call.
+#: Chunks of this size keep the draw lists' peak memory at or below the
+#: single kept-times list of a one-rate-call-per-candidate loop.
+THINNING_CHUNK = 16_384
+
+
 class NonHomogeneousPoisson(ArrivalProcess):
     """Poisson process with a time-varying rate λ(t), by thinning.
 
     Models the introduction's motivating scenario: demand for a given video
     varies widely with the time of day.
+
+    Candidates arrive at the bound's rate and each is kept with probability
+    ``λ(t) / max_rate_per_hour``.  Per candidate the generator draws one
+    exponential gap and then one uniform, stopping at the first gap past the
+    horizon without a uniform for it; up to :data:`THINNING_CHUNK`
+    candidates are drawn before :meth:`rates` evaluates them in one call.
 
     Parameters
     ----------
@@ -136,7 +148,8 @@ class NonHomogeneousPoisson(ArrivalProcess):
         Callable mapping time (seconds) to instantaneous rate (per hour).
     max_rate_per_hour:
         A bound with ``rate_fn(t) <= max_rate_per_hour`` for all ``t``;
-        violations raise :class:`~repro.errors.WorkloadError` when observed.
+        a violation raises :class:`~repro.errors.WorkloadError` naming the
+        earliest offending candidate of the chunk it is observed in.
     """
 
     def __init__(self, rate_fn: Callable[[float], float], max_rate_per_hour: float):
@@ -145,23 +158,62 @@ class NonHomogeneousPoisson(ArrivalProcess):
         self.rate_fn = rate_fn
         self.max_rate_per_hour = float(max_rate_per_hour)
 
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        """Instantaneous rates (per hour) at each of ``times``.
+
+        Maps ``rate_fn`` over them, which is exact for any scalar callable;
+        the rate families override it with one array formula.
+        """
+        rate_fn = self.rate_fn
+        return np.array([rate_fn(t) for t in np.asarray(times, dtype=float).tolist()])
+
+    def rate_at(self, time_seconds: float) -> float:
+        """Instantaneous rate (per hour) at ``time_seconds``."""
+        return float(self.rates(np.array([time_seconds], dtype=float))[0])
+
     def generate(self, horizon: float, rng: np.random.Generator) -> np.ndarray:
         self._check_horizon(horizon)
         lam_max = self.max_rate_per_hour / HOUR
-        times: List[float] = []
+        scale = 1.0 / lam_max
+        exponential, uniform = rng.exponential, rng.random
+        kept: List[np.ndarray] = []
         t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / lam_max))
-            if t >= horizon:
-                break
-            rate = self.rate_fn(t)
-            if rate < 0 or rate > self.max_rate_per_hour * (1 + 1e-9):
-                raise WorkloadError(
-                    f"rate_fn({t}) = {rate} outside [0, {self.max_rate_per_hour}]"
-                )
-            if rng.random() < rate / self.max_rate_per_hour:
+        crossed = False
+        while not crossed:
+            times: List[float] = []
+            draws: List[float] = []
+            for _ in range(THINNING_CHUNK):
+                t += exponential(scale)
+                if t >= horizon:
+                    crossed = True
+                    break
                 times.append(t)
-        return np.asarray(times)
+                draws.append(uniform())
+            if times:
+                kept.append(self._thin(np.array(times), np.array(draws)))
+        return np.concatenate(kept) if kept else np.empty(0)
+
+    def _thin(self, times: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Keep the candidates whose uniform draw falls under λ(t) / bound."""
+        rates = self.rates(times)
+        bad = (rates < 0) | (rates > self.max_rate_per_hour * (1 + 1e-9))
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise WorkloadError(
+                f"rate_fn({times[first].item()}) = {rates[first].item()} "
+                f"outside [0, {self.max_rate_per_hour}]"
+            )
+        return times[draws < rates / self.max_rate_per_hour]
+
+
+def math_exp(values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each of ``values``.
+
+    The rate families use it rather than ``np.exp``, whose vectorised
+    kernels may differ from the C library's ``exp`` in the last ulp, so
+    that a chunk's rates equal the scalar formula bit for bit.
+    """
+    return np.fromiter(map(math.exp, values.tolist()), dtype=float, count=len(values))
 
 
 class MMPPArrivals(ArrivalProcess):
@@ -252,9 +304,14 @@ def merge_arrivals(*streams: np.ndarray) -> np.ndarray:
 
 
 def expected_count(process: ArrivalProcess, horizon: float) -> float:
-    """Expected number of arrivals for processes with a known mean rate."""
+    """Expected number of arrivals for processes with a known mean rate.
+
+    For :class:`DeterministicArrivals` this is the exact count
+    ``generate`` yields: ``np.arange(offset, horizon, interval)`` holds
+    ``ceil((horizon - offset) / interval)`` points, or none.
+    """
     if isinstance(process, PoissonArrivals):
         return process.rate_per_second * horizon
     if isinstance(process, DeterministicArrivals):
-        return max(0.0, math.floor((horizon - process.offset) / process.interval) + 1)
+        return max(0, math.ceil((horizon - process.offset) / process.interval))
     raise WorkloadError(f"no closed-form count for {type(process).__name__}")

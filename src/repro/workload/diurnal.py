@@ -5,19 +5,21 @@ given video is likely to vary widely with the time of the day: child-oriented
 fare will always be in higher demand during the day and early evening hours
 than at night; conversely, videos appealing to older viewers are likely to
 follow an opposite pattern" — and argues no conventional protocol handles
-both regimes.  These profiles realise that scenario for the
-:class:`~repro.workload.arrivals.NonHomogeneousPoisson` process, so the
+both regimes.  These profiles realise that scenario, and
+:class:`DiurnalArrivals` thins a Poisson stream by one of them, so the
 dynamic protocols can be exercised across their whole operating range within
 a single run.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
+
+import numpy as np
 
 from ..errors import WorkloadError
 from ..units import HOUR
+from .arrivals import NonHomogeneousPoisson
 
 
 class DiurnalProfile:
@@ -48,26 +50,46 @@ class DiurnalProfile:
         """Average rate over a day."""
         return sum(self.hourly_rates) / 24.0
 
-    def rate_at(self, time_seconds: float) -> float:
-        """Instantaneous rate (per hour) at absolute ``time_seconds``.
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        """Instantaneous rates (per hour) at absolute ``times`` seconds.
 
         Linear interpolation between the midpoints of consecutive hours,
-        periodic with a 24-hour day.
+        periodic with a 24-hour day.  Every step is a correctly rounded
+        array operation, so each element equals the scalar evaluation.
+        """
+        day_seconds = 24 * HOUR
+        t = np.fmod(np.asarray(times, dtype=float), day_seconds)
+        t[t < 0] += day_seconds
+        hour_float = t / HOUR - 0.5  # hour midpoints carry the control values
+        lower = np.floor(hour_float)
+        frac = hour_float - lower
+        hour = lower.astype(np.int64) % 24
+        table = np.asarray(self.hourly_rates)
+        r0 = table[hour]
+        r1 = table[(hour + 1) % 24]
+        return r0 + frac * (r1 - r0)
+
+    def rate_at(self, time_seconds: float) -> float:
+        """Instantaneous rate (per hour) at absolute ``time_seconds``.
 
         >>> profile = DiurnalProfile([10.0] * 24)
         >>> profile.rate_at(12345.0)
         10.0
         """
-        day_seconds = 24 * HOUR
-        t = math.fmod(time_seconds, day_seconds)
-        if t < 0:
-            t += day_seconds
-        hour_float = t / HOUR - 0.5  # hour midpoints carry the control values
-        lower = math.floor(hour_float)
-        frac = hour_float - lower
-        r0 = self.hourly_rates[int(lower) % 24]
-        r1 = self.hourly_rates[int(lower + 1) % 24]
-        return r0 + frac * (r1 - r0)
+        return float(self.rates(np.array([time_seconds], dtype=float))[0])
+
+
+class DiurnalArrivals(NonHomogeneousPoisson):
+    """Thinned arrivals whose rate follows a :class:`DiurnalProfile`."""
+
+    def __init__(self, profile: DiurnalProfile):
+        self.profile = profile
+        super().__init__(
+            rate_fn=profile.rate_at, max_rate_per_hour=profile.max_rate_per_hour
+        )
+
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        return self.profile.rates(times)
 
 
 def child_daytime_profile(peak_rate_per_hour: float = 100.0) -> DiurnalProfile:

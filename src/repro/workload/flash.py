@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..errors import WorkloadError
-from .arrivals import NonHomogeneousPoisson
+from .arrivals import NonHomogeneousPoisson, math_exp
 
 
 class FlashCrowd(NonHomogeneousPoisson):
@@ -69,13 +71,15 @@ class FlashCrowd(NonHomogeneousPoisson):
             max_rate_per_hour=base_rate_per_hour + peak_rate_per_hour,
         )
 
-    def rate_at(self, time_seconds: float) -> float:
-        """Instantaneous rate (per hour) at ``time_seconds`` into the run."""
-        since_release = time_seconds - self.start_hours * 3600.0
-        if since_release < 0:
-            return self.base_rate_per_hour
-        decay = math.exp(-since_release / (self.decay_hours * 3600.0))
-        return self.base_rate_per_hour + self.peak_rate_per_hour * decay
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        """Instantaneous rates (per hour) at ``times`` seconds into the run."""
+        times = np.asarray(times, dtype=float)
+        since_release = times - self.start_hours * 3600.0
+        rates = np.full(times.shape, self.base_rate_per_hour)
+        released = ~(since_release < 0)
+        decay = math_exp(-since_release[released] / (self.decay_hours * 3600.0))
+        rates[released] = self.base_rate_per_hour + self.peak_rate_per_hour * decay
+        return rates
 
     def expected_requests(self, horizon_seconds: float) -> float:
         """Mean number of arrivals in ``[0, horizon_seconds)``.

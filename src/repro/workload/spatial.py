@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 from typing import List
 
+import numpy as np
+
 from ..errors import WorkloadError
 from ..units import HOUR
-from .arrivals import NonHomogeneousPoisson
+from .arrivals import NonHomogeneousPoisson, math_exp
 
 
 class EventRings(NonHomogeneousPoisson):
@@ -108,21 +110,22 @@ class EventRings(NonHomogeneousPoisson):
             for r in range(self.n_rings)
         ]
 
-    def rate_at(self, time_seconds: float) -> float:
-        """Instantaneous rate (per hour): base plus every ignited ring."""
+    def rates(self, times: np.ndarray) -> np.ndarray:
+        """Instantaneous rates (per hour): base plus every ignited ring."""
+        times = np.asarray(times, dtype=float)
         tau = self.decay_hours * HOUR
-        rate = self.base_rate_per_hour
+        rates = np.full(times.shape, self.base_rate_per_hour)
         amplitude = self.peak_rate_per_hour
         for ignition in self.ignition_seconds():
-            if time_seconds >= ignition:
-                rate += amplitude * math.exp(-(time_seconds - ignition) / tau)
+            lit = times >= ignition
+            rates[lit] += amplitude * math_exp(-(times[lit] - ignition) / tau)
             amplitude *= self.attenuation
-        return rate
+        return rates
 
     def _max_rate(self) -> float:
         # Between ignitions the superposed pulses only decay, so the maximum
         # is attained at one of the ignition instants.
-        return max(self.rate_at(t) for t in self.ignition_seconds())
+        return float(np.max(self.rates(np.array(self.ignition_seconds()))))
 
     def expected_requests(self, horizon_seconds: float) -> float:
         """Mean number of arrivals in ``[0, horizon_seconds)`` (closed form)."""

@@ -44,7 +44,7 @@ from .arrivals import (
     SuperposedArrivals,
     TraceArrivals,
 )
-from .diurnal import adult_evening_profile, child_daytime_profile
+from .diurnal import DiurnalArrivals, adult_evening_profile, child_daytime_profile
 from .flash import FlashCrowd
 from .spatial import EventRings
 
@@ -289,13 +289,7 @@ class WorkloadSpec:
         if self.kind == "deterministic":
             return DeterministicArrivals(self._get("interval"), self._get("offset"))
         if self.kind == "diurnal":
-            from .arrivals import NonHomogeneousPoisson
-
-            profile = self._diurnal_profile()
-            return NonHomogeneousPoisson(
-                rate_fn=profile.rate_at,
-                max_rate_per_hour=profile.max_rate_per_hour,
-            )
+            return DiurnalArrivals(self._diurnal_profile())
         if self.kind == "flash":
             return FlashCrowd(
                 self._get("peak_rate_per_hour"),
