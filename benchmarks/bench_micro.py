@@ -11,6 +11,10 @@ measure exactly that, plus the other constructive hot paths.
 import numpy as np
 
 from repro.core.dhb import DHBProtocol
+from repro.edge.cache import allocate_prefixes
+from repro.edge.node import EdgeNode, EdgeTier
+from repro.edge.scenario import preset_hierarchy
+from repro.edge.shaping import PolicyShaper
 from repro.experiments.adaptive import default_day_workload
 from repro.protocols.base import verify_static_map
 from repro.protocols.npb import pagoda_map
@@ -18,6 +22,7 @@ from repro.protocols.stream_tapping import StreamTappingProtocol
 from repro.smoothing.packing import pack_video
 from repro.video.matrix import matrix_like_video
 from repro.workload.arrivals import PoissonArrivals
+from repro.workload.popularity import ZipfCatalog
 
 
 def test_dhb_request_handling_cold(benchmark):
@@ -117,3 +122,49 @@ def test_nhpp_day_generation(benchmark):
     rng = np.random.default_rng(1)
     result = benchmark(lambda: process.generate(24 * 3600.0, rng))
     assert len(result) > 2000
+
+
+def test_edge_tier_admission_indebted(benchmark):
+    """Per-arrival edge decisions on a permanently indebted uplink.
+
+    The stock hierarchy's two edges (8 titles, 60 segments, 25 % cache,
+    16-stream uplinks) take 20k Zipf arrivals at the 100x day's ~56 per
+    slot.  Each prefix costs 10-60 tokens against ~11 earned per slot, so
+    after the first burst every hit is deferred: one prefix lookup, one
+    class pick, one bucket draw and one decision per arrival, the regime
+    of the day workload's edge tier.
+    """
+    scenario = preset_hierarchy()
+    catalog = ZipfCatalog(scenario.topology.n_titles, scenario.zipf_theta)
+    titles = catalog.assign(20_000, np.random.default_rng(1)).tolist()
+    per_slot = 56
+
+    def admit_all():
+        nodes = [
+            EdgeNode(
+                spec,
+                allocate_prefixes(
+                    scenario.prefix_policy,
+                    catalog.probabilities,
+                    spec.cache_segments,
+                    scenario.n_segments,
+                ),
+                PolicyShaper(scenario.classes, spec.uplink_streams),
+                scenario.slot_duration,
+            )
+            for spec in scenario.topology.edges
+        ]
+        tier = EdgeTier(nodes, scenario.prefix_policy, catalog)
+        admit = tier.admit
+        deferred = 0
+        for i, title in enumerate(titles):
+            slot = i // per_slot
+            if i % per_slot == 0:
+                tier.begin_slot(slot)
+            decision = admit(title, slot * 20.0, slot, (slot + 1) * 20.0)
+            if decision.hit and decision.join_slot > slot:
+                deferred += 1
+        return deferred
+
+    deferred = benchmark(admit_all)
+    assert deferred > 0.99 * len(titles)

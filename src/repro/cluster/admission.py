@@ -23,7 +23,7 @@ zero, where scheduled and transmitted instances coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ClusterError
@@ -47,6 +47,9 @@ class SlotReport:
         The effective channel budget applied (post fault injection).
     alive:
         Whether the server was up during the slot.
+    title_loads:
+        Title → instances its protocol scheduled for the slot (``demand``
+        is their sum); empty while the server is down.
     """
 
     demand: int
@@ -54,6 +57,7 @@ class SlotReport:
     backlog: int
     capacity: int
     alive: bool
+    title_loads: Dict[int, int] = field(default_factory=dict)
 
 
 class CappedServer:
@@ -193,7 +197,11 @@ class CappedServer:
         cap = self.spec.capacity if capacity is None else int(capacity)
         if cap < 0:
             raise ClusterError(f"effective capacity must be >= 0, got {cap}")
-        demand = self.demand(slot)
+        title_loads = {
+            title: protocol.slot_load(slot)
+            for title, protocol in self.protocols.items()
+        }
+        demand = sum(title_loads.values())
         owed = self.backlog + demand
         transmitted = min(owed, cap)
         self.backlog = owed - transmitted
@@ -205,6 +213,7 @@ class CappedServer:
             backlog=self.backlog,
             capacity=cap,
             alive=True,
+            title_loads=title_loads,
         )
 
     def slot_instances(self, slot: int) -> Dict[int, List[int]]:

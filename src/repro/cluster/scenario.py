@@ -33,7 +33,7 @@ aggregate — strictly less whenever titles peak at different times.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -283,23 +283,12 @@ class ClusterResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _PendingJoin:
-    """An edge-deferred suffix join waiting for its origin slot."""
-
-    title: int
-    first_segment: int
-    wait: float
-    measured: bool
-
-
 def run_scenario(
     scenario: ClusterScenario,
     observation: Optional[Observation] = None,
     *,
     edge_tier=None,
     router_override=None,
-    arrivals_override=None,
 ) -> ClusterResult:
     """Simulate one cluster scenario over the shared slotted timeline.
 
@@ -317,12 +306,12 @@ def run_scenario(
     * ``router_override`` substitutes a pre-configured
       :class:`~repro.cluster.routing.Router` instance (the hierarchy's
       prefix-aware router carries the live allocation).
-    * ``arrivals_override`` is a ``(times, titles)`` array pair replacing
-      the seeded default workload (popularity-drift plans pre-assign titles
-      phase by phase).
 
-    Deferred joins whose slot lands past the horizon are dropped
-    unmeasured, like arrivals past the horizon.
+    A deferred join whose slot lands at or past the horizon is dropped
+    unmeasured when it is decided, like an arrival past the horizon: the
+    pending-join ledger only ever holds joins the loop will deliver.  With
+    an observation, the ``cluster.edge_joins_dropped`` counter reports how
+    many were dropped.
     """
     topology = scenario.topology
     placement = topology.placement
@@ -330,23 +319,21 @@ def run_scenario(
     d = scenario.slot_duration
     horizon = scenario.horizon_slots
     warmup = scenario.warmup_slots
-    if arrivals_override is not None:
-        times, titles = arrivals_override
-    else:
-        if scenario.workload is None:
-            times = PoissonArrivals(scenario.total_rate_per_hour).generate(
-                horizon * d, streams.get("cluster-arrivals")
-            )
-        else:
-            stream_name = (
-                f"cluster-arrivals@wl:{scenario.workload.digest()[:12]}"
-            )
-            times = scenario.workload.process().generate(
-                horizon * d, streams.get(stream_name)
-            )
-        titles = ZipfCatalog(topology.n_titles, scenario.zipf_theta).assign(
-            len(times), streams.get("cluster-titles")
+    if scenario.workload is None:
+        times = PoissonArrivals(scenario.total_rate_per_hour).generate(
+            horizon * d, streams.get("cluster-arrivals")
         )
+    else:
+        stream_name = f"cluster-arrivals@wl:{scenario.workload.digest()[:12]}"
+        times = scenario.workload.process().generate(
+            horizon * d, streams.get(stream_name)
+        )
+    titles = ZipfCatalog(topology.n_titles, scenario.zipf_theta).assign(
+        len(times), streams.get("cluster-titles")
+    )
+    # Python floats and ints: the per-arrival loop reads list items instead
+    # of boxing a numpy scalar per arrival.
+    times, titles = times.tolist(), titles.tolist()
     context = scenario._context()
 
     def protocol_factory(title: int):
@@ -367,7 +354,11 @@ def run_scenario(
     )
     metrics = observation.metrics if observation is not None else None
     trace = observation.trace if observation is not None else None
-    pending_joins: Dict[int, List[_PendingJoin]] = {}
+    # Edge-deferred suffix joins by origin slot, as plain
+    # ``(title, first_segment, wait, in_window)`` tuples; only slots inside
+    # the horizon ever get an entry.
+    pending_joins: Dict[int, List[Tuple[int, int, float, bool]]] = {}
+    joins_dropped = 0
 
     measured = horizon - warmup
     aggregate = np.zeros(measured, dtype=np.int64)
@@ -425,11 +416,12 @@ def run_scenario(
         # and failover (the one writer of the current slot) already ran.
         slot_demand = 0
         server_records = [] if trace is not None else None
+        reports = {}
         for server in servers:
             cap = faults.effective_capacity(
                 server.server_id, server.spec.capacity, slot
             )
-            report = server.finalize_slot(slot, cap)
+            report = reports[server.server_id] = server.finalize_slot(slot, cap)
             slot_demand += report.demand
             if slot >= warmup:
                 load_sums[server.server_id] += report.demand
@@ -449,63 +441,64 @@ def run_scenario(
         if slot >= warmup:
             aggregate[slot - warmup] = slot_demand
             if per_title is not None:
+                # The reports carry each title's load as finalize read it.
                 for title in range(topology.n_titles):
                     load = 0
                     for replica in placement.replicas_of(title):
-                        replica_server = by_id[replica]
-                        if replica_server.alive:
-                            load += replica_server.protocols[title].slot_load(slot)
+                        report = reports[replica]
+                        if report.alive:
+                            load += report.title_loads[title]
                     per_title[title, slot - warmup] = load
             if metrics is not None:
                 metrics.histogram("cluster.slot_load").observe(float(slot_demand))
 
         # 3. Deliver the slot's arrivals through the router.
-        slot_start = slot * d
         slot_end = (slot + 1) * d
         slot_admitted = 0
         slot_rejected = 0
         # Edge-deferred suffix joins due now go first: they arrived in an
         # earlier slot, so they precede this slot's fresh arrivals.
-        for join in pending_joins.pop(slot, []):
+        for title, first_segment, wait, in_window in pending_joins.pop(slot, ()):
             candidates = [
                 by_id[replica]
-                for replica in placement.replicas_of(join.title)
+                for replica in placement.replicas_of(title)
                 if by_id[replica].alive and by_id[replica].has_headroom()
             ]
-            chosen = router.choose(join.title, slot, candidates)
+            chosen = router.choose(title, slot, candidates)
             if chosen is None:
                 rejected += 1
                 slot_rejected += 1
             else:
-                chosen.admit_suffix(join.title, slot, join.first_segment)
+                chosen.admit_suffix(title, slot, first_segment)
                 slot_admitted += 1
-                if join.measured:
-                    waits.append(join.wait)
+                if in_window:
+                    waits.append(wait)
         while arrival_index < n_arrivals and times[arrival_index] < slot_end:
-            t = float(times[arrival_index])
-            title = int(titles[arrival_index])
+            t = times[arrival_index]
+            title = titles[arrival_index]
             arrival_index += 1
-            if t < slot_start:
-                continue
             first_segment = 1
             wait = slot_end - t
             if edge_tier is not None:
                 decision = edge_tier.admit(title, t, slot, slot_end)
                 if decision.hit:
-                    in_window = slot >= warmup
                     if decision.served_fully:
-                        if in_window:
+                        if slot >= warmup:
                             waits.append(decision.wait)
                         continue
-                    if decision.join_slot > slot:
-                        pending_joins.setdefault(decision.join_slot, []).append(
-                            _PendingJoin(
-                                title,
-                                decision.first_segment,
-                                decision.wait,
-                                in_window,
+                    join_slot = decision.join_slot
+                    if join_slot > slot:
+                        if join_slot < horizon:
+                            pending_joins.setdefault(join_slot, []).append(
+                                (
+                                    title,
+                                    decision.first_segment,
+                                    decision.wait,
+                                    slot >= warmup,
+                                )
                             )
-                        )
+                        else:
+                            joins_dropped += 1
                         continue
                     first_segment = decision.first_segment
                     wait = decision.wait
@@ -568,6 +561,8 @@ def run_scenario(
         metrics.counter("cluster.slots").inc(horizon)
         metrics.counter("cluster.requests").inc(admitted)
         metrics.counter("cluster.rejected").inc(rejected)
+        if edge_tier is not None:
+            metrics.counter("cluster.edge_joins_dropped").inc(joins_dropped)
         metrics.gauge("cluster.servers").set(topology.n_servers)
         metrics.gauge("cluster.titles").set(topology.n_titles)
         metrics.gauge("cluster.total_capacity").set(topology.total_capacity)

@@ -22,8 +22,7 @@ unshaped case, the "near-zero wait" the hierarchy buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,11 +31,10 @@ from ..cluster.topology import EdgeSpec
 from ..errors import ConfigurationError
 from ..workload.popularity import ZipfCatalog
 from .cache import CacheAllocation, allocate_prefixes
-from .shaping import PolicyShaper, TrafficClass
+from .shaping import PolicyShaper
 
 
-@dataclass(frozen=True)
-class EdgeDecision:
+class EdgeDecision(NamedTuple):
     """What the edge tier decided about one arrival.
 
     ``hit = False`` means the arrival falls through to the unmodified
@@ -45,6 +43,10 @@ class EdgeDecision:
     cached title that never joins the origin, otherwise the client joins
     the origin broadcast at ``join_slot`` needing ``first_segment``
     onwards.  ``wait`` is the client-visible start delay in seconds.
+
+    A named tuple, not a dataclass: one is built per arrival, and a tuple
+    costs a fraction of a frozen dataclass to make.  Every miss is the one
+    shared ``_MISS`` instance.
     """
 
     hit: bool
@@ -116,8 +118,9 @@ class EdgeNode:
         if prefix <= 0:
             self.misses += 1
             return _MISS
-        traffic_class: TrafficClass = self.shaper.classify()
-        defer = self.shaper.reserve(traffic_class, prefix)
+        shaper = self.shaper
+        index = shaper.pick()
+        defer = shaper.draw(index, prefix)
         if defer is None:
             # Shaped out: the class has no uplink, so the client fetches
             # the whole video from the origin like a cold title.
@@ -126,22 +129,12 @@ class EdgeNode:
         self.hits += 1
         self.segments_served += prefix
         wait = defer * self.slot_duration
+        name = shaper.names[index]
+        # Fields by position (hit, served_fully, first_segment, join_slot,
+        # wait, edge_segments, traffic_class): keywords triple the cost.
         if prefix >= self.allocation.n_segments:
-            return EdgeDecision(
-                hit=True,
-                served_fully=True,
-                wait=wait,
-                edge_segments=prefix,
-                traffic_class=traffic_class.name,
-            )
-        return EdgeDecision(
-            hit=True,
-            first_segment=prefix + 1,
-            join_slot=slot + defer,
-            wait=wait,
-            edge_segments=prefix,
-            traffic_class=traffic_class.name,
-        )
+            return EdgeDecision(True, True, 1, 0, wait, prefix, name)
+        return EdgeDecision(True, False, prefix + 1, slot + defer, wait, prefix, name)
 
 
 class EdgeTier:
@@ -188,6 +181,7 @@ class EdgeTier:
         self.reallocate_every = int(reallocate_every)
         self._rng = rng
         self._turn = 0
+        self._admits = [node.admit for node in self.nodes]
         if router is not None:
             router.set_prefixes(self.prefix_map())
 
@@ -225,9 +219,10 @@ class EdgeTier:
 
     def admit(self, title: int, t: float, slot: int, slot_end: float) -> EdgeDecision:
         """Deal the arrival to its node and return that node's decision."""
-        node = self.nodes[self._turn % len(self.nodes)]
-        self._turn += 1
-        return node.admit(title, slot)
+        turn = self._turn
+        self._turn = turn + 1
+        admits = self._admits
+        return admits[turn % len(admits)](title, slot)
 
     # -- aggregate counters ---------------------------------------------------
 

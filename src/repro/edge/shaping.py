@@ -112,35 +112,6 @@ def validate_classes(
     return tuple(classes)
 
 
-class _Bucket:
-    """A token bucket with debt: refills ``rate``/slot up to ``capacity``.
-
-    ``take(cost)`` always succeeds, returning how many slots the caller
-    must wait for the refills to cover the debt.  Letting the level go
-    negative models the class's uplink queue without tracking individual
-    transfers — the deferral *is* the queueing delay.  The capacity (a few
-    slots' worth of tokens) is the burst allowance: it must dwarf one
-    prefix's cost or even an idle uplink would defer every request, the
-    token-bucket analogue of sizing the bucket to the maximum packet.
-    """
-
-    def __init__(self, rate: float, capacity: float):
-        self.rate = float(rate)
-        self.capacity = float(capacity)
-        self.level = float(capacity)
-
-    def refill(self) -> None:
-        self.level = min(self.level + self.rate, self.capacity)
-
-    def take(self, cost: int) -> int:
-        if self.level >= cost:
-            self.level -= cost
-            return 0
-        defer = int(math.ceil((cost - self.level) / self.rate))
-        self.level -= cost
-        return defer
-
-
 class PolicyShaper:
     """Classify requests and meter each class's draw on the edge uplink.
 
@@ -154,6 +125,21 @@ class PolicyShaper:
     burst_slots:
         Bucket capacity in slots of refill — the burst allowance each
         class may spend after an idle stretch.
+
+    Each class's bucket carries debt: a draw always succeeds, returning
+    how many slots the caller must wait for the refills to cover the debt.
+    Letting the level go negative models the class's uplink queue without
+    tracking individual transfers — the deferral *is* the queueing delay.
+    The capacity (a few slots' worth of tokens) is the burst allowance: it
+    must dwarf one prefix's cost or even an idle uplink would defer every
+    request, the token-bucket analogue of sizing the bucket to the maximum
+    packet.
+
+    State is kept in lists by class *index* (declaration order), so the
+    per-arrival pair :meth:`pick` / :meth:`draw` builds nothing and looks
+    nothing up by name; :meth:`classify` and :meth:`reserve` are the same
+    two steps by :class:`TrafficClass`, and the per-class counters read
+    back as name-keyed dicts.
     """
 
     def __init__(
@@ -173,53 +159,101 @@ class PolicyShaper:
             )
         self.uplink_streams = float(uplink_streams)
         self.burst_slots = float(burst_slots)
+        self.names = tuple(cls.name for cls in self.classes)
+        self._index = {name: i for i, name in enumerate(self.names)}
+        n = len(self.classes)
         total_weight = sum(cls.weight for cls in self.classes)
         self._shares = [cls.weight / total_weight for cls in self.classes]
-        self._credits = [0.0] * len(self.classes)
-        self._buckets: Dict[str, _Bucket] = {
-            cls.name: _Bucket(
-                cls.uplink_share * self.uplink_streams,
-                cls.uplink_share * self.uplink_streams * self.burst_slots,
-            )
-            for cls in self.classes
-        }
-        # Lifetime counters, per class.
-        self.requests: Dict[str, int] = {cls.name: 0 for cls in self.classes}
-        self.deferrals: Dict[str, int] = {cls.name: 0 for cls in self.classes}
-        self.deferral_slots: Dict[str, int] = {
-            cls.name: 0 for cls in self.classes
-        }
-        self.bypassed: Dict[str, int] = {cls.name: 0 for cls in self.classes}
+        self._credits = [0.0] * n
+        # Token buckets: refill rate, capacity and (possibly negative) level.
+        self._rates = [cls.uplink_share * self.uplink_streams for cls in self.classes]
+        self._capacities = [rate * self.burst_slots for rate in self._rates]
+        self._levels = list(self._capacities)
+        # Lifetime counters.
+        self._requests = [0] * n
+        self._deferrals = [0] * n
+        self._deferral_slots = [0] * n
+        self._bypassed = [0] * n
+
+    def _by_name(self, counts: List[int]) -> Dict[str, int]:
+        return dict(zip(self.names, counts))
+
+    @property
+    def requests(self) -> Dict[str, int]:
+        """Requests classified into each class."""
+        return self._by_name(self._requests)
+
+    @property
+    def deferrals(self) -> Dict[str, int]:
+        """Reservations each class had to defer."""
+        return self._by_name(self._deferrals)
+
+    @property
+    def deferral_slots(self) -> Dict[str, int]:
+        """Slots of deferral summed over each class's reservations."""
+        return self._by_name(self._deferral_slots)
+
+    @property
+    def bypassed(self) -> Dict[str, int]:
+        """Reservations each class shaped out (zero uplink share)."""
+        return self._by_name(self._bypassed)
 
     def begin_slot(self) -> None:
         """Refill every class bucket (call once at the top of each slot)."""
-        for bucket in self._buckets.values():
-            bucket.refill()
+        self._levels = [
+            min(level + rate, capacity)
+            for level, rate, capacity in zip(
+                self._levels, self._rates, self._capacities
+            )
+        ]
 
-    def classify(self) -> TrafficClass:
-        """Assign the next request to a class (weighted round-robin credits)."""
-        for index, share in enumerate(self._shares):
-            self._credits[index] += share
-        best = max(range(len(self._credits)), key=lambda i: (self._credits[i], -i))
-        self._credits[best] -= 1.0
-        chosen = self.classes[best]
-        self.requests[chosen.name] += 1
-        return chosen
+    def pick(self) -> int:
+        """Assign the next request to a class; return the class index.
 
-    def reserve(self, traffic_class: TrafficClass, segments: int) -> Optional[int]:
-        """Draw ``segments`` uplink tokens for a prefix transfer.
+        Weighted round-robin credits: every class earns its share, the
+        first class holding the strictly largest credit (ties go to
+        declaration order) takes the request and pays one credit.
+        """
+        credits = self._credits
+        shares = self._shares
+        best = 0
+        top = credits[0] = credits[0] + shares[0]
+        for index in range(1, len(credits)):
+            credit = credits[index] = credits[index] + shares[index]
+            if credit > top:
+                best = index
+                top = credit
+        credits[best] = top - 1.0
+        self._requests[best] += 1
+        return best
+
+    def draw(self, index: int, segments: int) -> Optional[int]:
+        """Draw ``segments`` uplink tokens from class ``index``'s bucket.
 
         Returns the deferral in slots (0 = start now), or ``None`` when the
         class has no uplink at all — the caller must bypass the edge.
         """
+        rate = self._rates[index]
+        if rate <= 0.0:
+            self._bypassed[index] += 1
+            return None
+        levels = self._levels
+        level = levels[index]
+        levels[index] = level - segments
+        if level >= segments:
+            return 0
+        defer = math.ceil((segments - level) / rate)
+        if defer > 0:
+            self._deferrals[index] += 1
+            self._deferral_slots[index] += defer
+        return defer
+
+    def classify(self) -> TrafficClass:
+        """Assign the next request to a class (see :meth:`pick`)."""
+        return self.classes[self.pick()]
+
+    def reserve(self, traffic_class: TrafficClass, segments: int) -> Optional[int]:
+        """Draw ``segments`` uplink tokens for a prefix transfer (see :meth:`draw`)."""
         if segments < 0:
             raise ConfigurationError(f"segments must be >= 0, got {segments}")
-        bucket = self._buckets[traffic_class.name]
-        if bucket.rate <= 0.0:
-            self.bypassed[traffic_class.name] += 1
-            return None
-        defer = bucket.take(segments)
-        if defer > 0:
-            self.deferrals[traffic_class.name] += 1
-            self.deferral_slots[traffic_class.name] += defer
-        return defer
+        return self.draw(self._index[traffic_class.name], segments)

@@ -14,6 +14,7 @@ The load-bearing assertions:
 import pytest
 
 from repro.cluster.scenario import run_scenario
+from repro.edge.node import EdgeDecision
 from repro.edge.scenario import preset_hierarchy, run_hierarchy
 from repro.edge.shaping import TrafficClass
 from repro.edge.study import run_budget_study
@@ -163,3 +164,49 @@ def test_render_and_to_dict():
     snapshot = result.to_dict()
     assert snapshot["hit_ratio"] == pytest.approx(result.hit_ratio)
     assert snapshot["cluster"]["admitted"] == result.cluster.admitted
+
+
+class _JoinAtTier:
+    """Stub edge tier: arrival ``i`` hits and joins at ``join_slots[i]``.
+
+    Arrivals past the list join in their own slot.  Every hit holds the
+    first segment at the edge, so the origin admits suffix joins.
+    """
+
+    def __init__(self, join_slots):
+        self.join_slots = list(join_slots)
+        self.seen = 0
+
+    def begin_slot(self, slot):
+        pass
+
+    def admit(self, title, t, slot, slot_end):
+        index = self.seen
+        self.seen += 1
+        join_slot = self.join_slots[index] if index < len(self.join_slots) else slot
+        return EdgeDecision(
+            hit=True, first_segment=2, join_slot=join_slot, edge_segments=1
+        )
+
+
+def test_joins_at_or_past_the_horizon_are_dropped_and_counted():
+    cluster = quick_hierarchy().cluster()
+    horizon = cluster.horizon_slots
+    # One join lands in the last slot (delivered), one exactly at the
+    # horizon and one past it (both dropped when decided).
+    tier = _JoinAtTier([horizon - 1, horizon, horizon + 3])
+    registry = MetricsRegistry()
+    result = run_scenario(
+        cluster, Observation(metrics=registry, trace=None), edge_tier=tier
+    )
+    assert tier.seen > 3
+    assert result.admitted + result.rejected == tier.seen - 2
+    assert registry.to_dict()["counters"]["cluster.edge_joins_dropped"] == 2
+
+
+def test_pure_cluster_emits_no_edge_counter():
+    registry = MetricsRegistry()
+    run_scenario(
+        quick_hierarchy().cluster(), Observation(metrics=registry, trace=None)
+    )
+    assert "cluster.edge_joins_dropped" not in registry.to_dict()["counters"]
