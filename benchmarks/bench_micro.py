@@ -19,6 +19,8 @@ from repro.experiments.adaptive import default_day_workload
 from repro.protocols.base import verify_static_map
 from repro.protocols.npb import pagoda_map
 from repro.protocols.stream_tapping import StreamTappingProtocol
+from repro.runtime.seeds import arrival_trace
+from repro.sim.slotted import SlottedSimulation
 from repro.smoothing.packing import pack_video
 from repro.video.matrix import matrix_like_video
 from repro.workload.arrivals import PoissonArrivals
@@ -50,6 +52,26 @@ def test_dhb_request_handling_saturated(benchmark):
     instances = benchmark(admit_batch)
     # Nearly every segment is shared: far fewer instances than 2000 * 99.
     assert instances < 2000 * 12
+
+
+def test_sparse_slotted_driver(benchmark):
+    """The slotted driver over a mostly empty trace (dhb_kernel's sparse leg).
+
+    DHB with n = 99 at 15 requests/hour over 750 h: ~37k slots of 72.7 s,
+    about one in four occupied.  Admission is cheap here, so this times the
+    driver's own upkeep: the bulk load reads and folds of each run of empty
+    slots, one release per run and the chunked wait fold.
+    """
+    d = 7200.0 / 99
+    slots = int(750 * 3600.0 / d)
+    trace = arrival_trace(2001, 15.0, 750.0)
+
+    def simulate():
+        protocol = DHBProtocol(n_segments=99)
+        return SlottedSimulation(protocol, d, slots, slots // 20).run(trace)
+
+    result = benchmark(simulate)
+    assert result.columnar and 10_000 < result.n_requests < 12_000
 
 
 def test_pagoda_packing(benchmark):

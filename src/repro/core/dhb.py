@@ -236,6 +236,14 @@ class DHBProtocol(SlottedModel):
         """Weighted load of ``slot`` (bytes when weights are byte sizes)."""
         return self.schedule.weight(slot)
 
+    def slot_loads(self, start: int, stop: int) -> List[int]:
+        """Loads of slots ``[start, stop)``, one slice of the schedule."""
+        return self.schedule.loads(start, stop)
+
+    def slot_weights(self, start: int, stop: int) -> List[float]:
+        """Weighted loads of slots ``[start, stop)``, one slice of the schedule."""
+        return self.schedule.weights(start, stop)
+
     def slot_instances(self, slot: int) -> List[int]:
         """Segment numbers scheduled in ``slot`` (for per-slot traces)."""
         return self.schedule.segments_in(slot)

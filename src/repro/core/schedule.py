@@ -237,6 +237,30 @@ class SlotSchedule:
             return 0.0
         return self._weight_loads[index]
 
+    def _span(self, cells: array, start: int, stop: int, zero) -> list:
+        """Cells of slots ``[start, stop)`` as a list, one slice of ``cells``;
+        ``zero`` below the released floor and past the capacity."""
+        base = self._base
+        if start >= self._released_before and stop - base <= len(cells):
+            return cells[start - base : stop - base].tolist()
+        low = min(max(start, self._released_before), stop)
+        high = max(min(stop, base + len(cells)), low)
+        return (
+            [zero] * (low - start)
+            + cells[low - base : high - base].tolist()
+            + [zero] * (stop - high)
+        )
+
+    def loads(self, start: int, stop: int) -> List[int]:
+        """``[load(slot) for slot in range(start, stop)]``, read in one slice."""
+        return self._span(self._loads, start, stop, 0)
+
+    def weights(self, start: int, stop: int) -> List[float]:
+        """``[weight(slot) for slot in range(start, stop)]``, read in one slice."""
+        if self._weight_loads is None:
+            return list(map(float, self.loads(start, stop)))
+        return self._span(self._weight_loads, start, stop, 0.0)
+
     def segments_in(self, slot: int) -> List[int]:
         """The segment instances scheduled in ``slot`` (copy, in add order)."""
         return list(self._slots.get(slot, ()))

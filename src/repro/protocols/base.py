@@ -228,6 +228,14 @@ class StaticBroadcastProtocol(SlottedModel):
         """Fixed protocols keep every stream busy in every slot."""
         return self.map.n_streams
 
+    def slot_loads(self, start: int, stop: int) -> List[int]:
+        """Every slot carries the same load (NPB's override included)."""
+        return [self.slot_load(start)] * (stop - start)
+
+    def slot_weights(self, start: int, stop: int) -> List[float]:
+        """Every slot carries the same weight."""
+        return [self.slot_weight(start)] * (stop - start)
+
     def slot_instances(self, slot: int) -> List[int]:
         """The map's segments for ``slot`` (fixed protocols always transmit)."""
         return self.map.segments_in_slot(slot)

@@ -134,6 +134,14 @@ class OnDemandMapProtocol(SlottedModel):
         """Occurrences actually transmitted during ``slot``."""
         return self._schedule.load(slot)
 
+    def slot_loads(self, start: int, stop: int) -> List[int]:
+        """Loads of slots ``[start, stop)``, one slice of the schedule."""
+        return self._schedule.loads(start, stop)
+
+    def slot_weights(self, start: int, stop: int) -> List[float]:
+        """Instance counts of slots ``[start, stop)`` as floats."""
+        return self._schedule.weights(start, stop)
+
     def slot_instances(self, slot: int) -> List[int]:
         """Segment numbers marked for transmission in ``slot``."""
         return self._schedule.segments_in(slot)

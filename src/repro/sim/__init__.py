@@ -1,12 +1,10 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate.
 
 This subpackage provides the machinery every experiment in the reproduction
 runs on:
 
 * :mod:`repro.sim.rng` — named, independently seeded random streams so that
   e.g. arrival noise and video noise never share a generator.
-* :mod:`repro.sim.events` / :mod:`repro.sim.engine` — a classic event-heap
-  discrete-event kernel.
 * :mod:`repro.sim.slotted` — a slot-synchronous driver used by the slotted
   broadcasting protocols (DHB, UD, FB, NPB, ...).
 * :mod:`repro.sim.continuous` — a continuous-time driver for the reactive
@@ -20,8 +18,6 @@ runs on:
 """
 
 from .continuous import BusyInterval, ContinuousSimulation, ReactiveModel, ReactiveResult
-from .engine import EventEngine
-from .events import Event
 from .recorder import SlotLoadRecorder, TimeWeightedRecorder
 from .rng import RandomStreams
 from .sketches import BinnedQuantileSketch, P2Quantile
@@ -32,8 +28,6 @@ __all__ = [
     "BinnedQuantileSketch",
     "BusyInterval",
     "ContinuousSimulation",
-    "Event",
-    "EventEngine",
     "OnlineStats",
     "P2Quantile",
     "RandomStreams",

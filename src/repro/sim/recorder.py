@@ -67,13 +67,26 @@ class SlotLoadRecorder:
 
     def record(self, slot: int, load: int) -> None:
         """Record that ``load`` segment instances were transmitted in ``slot``."""
-        if load < 0:
-            raise SimulationError(f"negative load {load} in slot {slot}")
-        if slot < self.warmup_slots:
-            return
-        self._stats.add(float(load))
+        self.record_many(slot, [load])
+
+    def record_many(self, first_slot: int, loads: Sequence[int]) -> None:
+        """:meth:`record` for slots ``first_slot, first_slot + 1, ...``, in order.
+
+        A negative load raises, naming its slot, after the loads before it
+        were recorded.
+        """
+        if loads and min(loads) < 0:
+            bad = next(i for i, load in enumerate(loads) if load < 0)
+            self.record_many(first_slot, loads[:bad])
+            raise SimulationError(
+                f"negative load {loads[bad]} in slot {first_slot + bad}"
+            )
+        skip = self.warmup_slots - first_slot
+        if skip > 0:
+            loads = loads[skip:]
+        self._stats.add_many(map(float, loads))
         if self.keep_series:
-            self.series.append(load)
+            self.series.extend(loads)
 
     def finish(self) -> None:
         """Fold this run's summary into the registry histogram (idempotent)."""

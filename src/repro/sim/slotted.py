@@ -9,17 +9,24 @@ the maximum customer waiting time.
 :class:`SlottedSimulation` feeds arrival times to a protocol slot by slot and
 measures per-slot bandwidth.  A slot's load is final once every request from
 earlier slots has been processed (no protocol may schedule into the current
-or a past slot), so the driver records slot ``s`` just before delivering the
+or a past slot), so the driver records slot ``s`` before delivering the
 arrivals of slot ``s``.
 
-The driver has one loop.  It pre-buckets the whole arrival trace into slots
-with one ``np.searchsorted`` against the slot boundaries and hands each
-slot's batch to :meth:`SlottedModel.handle_batch` — one protocol call per
-*occupied slot* instead of one per request, which is what makes
-10M-request horizons tractable.  Per-slot trace records are read from the
-same loop, after the slot's batch.
+The driver has one loop, and it walks only the *occupied* slots (plus the
+horizon).  It pre-buckets the whole arrival trace into slots with one
+``np.searchsorted`` against the slot boundaries.  Once the batch of
+occupied slot ``a`` is admitted, the loads of every slot up to and
+including the next occupied slot ``b`` are final, so the run ``(a, b]`` is
+read with one :meth:`SlottedModel.slot_loads` call and folded into the
+statistics at once; then slot ``b``'s batch goes to
+:meth:`SlottedModel.handle_batch` — one protocol call per occupied slot
+instead of one per request — and the protocol releases everything below
+``b``.  Sparse traces, where most slots are empty, thus cost per occupied
+slot rather than per slot.  Per-slot trace records are emitted from the
+same loop, one per slot, after the run's batch and before its release.
 
-Waiting-time statistics stream in bounded memory: a running sum/max
+Waiting times depend only on the trace and ``d``, so they are folded
+outside the slot loop, in bounded chunks of requests: a running sum/max
 (bit-identical to a per-request left-to-right fold) plus a fixed-size
 :class:`~repro.sim.sketches.BinnedQuantileSketch` over ``[0, d]`` for the
 tail (p50/p99).
@@ -102,10 +109,26 @@ class SlottedModel(abc.ABC):
         in units of ``b``.
         """
 
+    def slot_loads(self, start: int, stop: int) -> List[int]:
+        """``slot_load`` of every slot in ``[start, stop)``, in order.
+
+        The driver reads each run of final loads with one call; protocols
+        backed by a load array override this with one slice.
+        """
+        return [self.slot_load(slot) for slot in range(start, stop)]
+
+    def slot_weights(self, start: int, stop: int) -> List[float]:
+        """``slot_weight`` of every slot in ``[start, stop)``, in order."""
+        return [self.slot_weight(slot) for slot in range(start, stop)]
+
     def release_before(self, slot: int) -> None:
         """Allow the protocol to drop bookkeeping for slots ``< slot``.
 
         Optional; the default keeps everything (fine for short runs).
+        Implementations must be monotone: ``release_before(b)`` has the
+        same effect as ``release_before(a + 1) ... release_before(b)``, so
+        the driver calls it once per occupied slot (with non-decreasing
+        arguments) rather than once per slot.
         """
 
     def slot_weight(self, slot: int) -> float:
@@ -169,6 +192,9 @@ class SlottedResult:
 #: Bins of the waiting-time sketch: slot-duration / WAIT_SKETCH_BINS of
 #: quantile resolution (a few milliseconds at figure-7 slot lengths).
 WAIT_SKETCH_BINS = 2048
+
+#: Requests per chunk of the wait fold (bounds its array temporaries).
+_WAIT_CHUNK = 65536
 
 
 class SlottedSimulation:
@@ -245,14 +271,15 @@ class SlottedSimulation:
         copies the runtime's (read-only, shared) float64 traces.
 
         The whole trace is bucketed into slots with a single
-        ``np.searchsorted`` against the slot boundaries, and each occupied
-        slot's batch is admitted with one call (see ``columnar``).  Waiting
-        times are accumulated per batch with a running-sum continuation
-        (``cumsum`` seeded with the running total is the same left-to-right
-        fold a per-request loop performs, so the mean is bit-for-bit
-        identical).  Memory stays bounded: no per-request Python objects,
-        a fixed-size wait sketch, and the protocol releases slots as the
-        loop advances.
+        ``np.searchsorted`` against the slot boundaries; the loop visits
+        each occupied slot once, reading the loads of the run of slots
+        that ends there in one call and admitting the slot's batch with one
+        call (see ``columnar``).  Waiting times are folded in chunks of
+        requests with a running-sum continuation (``cumsum`` seeded with
+        the running total is the same left-to-right fold a per-request
+        loop performs, so the mean is bit-for-bit identical).  Memory stays
+        bounded: no per-request Python objects, a fixed-size wait sketch,
+        and the protocol releases slots as the loop advances.
 
         Raises :class:`~repro.errors.SimulationError`, before anything is
         admitted, when the arrivals are not 1-D, are unsorted or contain
@@ -281,75 +308,73 @@ class SlottedSimulation:
         # per-request loop bit for bit; cuts[s] counts the arrivals strictly
         # before the end of slot s.
         boundaries = np.arange(1, horizon + 1, dtype=np.int64) * d
-        cuts = np.searchsorted(arrivals, boundaries, side="left").tolist()
-        n_within = cuts[-1]
+        cuts = np.searchsorted(arrivals, boundaries, side="left")
+        n_within = int(cuts[-1])
         # Arrivals before the simulated epoch (t < 0) land in slot 0's
         # bucket but are never delivered.
         ignored = int(np.searchsorted(arrivals, 0.0, side="left"))
+        delivered = np.diff(cuts, prepend=ignored)
+        occupied = np.flatnonzero(delivered)
 
-        record = recorder.record
-        add_weight = weight_stats.add
-        slot_load = protocol.slot_load
-        slot_weight = protocol.slot_weight
         # The protocol's batched admission, or the base class's loop of
         # single admissions; either way one call per occupied slot.
         if self.columnar:
             handle_batch = protocol.handle_batch
         else:
             handle_batch = MethodType(SlottedModel.handle_batch, protocol)
+        record_many = recorder.record_many
+        add_weights = weight_stats.add_many
+        slot_loads = protocol.slot_loads
+        slot_weights = protocol.slot_weights
         release_before = protocol.release_before
-        sketch_add_array = wait_sketch.add_array
-        wait_sum = 0.0
-        wait_max = 0.0
-        measured_requests = 0
-        begin = ignored
-        for slot in range(horizon):
-            # All requests from slots < slot have been admitted, so the
-            # load of `slot` is final: protocols only schedule into slots
-            # >= slot + 1.
-            record(slot, slot_load(slot))
-            if slot >= warmup:
-                add_weight(slot_weight(slot))
-            end = cuts[slot]
-            count = end - begin
+        first = 0
+        # The horizon closes the last run: no batch, nothing past it.
+        for slot, count in zip(
+            occupied.tolist() + [horizon], delivered[occupied].tolist() + [0]
+        ):
+            stop = min(slot + 1, horizon)
+            # Every batch before `slot` is admitted and batches only
+            # schedule into later slots, so the loads of [first, stop) are
+            # final.
+            record_many(first, slot_loads(first, stop))
+            if stop > warmup:
+                add_weights(slot_weights(max(first, warmup), stop))
             if count:
                 handle_batch(slot, count)
-                if slot >= warmup:
-                    if count == 1:
-                        # Scalar shortcut: same float64 ops, no array temps.
-                        wait = float(boundaries[slot]) - float(arrivals[begin])
-                        wait_sum += wait
-                        if wait > wait_max:
-                            wait_max = wait
-                        wait_sketch.add(wait)
-                    else:
-                        waits = boundaries[slot] - arrivals[begin:end]
-                        sketch_add_array(waits)
-                        block_max = float(waits.max())
-                        if block_max > wait_max:
-                            wait_max = block_max
-                        # cumsum seeded with the running total IS the
-                        # per-request sequential fold, bit for bit.
-                        waits[0] += wait_sum
-                        wait_sum = float(waits.cumsum()[-1])
-                    measured_requests += count
-                begin = end
             if trace is not None:
-                # Read after the slot's batch, before its release.
-                trace_record = dict(self.trace_context)
-                trace_record.update(
-                    kind="slot",
-                    slot=slot,
-                    streams=slot_load(slot),
-                    weight=slot_weight(slot),
-                    instances=protocol.slot_instances(slot),
-                    arrivals=count,
-                    measured=slot >= warmup,
-                )
-                trace.emit(trace_record)
-            # Released only now so the trace could still read the slot; the
-            # numbers are unchanged (releases only drop slots < slot).
-            release_before(slot)
+                # Read after the run's batch, before its release.
+                for traced in range(first, stop):
+                    trace_record = dict(self.trace_context)
+                    trace_record.update(
+                        kind="slot",
+                        slot=traced,
+                        streams=protocol.slot_load(traced),
+                        weight=protocol.slot_weight(traced),
+                        instances=protocol.slot_instances(traced),
+                        arrivals=count if traced == slot else 0,
+                        measured=traced >= warmup,
+                    )
+                    trace.emit(trace_record)
+            # One release per run: releases are monotone, so this equals
+            # releasing after every slot of the run.
+            release_before(stop - 1)
+            first = stop
+
+        # Waits depend only on the trace and d: fold the measured requests
+        # (t >= 0, in a slot >= warmup) chunk by chunk, in request order.
+        measured_from = max(ignored, int(cuts[warmup - 1])) if warmup else ignored
+        wait_sum = 0.0
+        wait_max = 0.0
+        for begin in range(measured_from, n_within, _WAIT_CHUNK):
+            times = arrivals[begin : min(begin + _WAIT_CHUNK, n_within)]
+            waits = boundaries[np.searchsorted(boundaries, times, side="right")] - times
+            wait_sketch.add_array(waits)
+            wait_max = max(wait_max, float(waits.max()))
+            # cumsum seeded with the running total IS the per-request
+            # sequential fold, bit for bit.
+            waits[0] += wait_sum
+            wait_sum = float(waits.cumsum()[-1])
+        measured_requests = n_within - measured_from
 
         recorder.finish()
         if metrics is not None:

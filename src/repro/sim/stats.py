@@ -14,7 +14,7 @@ Three tools live here:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
@@ -52,10 +52,27 @@ class OnlineStats:
         self._min = min(self._min, value)
         self._max = max(self._max, value)
 
-    def add_many(self, values: Sequence[float]) -> None:
-        """Incorporate a batch of observations."""
+    def add_many(self, values: Iterable[float]) -> None:
+        """Incorporate a batch of observations.
+
+        The :meth:`add` update inlined over local variables: the same float
+        operations in the same order, so the summary is bit-for-bit the one
+        a loop of :meth:`add` leaves (``min``/``max`` keep the first of
+        equal values, as the builtins do).
+        """
+        count, mean, m2 = self.count, self._mean, self._m2
+        low, high = self._min, self._max
         for value in values:
-            self.add(value)
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        self.count, self._mean, self._m2 = count, mean, m2
+        self._min, self._max = low, high
 
     @property
     def mean(self) -> float:
