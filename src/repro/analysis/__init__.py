@@ -6,10 +6,8 @@
 * :mod:`repro.analysis.metrics` — result records shared by the harness.
 * :mod:`repro.analysis.tables` — plain-text series/table rendering (the
   reproduction reports figures as printed series, like the paper's plots).
-* :mod:`repro.analysis.compare` — multi-protocol sweep comparison helpers.
 """
 
-from .compare import SweepComparison, compare_series
 from .metrics import BandwidthPoint, ProtocolSeries
 from .tables import format_series_table, format_simple_table
 from .theory import (
@@ -24,9 +22,7 @@ from .theory import (
 __all__ = [
     "BandwidthPoint",
     "ProtocolSeries",
-    "SweepComparison",
     "batching_cost_rate",
-    "compare_series",
     "dhb_saturation_bandwidth",
     "evz_lower_bound",
     "format_series_table",

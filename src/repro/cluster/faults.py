@@ -119,11 +119,6 @@ class FaultSchedule:
                         f"[{later.start_slot}, {later.end_slot})"
                     )
 
-    @property
-    def is_empty(self) -> bool:
-        """Whether the schedule injects nothing at all."""
-        return not self.crashes and not self.losses
-
     def validate_against(self, topology: ClusterTopology) -> None:
         """Reject windows that reference servers the topology lacks."""
         known = {spec.server_id for spec in topology.servers}

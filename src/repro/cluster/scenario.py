@@ -378,6 +378,25 @@ def run_scenario(
     n_arrivals = len(times)
     faults = scenario.faults
 
+    def deliver(title: int, first_segment: int, wait: float, measured: bool):
+        # Route one request (a fresh arrival, or an edge suffix join when
+        # ``first_segment > 1``) to a live replica with headroom and admit
+        # it there; ``measured`` says whether its wait counts.
+        nonlocal slot_admitted, slot_rejected
+        candidates = [
+            by_id[replica]
+            for replica in placement.replicas_of(title)
+            if by_id[replica].alive and by_id[replica].has_headroom()
+        ]
+        chosen = router.choose(title, slot, candidates)
+        if chosen is None:
+            slot_rejected += 1
+            return
+        chosen.admit_suffix(title, slot, first_segment)
+        slot_admitted += 1
+        if measured:
+            waits.append(wait)
+
     if metrics is not None:
         run_span = metrics.timer("cluster.run_seconds").time()
         run_span.__enter__()
@@ -458,21 +477,8 @@ def run_scenario(
         slot_rejected = 0
         # Edge-deferred suffix joins due now go first: they arrived in an
         # earlier slot, so they precede this slot's fresh arrivals.
-        for title, first_segment, wait, in_window in pending_joins.pop(slot, ()):
-            candidates = [
-                by_id[replica]
-                for replica in placement.replicas_of(title)
-                if by_id[replica].alive and by_id[replica].has_headroom()
-            ]
-            chosen = router.choose(title, slot, candidates)
-            if chosen is None:
-                rejected += 1
-                slot_rejected += 1
-            else:
-                chosen.admit_suffix(title, slot, first_segment)
-                slot_admitted += 1
-                if in_window:
-                    waits.append(wait)
+        for join in pending_joins.pop(slot, ()):
+            deliver(*join)
         while arrival_index < n_arrivals and times[arrival_index] < slot_end:
             t = times[arrival_index]
             title = titles[arrival_index]
@@ -502,25 +508,8 @@ def run_scenario(
                         continue
                     first_segment = decision.first_segment
                     wait = decision.wait
-            candidates = [
-                by_id[replica]
-                for replica in placement.replicas_of(title)
-                if by_id[replica].alive and by_id[replica].has_headroom()
-            ]
-            chosen = router.choose(title, slot, candidates)
-            if chosen is None:
-                rejected += 1
-                slot_rejected += 1
-            elif first_segment <= 1:
-                chosen.admit(title, slot)
-                slot_admitted += 1
-                if slot >= warmup:
-                    waits.append(wait)
-            else:
-                chosen.admit_suffix(title, slot, first_segment)
-                slot_admitted += 1
-                if slot >= warmup:
-                    waits.append(wait)
+            deliver(title, first_segment, wait, slot >= warmup)
+        rejected += slot_rejected
 
         if trace is not None:
             trace.emit(

@@ -282,16 +282,6 @@ class AdaptiveDHBProtocol(DHBProtocol):
             self.client_slacks.extend([self.slack] * count)
         return plan
 
-    @property
-    def startup_wait_slots(self) -> int:
-        """Current playback-start budget: 1 boundary slot + current slack."""
-        return 1 + self.slack
-
-    @property
-    def worst_startup_wait_slots(self) -> int:
-        """The guarantee advertised to clients: 1 + the ladder's max slack."""
-        return 1 + self.max_slack
-
     def __repr__(self) -> str:
         return (
             f"AdaptiveDHBProtocol(n_segments={self.n_segments}, "

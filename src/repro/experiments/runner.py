@@ -225,31 +225,6 @@ def measure_sweep_point(
     )
 
 
-def sweep_factory(
-    label: str,
-    factory: ProtocolFactory,
-    config: SweepConfig,
-    stream_bandwidth: float = 1.0,
-) -> ProtocolSeries:
-    """Sweep one protocol factory over every configured rate.
-
-    ``factory(rate_per_hour)`` must return a *fresh* protocol; reactive
-    protocols typically tune their windows to the rate.
-    """
-    series = ProtocolSeries(protocol=label)
-    for rate in config.rates_per_hour:
-        protocol = factory(rate)
-        point = measure_protocol(
-            protocol,
-            config,
-            rate,
-            arrival_times=arrivals_for_rate(config, rate),
-            stream_bandwidth=stream_bandwidth,
-        )
-        series.add(point)
-    return series
-
-
 @dataclass(frozen=True)
 class ReplicatedPoint:
     """A bandwidth measurement replicated over independent seeds.

@@ -149,11 +149,6 @@ class BroadcastDaemon:
         bound = self._server.sockets[0].getsockname()
         return bound[0], bound[1]
 
-    @property
-    def active_sessions(self) -> int:
-        """Currently connected client sessions."""
-        return len(self._sessions)
-
     def pressure(self, slot: int) -> float:
         """Load signal for routers: the live session count.
 

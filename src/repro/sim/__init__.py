@@ -12,15 +12,15 @@ runs on:
 * :mod:`repro.sim.stats` / :mod:`repro.sim.recorder` — online statistics
   (means, maxima, time-weighted averages, batch-means confidence intervals)
   and per-slot / busy-interval recorders.
-* :mod:`repro.sim.sketches` — fixed-size quantile sketches (binned counts
-  for the slotted hot path, P² for unbounded reactive delays) so tail
-  statistics stream in bounded memory at 10M+ request horizons.
+* :mod:`repro.sim.sketches` — a fixed-size binned quantile sketch for the
+  slotted hot path, so tail statistics stream in bounded memory at 10M+
+  request horizons.
 """
 
 from .continuous import BusyInterval, ContinuousSimulation, ReactiveModel, ReactiveResult
 from .recorder import SlotLoadRecorder, TimeWeightedRecorder
 from .rng import RandomStreams
-from .sketches import BinnedQuantileSketch, P2Quantile
+from .sketches import BinnedQuantileSketch
 from .slotted import SlottedModel, SlottedResult, SlottedSimulation
 from .stats import OnlineStats, TimeWeightedStats, batch_means_ci
 
@@ -29,7 +29,6 @@ __all__ = [
     "BusyInterval",
     "ContinuousSimulation",
     "OnlineStats",
-    "P2Quantile",
     "RandomStreams",
     "ReactiveModel",
     "ReactiveResult",

@@ -27,7 +27,6 @@ import numpy as np
 from ..errors import ConfigurationError
 from .arrivals import sorted_arrivals
 from .recorder import TimeWeightedRecorder
-from .sketches import P2Quantile
 
 if TYPE_CHECKING:
     from ..obs.registry import MetricsRegistry
@@ -102,8 +101,6 @@ class ReactiveResult:
     n_requests: int
     mean_wait: float
     max_wait: float
-    #: Streamed p99 startup delay (P² estimate; 0.0 when nothing measured).
-    wait_p99: float = 0.0
 
 
 class ContinuousSimulation:
@@ -155,13 +152,10 @@ class ContinuousSimulation:
         protocol = self.protocol
         metrics = self.metrics
         recorder = TimeWeightedRecorder(self.warmup, self.horizon)
-        # Startup delays stream in bounded memory: a running sum/max (the
-        # same left-to-right fold the list-based reduction performed) plus a
-        # P2 sketch for the tail (delays are unbounded, so the fixed-range
-        # binned sketch of the slotted driver does not apply here).
+        # Startup delays stream in bounded memory: a running sum and max,
+        # the same left-to-right fold a list-based reduction performs.
         wait_sum = 0.0
         wait_max = 0.0
-        wait_sketch = P2Quantile(0.99)
         n_streams = 0
         if metrics is not None:
             protocol.bind_metrics(metrics)
@@ -169,7 +163,6 @@ class ContinuousSimulation:
             run_span.__enter__()
         handle = protocol.handle_request
         delay = protocol.startup_delay
-        sketch = wait_sketch.add
         streams: List[BusyInterval] = []
         extend = streams.extend
         for lo in range(0, n_requests, _CHUNK):
@@ -185,7 +178,6 @@ class ContinuousSimulation:
                 wait_sum += wait
                 if wait > wait_max:
                     wait_max = wait
-                sketch(wait)
             n_streams += len(streams)
             recorder.add_intervals(streams)
             streams.clear()
@@ -205,6 +197,5 @@ class ContinuousSimulation:
             n_requests=n_measured,
             mean_wait=wait_sum / n_measured if n_measured else 0.0,
             max_wait=wait_max,
-            wait_p99=wait_sketch.value if n_measured else 0.0,
         )
 

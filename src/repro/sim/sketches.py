@@ -1,28 +1,19 @@
-"""Fixed-size quantile sketches for streaming simulation output.
+"""A fixed-size quantile sketch for streaming simulation output.
 
 Long-horizon runs (10M+ requests) cannot afford to keep every waiting time
-in a Python list just to report tail statistics at the end.  Two bounded
-sketches live here:
-
-* :class:`BinnedQuantileSketch` — a fixed-size counting histogram over a
-  *known* value range.  Counts are exact, so any batching of updates (one
-  value at a time, or whole numpy arrays per slot) produces the **same**
-  sketch state and therefore the same quantile estimates.  This is the
-  sketch on the slotted hot path: waiting times are bounded by the slot
-  duration ``d``, and the columnar driver must report bit-for-bit the same
-  numbers as a per-request loop.
-* :class:`P2Quantile` — the classic Jain & Chlamtac (1985) piecewise-
-  parabolic estimator of a single quantile in O(1) memory with *no* prior
-  range knowledge.  Its estimate depends on arrival order, which makes it
-  unsuitable for the batched==scalar equivalence contract of the slotted
-  core, but exactly right for the continuous-time driver whose waiting
-  times are unbounded.
+in a Python list just to report tail statistics at the end.
+:class:`BinnedQuantileSketch` is a fixed-size counting histogram over a
+*known* value range.  Counts are exact, so any batching of updates (one
+value at a time, or whole numpy arrays per slot) produces the **same**
+sketch state and therefore the same quantile estimates.  This is the
+sketch on the slotted hot path: waiting times are bounded by the slot
+duration ``d``, and the columnar driver must report bit-for-bit the same
+numbers as a per-request loop.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -139,105 +130,3 @@ class BinnedQuantileSketch:
             sketch._counts[int(index)] = int(count)
         sketch._count = int(sketch._counts.sum())
         return sketch
-
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² algorithm.
-
-    Keeps five markers whose heights approximate the quantile curve and
-    nudges them with a piecewise-parabolic update on every observation —
-    O(1) memory regardless of stream length, no prior range knowledge.
-    The estimate is order-dependent (it is an approximation, not a count),
-    so use :class:`BinnedQuantileSketch` when batched and scalar feeding
-    must agree exactly.
-
-    >>> sketch = P2Quantile(0.5)
-    >>> for value in range(1, 100):
-    ...     sketch.add(float(value))
-    >>> 45.0 < sketch.value < 55.0
-    True
-    """
-
-    __slots__ = ("p", "_heights", "_positions", "_desired", "_rates", "count")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise SimulationError(f"quantile must be in (0, 1), got {p}")
-        self.p = float(p)
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._rates = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        """Incorporate one observation."""
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(float(value))
-            heights.sort()
-            return
-        positions = self._positions
-        # Locate the cell of the new observation and bump the endpoints.
-        if value < heights[0]:
-            heights[0] = float(value)
-            cell = 0
-        elif value >= heights[4]:
-            if value > heights[4]:
-                heights[4] = float(value)
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for marker in range(cell + 1, 5):
-            positions[marker] += 1.0
-        desired = self._desired
-        for marker in range(5):
-            desired[marker] += self._rates[marker]
-        # Nudge the three interior markers toward their desired positions.
-        for marker in (1, 2, 3):
-            delta = desired[marker] - positions[marker]
-            if (delta >= 1.0 and positions[marker + 1] - positions[marker] > 1.0) or (
-                delta <= -1.0 and positions[marker - 1] - positions[marker] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(marker, step)
-                if heights[marker - 1] < candidate < heights[marker + 1]:
-                    heights[marker] = candidate
-                else:
-                    heights[marker] = self._linear(marker, step)
-                positions[marker] += step
-
-    def _parabolic(self, marker: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        below = positions[marker] - positions[marker - 1]
-        above = positions[marker + 1] - positions[marker]
-        span = positions[marker + 1] - positions[marker - 1]
-        return heights[marker] + (step / span) * (
-            (below + step) * (heights[marker + 1] - heights[marker]) / above
-            + (above - step) * (heights[marker] - heights[marker - 1]) / below
-        )
-
-    def _linear(self, marker: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        neighbour = marker + int(step)
-        return heights[marker] + step * (heights[neighbour] - heights[marker]) / (
-            positions[neighbour] - positions[marker]
-        )
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any observation)."""
-        if not self._heights:
-            return 0.0
-        if len(self._heights) < 5 or self.count < 5:
-            interim = sorted(self._heights)
-            rank = min(
-                len(interim) - 1, max(0, math.ceil(self.p * len(interim)) - 1)
-            )
-            return interim[rank]
-        return self._heights[2]

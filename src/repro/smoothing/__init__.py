@@ -12,13 +12,9 @@ The paper derives four DHB configurations for a VBR video:
 * **DHB-d** — additionally relaxes each segment's minimum transmission
   frequency to the latest slot its data is actually needed
   (:mod:`repro.smoothing.deadlines`).
-
-:mod:`repro.smoothing.optimal` adds the classic optimal (minimum-peak,
-buffer-constrained) smoothing algorithm as an extension.
 """
 
 from .deadlines import chunk_deadline_slots, maximum_periods
-from .optimal import optimal_smoothing_schedule
 from .packing import PackedSegments, pack_video
 from .workahead import minimum_workahead_rate
 
@@ -27,6 +23,5 @@ __all__ = [
     "chunk_deadline_slots",
     "maximum_periods",
     "minimum_workahead_rate",
-    "optimal_smoothing_schedule",
     "pack_video",
 ]

@@ -302,16 +302,3 @@ def merge_arrivals(*streams: np.ndarray) -> np.ndarray:
     merged.sort(kind="mergesort")
     return merged
 
-
-def expected_count(process: ArrivalProcess, horizon: float) -> float:
-    """Expected number of arrivals for processes with a known mean rate.
-
-    For :class:`DeterministicArrivals` this is the exact count
-    ``generate`` yields: ``np.arange(offset, horizon, interval)`` holds
-    ``ceil((horizon - offset) / interval)`` points, or none.
-    """
-    if isinstance(process, PoissonArrivals):
-        return process.rate_per_second * horizon
-    if isinstance(process, DeterministicArrivals):
-        return max(0, math.ceil((horizon - process.offset) / process.interval))
-    raise WorkloadError(f"no closed-form count for {type(process).__name__}")

@@ -9,7 +9,6 @@ from repro.experiments.config import SweepConfig
 from repro.experiments.runner import (
     arrivals_for_rate,
     measure_protocol,
-    sweep_factory,
     sweep_protocols,
 )
 from repro.protocols.npb import NewPagodaBroadcasting
@@ -84,15 +83,6 @@ def test_slot_duration_override():
         DHBProtocol(n_segments=10), CONFIG, 20.0, slot_duration=60.0
     )
     assert point.mean_wait <= 60.0
-
-
-def test_sweep_factory_runs_all_rates():
-    config = CONFIG.replace(rates_per_hour=(5.0, 50.0))
-    series = sweep_factory(
-        "dhb", lambda rate: DHBProtocol(n_segments=config.n_segments), config
-    )
-    assert series.rates == [5.0, 50.0]
-    assert series.means[0] < series.means[1]
 
 
 def test_sweep_protocols_common_random_numbers():

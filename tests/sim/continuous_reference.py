@@ -9,7 +9,6 @@ independent literal loop rather than against itself.
 """
 
 from repro.sim.continuous import ReactiveResult
-from repro.sim.sketches import P2Quantile
 
 
 class ListRecorder:
@@ -49,7 +48,6 @@ def reference_run(protocol, arrivals, horizon, warmup=0.0):
     """Run ``protocol`` request by request over sorted ``arrivals``."""
     recorder = ListRecorder(warmup, horizon)
     wait_sum, wait_max, measured = 0.0, 0.0, 0
-    sketch = P2Quantile(0.99)
     for t in arrivals:
         if t >= horizon:
             break
@@ -61,7 +59,6 @@ def reference_run(protocol, arrivals, horizon, warmup=0.0):
             wait_sum += wait
             if wait > wait_max:
                 wait_max = wait
-            sketch.add(wait)
     for start, end in protocol.finish(horizon):
         recorder.add_interval(start, end)
     return ReactiveResult(
@@ -71,5 +68,4 @@ def reference_run(protocol, arrivals, horizon, warmup=0.0):
         n_requests=measured,
         mean_wait=wait_sum / measured if measured else 0.0,
         max_wait=wait_max,
-        wait_p99=sketch.value if measured else 0.0,
     )

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.sketches import BinnedQuantileSketch, P2Quantile
+from repro.sim.sketches import BinnedQuantileSketch
 
 
 class TestBinnedQuantileSketch:
@@ -98,40 +98,3 @@ class TestBinnedQuantileSketch:
         assert rebuilt.count == sketch.count
         assert np.array_equal(rebuilt._counts, sketch._counts)
         assert rebuilt.quantile(0.5) == sketch.quantile(0.5)
-
-
-class TestP2Quantile:
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(SimulationError):
-            P2Quantile(0.0)
-        with pytest.raises(SimulationError):
-            P2Quantile(1.0)
-
-    def test_empty_estimate_is_zero(self):
-        assert P2Quantile(0.5).value == 0.0
-
-    def test_small_streams_use_exact_order_statistic(self):
-        sketch = P2Quantile(0.5)
-        for value in [5.0, 1.0, 3.0]:
-            sketch.add(value)
-        assert sketch.value == 3.0
-
-    def test_median_of_uniform_stream(self):
-        sketch = P2Quantile(0.5)
-        rng = np.random.default_rng(11)
-        for value in rng.uniform(0.0, 100.0, 5000):
-            sketch.add(float(value))
-        assert 45.0 < sketch.value < 55.0
-
-    def test_p99_of_uniform_stream(self):
-        sketch = P2Quantile(0.99)
-        rng = np.random.default_rng(12)
-        for value in rng.uniform(0.0, 100.0, 5000):
-            sketch.add(float(value))
-        assert 96.0 < sketch.value <= 100.0
-
-    def test_constant_stream(self):
-        sketch = P2Quantile(0.9)
-        for _ in range(100):
-            sketch.add(4.0)
-        assert sketch.value == pytest.approx(4.0)

@@ -13,7 +13,6 @@ from repro.workload.arrivals import (
     NonHomogeneousPoisson,
     PoissonArrivals,
     TraceArrivals,
-    expected_count,
     merge_arrivals,
 )
 
@@ -147,19 +146,3 @@ def test_merge_arrivals():
     assert list(merged) == [1.0, 2.0, 3.0, 4.0]
     assert len(merge_arrivals()) == 0
 
-
-def test_expected_count(rng):
-    assert expected_count(PoissonArrivals(3600.0), 10.0) == pytest.approx(10.0)
-    # Deterministic: exactly what generate yields, over exact multiples
-    # (horizon excluded), fractional spans and offsets at or past it.
-    for interval in (0.1, 0.3, 1.0, 2.0, 7.0, 12.0):
-        for offset in (0.0, 0.5, 2.0, 10.0, 3600.0, 5000.0):
-            for horizon in (0.2, 1.0, 2.0, 9.9, 10.0, 10.5, 3600.0):
-                process = DeterministicArrivals(interval, offset)
-                count = expected_count(process, horizon)
-                assert count == len(process.generate(horizon, rng))
-                assert isinstance(count, int)
-    assert expected_count(DeterministicArrivals(2.0), 10.0) == 5
-    assert expected_count(DeterministicArrivals(12.0), 3600.0) == 300
-    with pytest.raises(WorkloadError):
-        expected_count(TraceArrivals([1.0]), 10.0)
