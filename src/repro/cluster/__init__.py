@@ -45,7 +45,6 @@ from .topology import (
     ClusterTopology,
     ServerSpec,
     build_placement,
-    catalog_map,
     popularity_placement,
     replicated_placement,
     sharded_placement,
@@ -75,7 +74,6 @@ __all__ = [
     "ServerSummary",
     "SlotReport",
     "build_placement",
-    "catalog_map",
     "fail_over",
     "lost_instances",
     "make_router",

@@ -121,33 +121,18 @@ class CappedServer:
 
     def admit(self, title: int, slot: int) -> None:
         """Admit one request for ``title`` that arrived during ``slot``."""
-        if not self.alive:
-            raise ClusterError(
-                f"server {self.server_id} is down; cannot admit title {title}"
-            )
-        try:
-            protocol = self.protocols[title]
-        except KeyError:
-            raise ClusterError(
-                f"server {self.server_id} holds no replica of title {title}"
-            ) from None
-        protocol.handle_request(slot)
-        self.admitted += 1
+        self.admit_suffix(title, slot, 1)
 
     def admit_suffix(self, title: int, slot: int, first_segment: int) -> None:
         """Admit a suffix join: the client holds segments ``< first_segment``.
 
         The origin→edge hierarchy serves prefixes from edge caches; the
         origin only schedules the remaining suffix.  ``first_segment <= 1``
-        is a plain admission (bit-for-bit :meth:`admit` — the zero-budget
-        pass-through path); anything else requires a protocol exposing
-        ``handle_suffix_request`` (DHB — see
-        :func:`repro.cluster.faults.supports_rescheduling` for the analogous
-        capability check).
+        is a plain admission (the zero-budget pass-through path); anything
+        else requires a protocol exposing ``handle_suffix_request`` (DHB —
+        see :func:`repro.cluster.faults.supports_rescheduling` for the
+        analogous capability check).
         """
-        if first_segment <= 1:
-            self.admit(title, slot)
-            return
         if not self.alive:
             raise ClusterError(
                 f"server {self.server_id} is down; cannot admit title {title}"
@@ -158,20 +143,23 @@ class CappedServer:
             raise ClusterError(
                 f"server {self.server_id} holds no replica of title {title}"
             ) from None
-        handle = getattr(protocol, "handle_suffix_request", None)
-        if handle is None:
-            raise ClusterError(
-                f"protocol {type(protocol).__name__} cannot admit suffix "
-                "joins; hierarchy scenarios with a cache budget require DHB"
-            )
-        handle(slot, first_segment)
+        if first_segment <= 1:
+            protocol.handle_request(slot)
+        else:
+            handle = getattr(protocol, "handle_suffix_request", None)
+            if handle is None:
+                raise ClusterError(
+                    f"protocol {type(protocol).__name__} cannot admit suffix "
+                    "joins; hierarchy scenarios with a cache budget require DHB"
+                )
+            handle(slot, first_segment)
         self.admitted += 1
 
     def pressure(self, slot: int) -> int:
         """Routing load signal: backlog plus the next slot's scheduled demand.
 
-        Deterministic and cheap (O(titles)); the least-loaded router ranks
-        candidates by it.
+        Deterministic and cheap (O(titles)); the least-loaded and
+        prefix-aware routers rank candidates by it.
         """
         return self.backlog + self.demand(slot + 1)
 

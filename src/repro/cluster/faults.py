@@ -64,10 +64,6 @@ class CrashWindow:
                 f"crash window [{self.start_slot}, {self.end_slot}) is empty"
             )
 
-    def covers(self, slot: int) -> bool:
-        """Whether the server is down during ``slot``."""
-        return self.start_slot <= slot < self.end_slot
-
 
 @dataclass(frozen=True)
 class ChannelLoss:
@@ -135,12 +131,6 @@ class FaultSchedule:
     def recoveries_at(self, slot: int) -> List[int]:
         """Server ids whose crash window ends at ``slot``."""
         return [c.server_id for c in self.crashes if c.end_slot == slot]
-
-    def is_down(self, server_id: int, slot: int) -> bool:
-        """Whether ``server_id`` is inside any crash window during ``slot``."""
-        return any(
-            c.server_id == server_id and c.covers(slot) for c in self.crashes
-        )
 
     def effective_capacity(self, server_id: int, nominal: int, slot: int) -> int:
         """Per-slot channel budget after applying loss windows.

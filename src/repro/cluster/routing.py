@@ -28,7 +28,7 @@ All policies are deterministic: same request sequence, same decisions.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ClusterError
 from .admission import CappedServer
@@ -52,6 +52,17 @@ class Router(ABC):
         ``candidates`` holds only servers with headroom; it may be empty,
         in which case the router must reject.
         """
+
+
+def _least_pressured(
+    candidates: Sequence[CappedServer], slot: int
+) -> Tuple[int, List[int]]:
+    """Index of the least-pressured candidate, and every candidate's pressure.
+
+    Ties go to the earlier candidate in the preference order.
+    """
+    pressures = [server.pressure(slot) for server in candidates]
+    return pressures.index(min(pressures)), pressures
 
 
 class RoundRobinRouter(Router):
@@ -90,13 +101,8 @@ class LeastLoadedRouter(Router):
     ) -> Optional[CappedServer]:
         if not candidates:
             return None
-        best = candidates[0]
-        best_pressure = best.pressure(slot)
-        for server in candidates[1:]:
-            pressure = server.pressure(slot)
-            if pressure < best_pressure:
-                best, best_pressure = server, pressure
-        return best
+        best, _ = _least_pressured(candidates, slot)
+        return candidates[best]
 
 
 class AffinityRouter(Router):
@@ -156,17 +162,10 @@ class PrefixAwareRouter(Router):
         slack = self._prefixes.get(title, 0)
         if slack <= 0:
             return candidates[0]
-        primary = candidates[0]
-        primary_pressure = primary.pressure(slot)
-        best = primary
-        best_pressure = primary_pressure
-        for server in candidates[1:]:
-            pressure = server.pressure(slot)
-            if pressure < best_pressure:
-                best, best_pressure = server, pressure
-        if primary_pressure - best_pressure > slack:
-            return best
-        return primary
+        best, pressures = _least_pressured(candidates, slot)
+        if pressures[0] - pressures[best] > slack:
+            return candidates[best]
+        return candidates[0]
 
 
 def make_router(name: str) -> Router:

@@ -16,7 +16,8 @@ record-before-deliver convention (:mod:`repro.sim.slotted`):
    current slot and no admitted client can miss a deadline-now segment;
 2. **finalize** — each server applies its (possibly fault-reduced) channel
    cap to the slot's scheduled demand and advances its deferral ledger;
-   aggregate and per-title load series are recorded here;
+   its :class:`~repro.cluster.admission.SlotReport` fills the run's
+   per-server and per-title load matrices;
 3. **deliver** — the slot's arrivals are routed: the title's replica list is
    filtered to alive servers with admission headroom, the router picks one
    (or rejects), and the chosen server admits the request into its protocol;
@@ -51,6 +52,7 @@ from .faults import (
     NO_FAULTS,
     CrashWindow,
     FailoverEvent,
+    FailoverReport,
     FaultSchedule,
     fail_over,
     supports_rescheduling,
@@ -79,7 +81,6 @@ class ClusterScenario:
     seed: int = 2001
     faults: FaultSchedule = NO_FAULTS
     backlog_limit: Optional[int] = None
-    keep_title_series: bool = True
     #: Optional nonstationary aggregate arrival process.  ``None`` keeps the
     #: seeded homogeneous Poisson at ``total_rate_per_hour`` bit-for-bit;
     #: a :class:`~repro.workload.spec.WorkloadSpec` (or spec string / rate,
@@ -154,14 +155,14 @@ class ClusterResult:
     """Everything one scenario run measured.
 
     ``aggregate`` is the post-warmup per-slot scheduled demand summed over
-    alive servers; ``per_title`` (when kept) holds the same series split by
-    title, which is what the multiplexing comparison needs.
+    alive servers; ``per_title`` holds the same series split by title
+    (one row per title), which is what the multiplexing comparison needs.
     """
 
     scenario: str
     slots_measured: int
     aggregate: np.ndarray
-    per_title: Optional[np.ndarray]
+    per_title: np.ndarray
     servers: List[ServerSummary]
     admitted: int
     rejected: int
@@ -196,10 +197,6 @@ class ClusterResult:
         self, title: int, overflow_probability: float
     ) -> int:
         """Capacity meeting the overflow target for one title provisioned alone."""
-        if self.per_title is None:
-            raise ClusterError(
-                "scenario ran with keep_title_series=False; no per-title series"
-            )
         if not 0 <= title < len(self.per_title):
             raise ClusterError(
                 f"title {title} outside catalog of {len(self.per_title)}"
@@ -210,10 +207,6 @@ class ClusterResult:
 
     def naive_capacity_sum(self, overflow_probability: float) -> int:
         """Σ per-title capacities — what separate single-title servers cost."""
-        if self.per_title is None:
-            raise ClusterError(
-                "scenario ran with keep_title_series=False; no per-title series"
-            )
         return sum(
             self.title_capacity_for_overflow(title, overflow_probability)
             for title in range(len(self.per_title))
@@ -225,11 +218,7 @@ class ClusterResult:
             "scenario": self.scenario,
             "slots_measured": self.slots_measured,
             "aggregate": [int(v) for v in self.aggregate],
-            "per_title": (
-                None
-                if self.per_title is None
-                else [[int(v) for v in row] for row in self.per_title]
-            ),
+            "per_title": self.per_title.tolist(),
             "servers": [asdict(summary) for summary in self.servers],
             "admitted": self.admitted,
             "rejected": self.rejected,
@@ -361,19 +350,12 @@ def run_scenario(
     joins_dropped = 0
 
     measured = horizon - warmup
-    aggregate = np.zeros(measured, dtype=np.int64)
-    per_title = (
-        np.zeros((topology.n_titles, measured), dtype=np.int64)
-        if scenario.keep_title_series
-        else None
-    )
-    load_sums = {server.server_id: 0 for server in servers}
-    load_peaks = {server.server_id: 0 for server in servers}
+    # Post-warmup scheduled demand: one row per server, one per title.
+    server_loads = np.zeros((len(servers), measured), dtype=np.int64)
+    per_title = np.zeros((topology.n_titles, measured), dtype=np.int64)
     waits: List[float] = []
     rejected = 0
-    failover_events: List[FailoverEvent] = []
-    crashes = 0
-    instances_lost = 0
+    failover_reports: List[FailoverReport] = []
     arrival_index = 0
     n_arrivals = len(times)
     faults = scenario.faults
@@ -420,56 +402,27 @@ def run_scenario(
                     if replica != _down and by_id[replica].alive
                 ]
 
-            report = fail_over(crashed, survivors_of, slot)
-            crashes += 1
-            failover_events.extend(report.events)
-            instances_lost += report.lost_for_good
-            if metrics is not None:
-                metrics.counter("cluster.crashes").inc()
-                metrics.counter("cluster.failover.instances").inc(len(report.events))
-                metrics.counter("cluster.failover.rescheduled").inc(report.rescheduled)
-                metrics.counter("cluster.failover.lost").inc(report.lost_for_good)
+            failover_reports.append(fail_over(crashed, survivors_of, slot))
 
         # 2. Finalize the slot under each server's effective channel budget.
         # Loads are final here: arrivals of this slot only touch slots >= slot+1
         # and failover (the one writer of the current slot) already ran.
-        slot_demand = 0
-        server_records = [] if trace is not None else None
-        reports = {}
-        for server in servers:
-            cap = faults.effective_capacity(
-                server.server_id, server.spec.capacity, slot
+        reports = [
+            server.finalize_slot(
+                slot,
+                faults.effective_capacity(
+                    server.server_id, server.spec.capacity, slot
+                ),
             )
-            report = reports[server.server_id] = server.finalize_slot(slot, cap)
-            slot_demand += report.demand
-            if slot >= warmup:
-                load_sums[server.server_id] += report.demand
-                if report.demand > load_peaks[server.server_id]:
-                    load_peaks[server.server_id] = report.demand
-            if server_records is not None:
-                server_records.append(
-                    {
-                        "id": server.server_id,
-                        "streams": report.demand,
-                        "transmitted": report.transmitted,
-                        "backlog": report.backlog,
-                        "capacity": report.capacity,
-                        "alive": report.alive,
-                    }
-                )
+            for server in servers
+        ]
         if slot >= warmup:
-            aggregate[slot - warmup] = slot_demand
-            if per_title is not None:
-                # The reports carry each title's load as finalize read it.
-                for title in range(topology.n_titles):
-                    load = 0
-                    for replica in placement.replicas_of(title):
-                        report = reports[replica]
-                        if report.alive:
-                            load += report.title_loads[title]
-                    per_title[title, slot - warmup] = load
-            if metrics is not None:
-                metrics.histogram("cluster.slot_load").observe(float(slot_demand))
+            column = slot - warmup
+            for row, report in enumerate(reports):
+                server_loads[row, column] = report.demand
+                # Empty while the server is down.
+                for title, load in report.title_loads.items():
+                    per_title[title, column] += load
 
         # 3. Deliver the slot's arrivals through the router.
         slot_end = (slot + 1) * d
@@ -517,8 +470,18 @@ def run_scenario(
                     "kind": "cluster-slot",
                     "scenario": scenario.name,
                     "slot": slot,
-                    "streams": slot_demand,
-                    "servers": server_records,
+                    "streams": sum(report.demand for report in reports),
+                    "servers": [
+                        {
+                            "id": server.server_id,
+                            "streams": report.demand,
+                            "transmitted": report.transmitted,
+                            "backlog": report.backlog,
+                            "capacity": report.capacity,
+                            "alive": report.alive,
+                        }
+                        for server, report in zip(servers, reports)
+                    ],
                     "arrivals": slot_admitted,
                     "rejected": slot_rejected,
                     "measured": slot >= warmup,
@@ -529,6 +492,9 @@ def run_scenario(
         for server in servers:
             server.release_before(slot)
 
+    aggregate = server_loads.sum(axis=0)
+    failovers = [event for report in failover_reports for event in report.events]
+    instances_lost = sum(report.lost_for_good for report in failover_reports)
     admitted = sum(server.admitted for server in servers)
     summaries = [
         ServerSummary(
@@ -540,13 +506,24 @@ def run_scenario(
             deferred_instance_slots=server.deferred_instance_slots,
             failover_in=server.failover_clients_in,
             down_slots=server.down_slots,
-            mean_load=load_sums[server.server_id] / measured,
-            peak_load=load_peaks[server.server_id],
+            mean_load=int(loads.sum()) / measured,
+            peak_load=int(loads.max()),
         )
-        for server in servers
+        for server, loads in zip(servers, server_loads)
     ]
     if metrics is not None:
         run_span.__exit__(None, None, None)
+        # Crash counters exist only for runs that crashed.
+        if failover_reports:
+            metrics.counter("cluster.crashes").inc(len(failover_reports))
+            metrics.counter("cluster.failover.instances").inc(len(failovers))
+            metrics.counter("cluster.failover.rescheduled").inc(
+                sum(report.rescheduled for report in failover_reports)
+            )
+            metrics.counter("cluster.failover.lost").inc(instances_lost)
+        slot_load = metrics.histogram("cluster.slot_load")
+        for demand in aggregate.tolist():
+            slot_load.observe(float(demand))
         metrics.counter("cluster.slots").inc(horizon)
         metrics.counter("cluster.requests").inc(admitted)
         metrics.counter("cluster.rejected").inc(rejected)
@@ -577,8 +554,8 @@ def run_scenario(
         rejected=rejected,
         mean_wait=sum(waits) / measured_requests if measured_requests else 0.0,
         max_wait=max(waits) if waits else 0.0,
-        crashes=crashes,
-        failovers=failover_events,
+        crashes=len(failover_reports),
+        failovers=failovers,
         instances_lost=instances_lost,
     )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import ClusterError
 from ..workload.popularity import ZipfCatalog
@@ -261,14 +261,6 @@ def uniform_topology(
 
 
 #: Server-id → titles map, occasionally handy for reports.
-def catalog_map(topology: ClusterTopology) -> Dict[int, Sequence[int]]:
-    """Server id → sorted titles hosted, for rendering and tests."""
-    return {
-        spec.server_id: topology.placement.titles_on(spec.server_id)
-        for spec in topology.servers
-    }
-
-
 @dataclass(frozen=True)
 class EdgeSpec:
     """One edge node: a prefix cache and a capped unicast uplink.

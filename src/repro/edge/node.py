@@ -224,34 +224,6 @@ class EdgeTier:
         admits = self._admits
         return admits[turn % len(admits)](title, slot)
 
-    # -- aggregate counters ---------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Prefix-cache hits across the tier."""
-        return sum(node.hits for node in self.nodes)
-
-    @property
-    def misses(self) -> int:
-        """Cold-title misses across the tier."""
-        return sum(node.misses for node in self.nodes)
-
-    @property
-    def bypassed(self) -> int:
-        """Arrivals shaped out to the origin across the tier."""
-        return sum(node.bypassed for node in self.nodes)
-
-    @property
-    def segments_served(self) -> int:
-        """Prefix segments unicast from edge caches across the tier."""
-        return sum(node.segments_served for node in self.nodes)
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of decided arrivals that hit a cached prefix."""
-        decided = self.hits + self.misses + self.bypassed
-        return self.hits / decided if decided else 0.0
-
     def class_counters(self) -> Dict[str, Dict[str, int]]:
         """Per-class request / deferral totals across the tier."""
         totals: Dict[str, Dict[str, int]] = {}

@@ -54,7 +54,6 @@ class HierarchyScenario:
     total_rate_per_hour: float = 300.0
     zipf_theta: float = 1.0
     seed: int = 2001
-    keep_title_series: bool = True
     #: Optional nonstationary aggregate arrivals for the whole hierarchy;
     #: forwarded to the origin :class:`ClusterScenario` (``None`` keeps the
     #: seeded Poisson at ``total_rate_per_hour`` bit-for-bit).
@@ -105,7 +104,6 @@ class HierarchyScenario:
             total_rate_per_hour=self.total_rate_per_hour,
             zipf_theta=self.zipf_theta,
             seed=self.seed,
-            keep_title_series=self.keep_title_series,
             workload=self.workload,
         )
 

@@ -22,7 +22,7 @@ from .recorder import SlotLoadRecorder, TimeWeightedRecorder
 from .rng import RandomStreams
 from .sketches import BinnedQuantileSketch
 from .slotted import SlottedModel, SlottedResult, SlottedSimulation
-from .stats import OnlineStats, TimeWeightedStats, batch_means_ci
+from .stats import OnlineStats, batch_means_ci
 
 __all__ = [
     "BinnedQuantileSketch",
@@ -37,6 +37,5 @@ __all__ = [
     "SlottedResult",
     "SlottedSimulation",
     "TimeWeightedRecorder",
-    "TimeWeightedStats",
     "batch_means_ci",
 ]

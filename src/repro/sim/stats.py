@@ -1,12 +1,9 @@
 """Online statistics used by the measurement layer.
 
-Three tools live here:
+Two tools live here:
 
 * :class:`OnlineStats` — Welford-style running mean/variance/min/max over
   discrete observations (e.g. per-slot stream counts).
-* :class:`TimeWeightedStats` — time-weighted mean and maximum of a piecewise-
-  constant signal (e.g. the number of concurrently active streams in the
-  continuous-time simulators).
 * :func:`batch_means_ci` — a batch-means confidence interval for steady-state
   simulation output, used by the experiment runner to report uncertainty.
 """
@@ -155,71 +152,6 @@ class OnlineStats:
             stats._min = float(state["min"])
             stats._max = float(state["max"])
         return stats
-
-
-class TimeWeightedStats:
-    """Time-weighted mean/max of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes level; the previous level
-    is weighted by the elapsed time.  Call :meth:`finish` (or read the
-    properties after a final :meth:`update`) at the measurement horizon.
-
-    >>> s = TimeWeightedStats(start_time=0.0, level=0.0)
-    >>> s.update(10.0, 2.0)   # level was 0 during [0, 10), becomes 2
-    >>> s.update(30.0, 0.0)   # level was 2 during [10, 30)
-    >>> s.finish(40.0)
-    >>> s.mean
-    1.0
-    >>> s.maximum
-    2.0
-    """
-
-    def __init__(self, start_time: float = 0.0, level: float = 0.0):
-        self._last_time = float(start_time)
-        self._level = float(level)
-        self._weighted_sum = 0.0
-        self._duration = 0.0
-        self._max = float(level)
-
-    @property
-    def level(self) -> float:
-        """Current level of the signal."""
-        return self._level
-
-    def update(self, time: float, new_level: float) -> None:
-        """Record that the signal changes to ``new_level`` at ``time``."""
-        if time < self._last_time:
-            raise SimulationError(
-                f"time-weighted update moved backwards: {time} < {self._last_time}"
-            )
-        self._weighted_sum += self._level * (time - self._last_time)
-        self._duration += time - self._last_time
-        self._last_time = time
-        self._level = float(new_level)
-        self._max = max(self._max, self._level)
-
-    def add_delta(self, time: float, delta: float) -> None:
-        """Convenience: shift the current level by ``delta`` at ``time``."""
-        self.update(time, self._level + delta)
-
-    def finish(self, time: float) -> None:
-        """Close the measurement window at ``time`` (level is kept)."""
-        self.update(time, self._level)
-
-    @property
-    def mean(self) -> float:
-        """Time-weighted mean over the observed window (0.0 if no time passed)."""
-        return self._weighted_sum / self._duration if self._duration > 0 else 0.0
-
-    @property
-    def maximum(self) -> float:
-        """Largest level ever held (including the initial level)."""
-        return self._max
-
-    @property
-    def duration(self) -> float:
-        """Total observed duration."""
-        return self._duration
 
 
 def batch_means_ci(

@@ -65,8 +65,6 @@ class TestFaultSchedule:
         schedule = FaultSchedule(crashes=(CrashWindow(1, 10, 20),))
         assert schedule.crashes_at(10) == [1]
         assert schedule.recoveries_at(20) == [1]
-        assert schedule.is_down(1, 10) and schedule.is_down(1, 19)
-        assert not schedule.is_down(1, 20) and not schedule.is_down(0, 10)
 
     def test_effective_capacity_worst_loss_wins(self):
         schedule = FaultSchedule(

@@ -81,12 +81,6 @@ class TestStatisticalMultiplexing:
         assert result.per_title is not None
         assert (result.per_title.sum(axis=0) == result.aggregate).all()
 
-    def test_title_series_can_be_disabled(self):
-        result = run_scenario(quick_scenario(keep_title_series=False))
-        assert result.per_title is None
-        with pytest.raises(ClusterError):
-            result.naive_capacity_sum(1e-3)
-
 
 class TestDegradedMode:
     CRASH = FaultSchedule(crashes=(CrashWindow(0, 120, 150),))

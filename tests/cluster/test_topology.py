@@ -7,7 +7,6 @@ from repro.cluster.topology import (
     ClusterTopology,
     ServerSpec,
     build_placement,
-    catalog_map,
     popularity_placement,
     replicated_placement,
     sharded_placement,
@@ -81,8 +80,6 @@ class TestClusterTopology:
         assert topology.n_titles == 4
         assert topology.total_capacity == 24
         assert topology.spec_of(2).capacity == 8
-        mapping = catalog_map(topology)
-        assert sorted(t for titles in mapping.values() for t in titles) == [0, 1, 2, 3]
 
     def test_spec_of_unknown(self):
         topology = uniform_topology(2, capacity=8, n_titles=2)

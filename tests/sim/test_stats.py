@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.stats import OnlineStats, TimeWeightedStats, batch_means_ci
+from repro.sim.stats import OnlineStats, batch_means_ci
 
 
 class TestOnlineStats:
@@ -41,39 +41,6 @@ class TestOnlineStats:
         )
         assert s.minimum == min(values)
         assert s.maximum == max(values)
-
-
-class TestTimeWeightedStats:
-    def test_constant_signal(self):
-        s = TimeWeightedStats(0.0, 3.0)
-        s.finish(10.0)
-        assert s.mean == pytest.approx(3.0)
-        assert s.maximum == 3.0
-
-    def test_step_signal(self):
-        s = TimeWeightedStats(0.0, 0.0)
-        s.update(10.0, 2.0)
-        s.update(30.0, 0.0)
-        s.finish(40.0)
-        assert s.mean == pytest.approx(1.0)
-        assert s.maximum == 2.0
-
-    def test_add_delta(self):
-        s = TimeWeightedStats(0.0, 0.0)
-        s.add_delta(1.0, +2.0)
-        s.add_delta(2.0, +3.0)
-        s.add_delta(3.0, -5.0)
-        assert s.level == 0.0
-        assert s.maximum == 5.0
-
-    def test_backwards_time_raises(self):
-        s = TimeWeightedStats(10.0, 0.0)
-        with pytest.raises(SimulationError):
-            s.update(5.0, 1.0)
-
-    def test_zero_duration_mean_is_zero(self):
-        s = TimeWeightedStats(0.0, 7.0)
-        assert s.mean == 0.0
 
 
 class TestBatchMeans:
