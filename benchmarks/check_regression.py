@@ -1,46 +1,26 @@
 """Bench-regression gate: fail CI when the hot paths get meaningfully slower.
 
 Runs a fresh quick perf report (``perf_report.run_report``) and compares it
-bench-by-bench against the committed ``BENCH_sweep.json`` baseline::
+against the committed ``BENCH_sweep.json`` baseline::
 
     make bench-check           # or: python benchmarks/check_regression.py
-    python benchmarks/check_regression.py --threshold 2.0 --repeats 2
+    python benchmarks/check_regression.py --fresh fresh.json --repeats 2
 
-The comparison is deliberately coarse — this is a >2x "someone quadratic-ed
-the hot loop" tripwire, not a microbenchmark suite:
+Two checks, both coarse tripwires rather than a microbenchmark suite:
 
-* **Calibration scaling.**  Both reports carry ``calibration_seconds``, the
-  timing of a fixed spin loop on the producing machine.  Fresh timings are
-  divided by the calibration ratio so a committed baseline from a faster or
-  slower box still gates correctly.
-* **Noise floor.**  A fixed floor is added to both sides of the ratio so
-  microsecond-scale benches cannot trip the gate on scheduler jitter.
-* **Determinism check.**  The fresh ``fig7_quick_parallel``,
-  ``cluster_quick_parallel``, ``runtime_quick``, ``fig7_columnar`` and
-  ``checkpoint_resume_quick`` benches must report ``verified: 1`` — the
-  serial/parallel, columnar/scalar and checkpoint-resume bit-for-bit
-  equality invariants are part of the gate, not just the timings.
-* **Checkpoint overhead ceiling.**  ``checkpoint_resume_quick`` must keep
-  the journaling overhead on the quick sweep under 5%.
-* **Serving gates.**  ``serve_loopback_quick`` must sustain the loopback
-  session throughput floor, keep the p99 wait to first segment under 1.5x
-  the bench slot, and report ``verified: 1`` (zero drops + sim agreement).
-* **Edge gates.**  ``edge_quick`` must finish within 1.5x of
-  ``cluster_quick`` in the same fresh report, and its measured cache hit
-  ratio must land within 0.05 of the analytic Zipf expectation.
-* **Adaptive gates.**  ``adaptive_day_quick`` must report the adaptive
-  arm's day peak at or below static DHB's worst case (``verified: 1``
-  additionally requires strictly below, under the shared deadline
-  guarantee), and must finish within 1.5x of ``fig7_quick_serial`` in
-  the same fresh report — nonstationary admission stays on the
-  stationary sweep's hot path.
-* **Memory and throughput ceilings.**  The columnar benches gate peak RSS
-  (``micro_dhb_10m`` and ``fig7_columnar`` must stay under 1 GiB — the
-  streaming-statistics promise) and ``micro_dhb_10m`` must hold a >= 5x
-  measured speedup over the scalar per-request loop.
+* **Timing.**  Every baseline bench must be in the fresh report, and its
+  fresh/baseline time ratio must stay within ``perf_report.MAX_SLOWDOWN``.
+  Fresh timings are first divided by the ratio of the two reports'
+  ``calibration_seconds`` (a fixed spin loop timed on each machine), so a
+  baseline from a faster or slower box still gates correctly; both sides
+  are padded by ``perf_report.NOISE_FLOOR_SECONDS``.
+* **Gate rows.**  Each bench in ``perf_report.BENCHES`` declares its own
+  invariants beside itself — ``verified`` self-checks, detail bounds,
+  detail-vs-detail bounds and same-report time ratios — and every row must
+  pass on the fresh report.  A missing value fails its row.
 
-Exit status: 0 when every bench passes, 1 on any regression or missing
-bench, 2 on a malformed/missing baseline.
+Exit status: 0 when every check passes, 1 on any failure, 2 on a
+malformed/missing baseline or fresh report.
 """
 
 from __future__ import annotations
@@ -52,51 +32,12 @@ import sys
 from typing import Dict, List, Tuple
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_REPO_ROOT))
 
-try:  # installed package, or PYTHONPATH=src
-    import repro  # noqa: F401
-except ImportError:  # direct invocation from a source checkout
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
+from benchmarks import perf_report  # noqa: E402
 
 #: Default committed baseline, regenerated via ``make bench-json``.
 DEFAULT_BASELINE = _REPO_ROOT / "BENCH_sweep.json"
-
-#: Seconds added to both sides of the ratio so tiny benches ignore jitter.
-NOISE_FLOOR_SECONDS = 0.005
-
-#: Fresh/baseline slowdown beyond which a bench fails the gate.
-DEFAULT_THRESHOLD = 2.0
-
-#: Peak-RSS ceiling (MiB) for the columnar benches: "10M requests in
-#: bounded memory" is an acceptance criterion, not an aspiration.
-MEMORY_CEILING_MB = 1024.0
-
-#: Minimum measured columnar/scalar throughput ratio for ``micro_dhb_10m``.
-MIN_COLUMNAR_SPEEDUP = 5.0
-
-#: Maximum journaling overhead (%) for ``checkpoint_resume_quick``.
-MAX_CHECKPOINT_OVERHEAD_PCT = 5.0
-
-#: Serving-path gates for ``serve_loopback_quick``: the live daemon must
-#: sustain at least this many sessions/second on loopback, and the p99
-#: wait to first segment must stay under 1.5x the 50ms bench slot — the
-#: DHB one-slot bound plus scheduling slack.
-MIN_SERVE_CLIENTS_PER_SEC = 25.0
-MAX_SERVE_P99_WAIT_MS = 75.0
-
-#: Edge-tier gates for ``edge_quick``: the hierarchy bench must finish
-#: within this multiple of ``cluster_quick`` in the *same* fresh report
-#: (the edge tier is a thin layer over the cluster loop, not a second
-#: simulator), and its measured cache hit ratio must land within this
-#: slack of the analytic Zipf expectation recorded alongside it.
-MAX_EDGE_OVER_CLUSTER_RATIO = 1.5
-EDGE_HIT_RATIO_SLACK = 0.05
-
-#: Adaptive-DHB gates for ``adaptive_day_quick``: the nonstationary day
-#: study must keep the retuning arm's peak at or below static DHB's and
-#: finish within this multiple of the stationary quick sweep
-#: (``fig7_quick_serial``) in the same fresh report.
-MAX_ADAPTIVE_OVER_SWEEP_RATIO = 1.5
 
 
 def calibration_ratio(fresh: Dict, baseline: Dict) -> float:
@@ -114,10 +55,7 @@ def calibration_ratio(fresh: Dict, baseline: Dict) -> float:
 
 
 def compare(
-    fresh: Dict,
-    baseline: Dict,
-    threshold: float = DEFAULT_THRESHOLD,
-    noise_floor: float = NOISE_FLOOR_SECONDS,
+    fresh: Dict, baseline: Dict, threshold: float = perf_report.MAX_SLOWDOWN
 ) -> Tuple[List[str], List[str]]:
     """Gate a fresh report against a baseline.
 
@@ -137,7 +75,7 @@ def compare(
             continue
         base_seconds = float(base_entry["seconds"])
         fresh_seconds = float(fresh_entry["seconds"]) / scale
-        ratio = (fresh_seconds + noise_floor) / (base_seconds + noise_floor)
+        ratio = perf_report.padded_ratio(fresh_seconds, base_seconds)
         verdict = "ok" if ratio <= threshold else f"REGRESSION (> {threshold:.1f}x)"
         lines.append(
             f"{name:28s} base {base_seconds * 1000:9.2f} ms   "
@@ -145,177 +83,14 @@ def compare(
         )
         if ratio > threshold:
             failures.append(f"{name}: {ratio:.2f}x slower than baseline")
-    for verified_bench in (
-        "fig7_quick_parallel",
-        "cluster_quick_parallel",
-        "runtime_quick",
-        "fig7_columnar",
-        "checkpoint_resume_quick",
-        "adaptive_day_quick",
-        "serve_loopback_quick",
-    ):
-        parallel = fresh_benches.get(verified_bench, {}).get("detail", {})
-        if parallel.get("verified") != 1:
-            failures.append(
-                f"{verified_bench}: equality invariant not verified "
-                f"(detail: {parallel!r})"
-            )
-            lines.append(failures[-1])
-        else:
-            lines.append(f"{verified_bench:28s}   equality verified")
-    for memory_bench in ("micro_dhb_10m", "fig7_columnar"):
-        detail = fresh_benches.get(memory_bench, {}).get("detail", {})
-        rss = detail.get("peak_rss_mb")
-        if rss is None:
-            failures.append(f"{memory_bench}: no peak_rss_mb in detail")
-            lines.append(failures[-1])
-        elif float(rss) >= MEMORY_CEILING_MB:
-            failures.append(
-                f"{memory_bench}: peak RSS {rss} MiB >= {MEMORY_CEILING_MB} MiB"
-            )
-            lines.append(failures[-1])
-        else:
-            lines.append(
-                f"{memory_bench:28s}   peak RSS {rss} MiB "
-                f"< {MEMORY_CEILING_MB:.0f} MiB"
-            )
-    speedup = (
-        fresh_benches.get("micro_dhb_10m", {})
-        .get("detail", {})
-        .get("speedup_vs_scalar")
-    )
-    if speedup is None or float(speedup) < MIN_COLUMNAR_SPEEDUP:
-        failures.append(
-            f"micro_dhb_10m: columnar speedup {speedup!r} below "
-            f"{MIN_COLUMNAR_SPEEDUP}x over the scalar loop"
-        )
-        lines.append(failures[-1])
-    else:
-        lines.append(
-            f"{'micro_dhb_10m':28s}   columnar x{float(speedup):.1f} "
-            f">= {MIN_COLUMNAR_SPEEDUP:.0f}x scalar"
-        )
-    overhead = (
-        fresh_benches.get("checkpoint_resume_quick", {})
-        .get("detail", {})
-        .get("overhead_pct")
-    )
-    if overhead is None or float(overhead) >= MAX_CHECKPOINT_OVERHEAD_PCT:
-        failures.append(
-            f"checkpoint_resume_quick: journaling overhead {overhead!r}% not "
-            f"under {MAX_CHECKPOINT_OVERHEAD_PCT}%"
-        )
-        lines.append(failures[-1])
-    else:
-        lines.append(
-            f"{'checkpoint_resume_quick':28s}   journaling overhead "
-            f"{float(overhead):.2f}% < {MAX_CHECKPOINT_OVERHEAD_PCT:.0f}%"
-        )
-    serve_detail = fresh_benches.get("serve_loopback_quick", {}).get("detail", {})
-    throughput = serve_detail.get("clients_per_sec")
-    if throughput is None or float(throughput) < MIN_SERVE_CLIENTS_PER_SEC:
-        failures.append(
-            f"serve_loopback_quick: throughput {throughput!r} clients/sec "
-            f"below {MIN_SERVE_CLIENTS_PER_SEC}"
-        )
-        lines.append(failures[-1])
-    else:
-        lines.append(
-            f"{'serve_loopback_quick':28s}   {float(throughput):.1f} clients/s "
-            f">= {MIN_SERVE_CLIENTS_PER_SEC:.0f}"
-        )
-    edge_entry = fresh_benches.get("edge_quick", {})
-    cluster_seconds = fresh_benches.get("cluster_quick", {}).get("seconds")
-    edge_seconds = edge_entry.get("seconds")
-    if edge_seconds is None or cluster_seconds is None:
-        failures.append("edge_quick: missing edge/cluster timings in fresh report")
-        lines.append(failures[-1])
-    else:
-        # Same report, same machine: no calibration scaling needed.
-        edge_ratio = (float(edge_seconds) + noise_floor) / (
-            float(cluster_seconds) + noise_floor
-        )
-        if edge_ratio > MAX_EDGE_OVER_CLUSTER_RATIO:
-            failures.append(
-                f"edge_quick: {edge_ratio:.2f}x cluster_quick, over the "
-                f"{MAX_EDGE_OVER_CLUSTER_RATIO}x ceiling"
-            )
-            lines.append(failures[-1])
-        else:
-            lines.append(
-                f"{'edge_quick':28s}   x{edge_ratio:.2f} cluster_quick "
-                f"<= {MAX_EDGE_OVER_CLUSTER_RATIO}x"
-            )
-    edge_detail = edge_entry.get("detail", {})
-    hit_ratio = edge_detail.get("hit_ratio")
-    expected = edge_detail.get("expected_hit_ratio")
-    if hit_ratio is None or expected is None:
-        failures.append("edge_quick: no hit_ratio/expected_hit_ratio in detail")
-        lines.append(failures[-1])
-    elif float(hit_ratio) < float(expected) - EDGE_HIT_RATIO_SLACK:
-        failures.append(
-            f"edge_quick: hit ratio {hit_ratio} below analytic "
-            f"expectation {expected} - {EDGE_HIT_RATIO_SLACK}"
-        )
-        lines.append(failures[-1])
-    else:
-        lines.append(
-            f"{'edge_quick':28s}   hit ratio {float(hit_ratio):.3f} "
-            f">= {float(expected):.3f} - {EDGE_HIT_RATIO_SLACK}"
-        )
-    adaptive_entry = fresh_benches.get("adaptive_day_quick", {})
-    adaptive_detail = adaptive_entry.get("detail", {})
-    static_peak = adaptive_detail.get("static_peak")
-    adaptive_peak = adaptive_detail.get("adaptive_peak")
-    if static_peak is None or adaptive_peak is None:
-        failures.append("adaptive_day_quick: no static/adaptive peaks in detail")
-        lines.append(failures[-1])
-    elif float(adaptive_peak) > float(static_peak):
-        failures.append(
-            f"adaptive_day_quick: adaptive peak {adaptive_peak} exceeds the "
-            f"static DHB worst case {static_peak}"
-        )
-        lines.append(failures[-1])
-    else:
-        lines.append(
-            f"{'adaptive_day_quick':28s}   peak {float(adaptive_peak):.0f} "
-            f"<= static {float(static_peak):.0f}"
-        )
-    adaptive_seconds = adaptive_entry.get("seconds")
-    sweep_seconds = fresh_benches.get("fig7_quick_serial", {}).get("seconds")
-    if adaptive_seconds is None or sweep_seconds is None:
-        failures.append(
-            "adaptive_day_quick: missing adaptive/sweep timings in fresh report"
-        )
-        lines.append(failures[-1])
-    else:
-        # Same report, same machine: no calibration scaling needed.
-        adaptive_ratio = (float(adaptive_seconds) + noise_floor) / (
-            float(sweep_seconds) + noise_floor
-        )
-        if adaptive_ratio > MAX_ADAPTIVE_OVER_SWEEP_RATIO:
-            failures.append(
-                f"adaptive_day_quick: {adaptive_ratio:.2f}x fig7_quick_serial, "
-                f"over the {MAX_ADAPTIVE_OVER_SWEEP_RATIO}x ceiling"
-            )
-            lines.append(failures[-1])
-        else:
-            lines.append(
-                f"{'adaptive_day_quick':28s}   x{adaptive_ratio:.2f} "
-                f"fig7_quick_serial <= {MAX_ADAPTIVE_OVER_SWEEP_RATIO}x"
-            )
-    p99_ms = serve_detail.get("p99_wait_ms")
-    if p99_ms is None or float(p99_ms) > MAX_SERVE_P99_WAIT_MS:
-        failures.append(
-            f"serve_loopback_quick: p99 wait {p99_ms!r} ms over the "
-            f"{MAX_SERVE_P99_WAIT_MS} ms bound (1.5x the 50 ms slot)"
-        )
-        lines.append(failures[-1])
-    else:
-        lines.append(
-            f"{'serve_loopback_quick':28s}   p99 wait {float(p99_ms):.2f} ms "
-            f"<= {MAX_SERVE_P99_WAIT_MS:.0f} ms"
-        )
+    for name, bench in perf_report.BENCHES.items():
+        for gate in bench.gates:
+            ok, text = gate.check(name, fresh_benches)
+            if ok:
+                lines.append(f"{name:28s}   {text}   ok")
+            else:
+                failures.append(f"{name}: {text}")
+                lines.append(failures[-1])
     return lines, failures
 
 
@@ -332,12 +107,6 @@ def main(argv=None) -> int:
         type=pathlib.Path,
         default=None,
         help="precomputed fresh report; omit to run the benches now",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="allowed fresh/baseline slowdown (default: 2.0)",
     )
     parser.add_argument(
         "--repeats", type=int, default=2, help="best-of repetitions per bench"
@@ -357,15 +126,9 @@ def main(argv=None) -> int:
             print(f"cannot read fresh report {args.fresh}: {exc}", file=sys.stderr)
             return 2
     else:
-        try:
-            from .perf_report import calibrate, run_report
-        except ImportError:  # run as a script rather than as benchmarks.*
-            from perf_report import calibrate, run_report
+        fresh = perf_report.run_report(max(1, args.repeats))
 
-        fresh = run_report(max(1, args.repeats))
-        fresh["calibration_seconds"] = calibrate()
-
-    lines, failures = compare(fresh, baseline, threshold=args.threshold)
+    lines, failures = compare(fresh, baseline)
     print("\n".join(lines))
     if failures:
         print(f"\nbench gate FAILED ({len(failures)} issue(s)):", file=sys.stderr)

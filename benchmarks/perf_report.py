@@ -1,28 +1,31 @@
 """Perf-regression harness: machine-readable timings for the hot paths.
 
 Runs the constructive micro-benches (DHB/UD admission under saturation and
-under sparse load) and the quick Figure-7 sweep — serial and parallel — and
-writes ``BENCH_sweep.json`` at the repository root.  Each entry records the
-best-of-``repeats`` wall time plus a scale detail, so successive PRs have a
-perf trajectory to regress against::
+under sparse load), the quick Figure-7 sweep — serial and parallel — and
+the cluster, edge, runtime, checkpoint, adaptive and serving quick runs,
+and writes ``BENCH_sweep.json`` at the repository root.  Each entry records
+the best-of-``repeats`` wall time plus a detail payload, so successive PRs
+have a perf trajectory to regress against::
 
     make bench-json            # or: python benchmarks/perf_report.py
     python benchmarks/perf_report.py --output /tmp/bench.json --repeats 5
 
-The parallel sweep entry doubles as a determinism check: the harness fails
-loudly if the ``n_jobs=2`` series differ from the serial ones.
+``BENCHES`` pairs every bench with the gate rows that
+``check_regression.py`` holds a fresh report to; the rows are the one
+record of which bench carries which invariant and bound.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import pathlib
 import platform
 import resource
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -63,8 +66,8 @@ QUICK_CONFIG = SweepConfig().quick()
 def peak_rss_mb() -> float:
     """Process peak resident-set size in MiB (``ru_maxrss``).
 
-    Linux reports kilobytes, macOS bytes; everything downstream (bench
-    details, the regression gate's memory ceiling) works in MiB.
+    Linux reports kilobytes, macOS bytes; bench details and their gate
+    rows work in MiB.
     """
     maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     divisor = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
@@ -122,9 +125,9 @@ def bench_dhb_10m() -> Dict[str, float]:
     The ROADMAP's production-scale target: a saturated 99-segment DHB
     point whose trace no longer fits a per-request Python loop.  The
     detail records throughput, the measured speedup over the scalar
-    baseline on a 200k-request prefix of the same trace (the regression
-    gate requires >= 5x), and the process peak RSS (gated < 1 GiB — the
-    streaming statistics keep the run's footprint at the trace itself).
+    baseline on a 200k-request prefix of the same trace, and the process
+    peak RSS (the streaming statistics keep the run's footprint at the
+    trace itself).
     The scalar baseline is ``columnar=False``: the same driver loop, with
     each slot's batch admitted request by request through
     ``handle_request``, so the ratio isolates batched admission.
@@ -236,11 +239,10 @@ def bench_edge_quick() -> Dict[str, float]:
 
     One ``run_hierarchy`` pass at the stock 25% cache budget.  The detail
     carries the measured cache hit ratio next to the analytic expectation
-    (the popularity mass of cached titles) so the regression gate can hold
-    the simulator to the Zipf arithmetic; the gate also bounds this bench's
-    wall time relative to ``cluster_quick`` in the same report — the edge
-    tier must stay a thin layer over the pure-cluster run, not a second
-    simulator.
+    (the popularity mass of cached titles), so a gate row can hold the
+    simulator to the Zipf arithmetic; another bounds its wall time against
+    ``cluster_quick`` — the edge tier must stay a thin layer over the
+    pure-cluster run, not a second simulator.
     """
     scenario = preset_hierarchy(quick=True)
     result = run_hierarchy(scenario)
@@ -291,10 +293,10 @@ def bench_checkpoint_resume_quick() -> Dict[str, float]:
 
     Times the quick Figure-7 grid twice on a serial Engine — bare, then
     journaling every cell into a fresh :class:`CheckpointStore` — and
-    records the checkpoint overhead as a percentage (the regression gate
-    requires < 5%).  A third run resumes over the journal and must
-    replay every cell without executing any (the ``execution_count``
-    probe), which is what makes the entry ``verified``.
+    records the checkpoint overhead as a percentage.  A third run resumes
+    over the journal and must replay every cell without executing any
+    (the ``execution_count`` probe), which is what makes the entry
+    ``verified``.
     """
     import tempfile
 
@@ -367,10 +369,9 @@ def bench_adaptive_day_quick() -> Dict[str, float]:
     records the peaks.  ``verified`` requires the study's acceptance
     claim: the adaptive arm's day peak strictly below static DHB's while
     its worst startup deferral stays within the shared deadline guarantee
-    ``W = (1 + max_slack) * d``.  The regression gate additionally holds
-    this bench's wall time to 1.5x the stationary quick sweep
-    (``fig7_quick_serial``) in the same report — nonstationary admission
-    must stay on the same hot path, not grow a second simulator.
+    ``W = (1 + max_slack) * d``.  A gate row holds its wall time against
+    the stationary quick sweep (``fig7_quick_serial``) — nonstationary
+    admission must stay on the same hot path, not grow a second simulator.
     """
     from repro.experiments.adaptive import AdaptiveStudyConfig, run_adaptive_study
 
@@ -437,21 +438,151 @@ def bench_serve_loopback_quick() -> Dict[str, float]:
     }
 
 
-BENCHES: Dict[str, Callable[[], Dict[str, float]]] = {
-    "micro_dhb_saturated": bench_dhb_saturated,
-    "micro_dhb_cold": bench_dhb_cold,
-    "micro_ud_saturated": bench_ud_saturated,
-    "micro_dhb_10m": bench_dhb_10m,
-    "fig7_quick_serial": bench_fig7_quick_serial,
-    "fig7_quick_parallel": bench_fig7_quick_parallel,
-    "fig7_columnar": bench_fig7_columnar,
-    "cluster_quick": bench_cluster_quick,
-    "cluster_quick_parallel": bench_cluster_parallel,
-    "edge_quick": bench_edge_quick,
-    "runtime_quick": bench_runtime_quick,
-    "checkpoint_resume_quick": bench_checkpoint_resume_quick,
-    "adaptive_day_quick": bench_adaptive_day_quick,
-    "serve_loopback_quick": bench_serve_loopback_quick,
+#: Seconds added to both sides of every time ratio, so that benches of a
+#: few milliseconds cannot trip a gate on scheduler jitter.
+NOISE_FLOOR_SECONDS = 0.005
+
+#: Calibrated fresh/baseline slowdown beyond which any bench fails.
+MAX_SLOWDOWN = 2.0
+
+_OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+def padded_ratio(seconds: float, reference: float) -> float:
+    """``seconds / reference`` with both sides padded by the noise floor."""
+    return (seconds + NOISE_FLOOR_SECONDS) / (reference + NOISE_FLOOR_SECONDS)
+
+
+class Bound(NamedTuple):
+    """Gate row: the detail value ``key`` compared with a fixed bound."""
+
+    key: str
+    op: str
+    bound: float
+    label: str
+
+    def check(self, name: str, benches: Dict) -> Tuple[bool, str]:
+        value = benches.get(name, {}).get("detail", {}).get(self.key)
+        if value is None:
+            return False, f"{self.label}: no {self.key} in detail"
+        ok = _OPS[self.op](float(value), self.bound)
+        return ok, f"{self.label}: {self.key} = {value} (needs {self.op} {self.bound:g})"
+
+
+class Relative(NamedTuple):
+    """Gate row: detail value ``key`` against detail value ``other`` + offset."""
+
+    key: str
+    op: str
+    other: str
+    offset: float
+    label: str
+
+    def check(self, name: str, benches: Dict) -> Tuple[bool, str]:
+        detail = benches.get(name, {}).get("detail", {})
+        value, reference = detail.get(self.key), detail.get(self.other)
+        if value is None or reference is None:
+            return False, f"{self.label}: no {self.key}/{self.other} in detail"
+        limit = float(reference) + self.offset
+        ok = _OPS[self.op](float(value), limit)
+        return ok, (
+            f"{self.label}: {self.key} = {value} "
+            f"(needs {self.op} {self.other} {self.offset:+g} = {limit:g})"
+        )
+
+
+class TimeRatio(NamedTuple):
+    """Gate row: wall time over bench ``other``'s in the *same* report.
+
+    Both timings come from one machine, so there is no calibration
+    scaling; both sides are padded by the noise floor.
+    """
+
+    other: str
+    ceiling: float
+    label: str
+
+    def check(self, name: str, benches: Dict) -> Tuple[bool, str]:
+        seconds = benches.get(name, {}).get("seconds")
+        reference = benches.get(self.other, {}).get("seconds")
+        if seconds is None or reference is None:
+            return False, f"{self.label}: missing {name}/{self.other} timings"
+        ratio = padded_ratio(float(seconds), float(reference))
+        return ratio <= self.ceiling, (
+            f"{self.label}: {ratio:.2f}x {self.other} "
+            f"against the {self.ceiling:g}x ceiling"
+        )
+
+
+Gate = Union[Bound, Relative, TimeRatio]
+
+
+class Bench(NamedTuple):
+    """A bench and the gate rows a fresh report of it must pass."""
+
+    run: Callable[[], Dict[str, float]]
+    gates: Tuple[Gate, ...] = ()
+
+
+#: Bit-for-bit self-check (serial == parallel, batched == per-request,
+#: resumed == bare) or acceptance claim, recorded by the bench itself.
+VERIFIED = Bound("verified", "==", 1, "equality invariant")
+
+#: "10M requests in bounded memory" is an acceptance criterion.
+MEMORY_CEILING = Bound("peak_rss_mb", "<", 1024.0, "peak RSS (MiB)")
+
+BENCHES: Dict[str, Bench] = {
+    "micro_dhb_saturated": Bench(bench_dhb_saturated),
+    "micro_dhb_cold": Bench(bench_dhb_cold),
+    "micro_ud_saturated": Bench(bench_ud_saturated),
+    "micro_dhb_10m": Bench(
+        bench_dhb_10m,
+        (
+            MEMORY_CEILING,
+            Bound("speedup_vs_scalar", ">=", 5.0, "columnar speedup over scalar"),
+        ),
+    ),
+    "fig7_quick_serial": Bench(bench_fig7_quick_serial),
+    "fig7_quick_parallel": Bench(bench_fig7_quick_parallel, (VERIFIED,)),
+    "fig7_columnar": Bench(bench_fig7_columnar, (VERIFIED, MEMORY_CEILING)),
+    "cluster_quick": Bench(bench_cluster_quick),
+    "cluster_quick_parallel": Bench(bench_cluster_parallel, (VERIFIED,)),
+    "edge_quick": Bench(
+        bench_edge_quick,
+        (
+            Relative(
+                "hit_ratio", ">=", "expected_hit_ratio", -0.05,
+                "hit ratio vs the analytic Zipf expectation",
+            ),
+            TimeRatio("cluster_quick", 1.5, "edge tier over the cluster loop"),
+        ),
+    ),
+    "runtime_quick": Bench(bench_runtime_quick, (VERIFIED,)),
+    "checkpoint_resume_quick": Bench(
+        bench_checkpoint_resume_quick,
+        (VERIFIED, Bound("overhead_pct", "<", 5.0, "journaling overhead (%)")),
+    ),
+    "adaptive_day_quick": Bench(
+        bench_adaptive_day_quick,
+        (
+            VERIFIED,
+            Relative(
+                "adaptive_peak", "<=", "static_peak", 0.0,
+                "static/adaptive peaks: adaptive within the static DHB worst case",
+            ),
+            TimeRatio("fig7_quick_serial", 1.5, "nonstationary day over the sweep"),
+        ),
+    ),
+    # The p99 bound is 1.5x the bench's 50 ms slot: DHB's one-slot wait
+    # bound plus scheduling slack.
+    "serve_loopback_quick": Bench(
+        bench_serve_loopback_quick,
+        (
+            VERIFIED,
+            Bound("clients_per_sec", ">=", 25.0, "throughput (clients/sec)"),
+            Bound("p99_wait_ms", "<=", 75.0, "p99 wait to first segment (ms)"),
+        ),
+    ),
 }
 
 
@@ -489,7 +620,7 @@ def time_bench(
 def run_report(repeats: int) -> Dict[str, object]:
     benches: Dict[str, object] = {}
     for name, bench in BENCHES.items():
-        seconds, detail = time_bench(bench, repeats)
+        seconds, detail = time_bench(bench.run, repeats)
         benches[name] = {"seconds": round(seconds, 6), "detail": detail}
         print(f"{name:28s} {seconds * 1000:10.2f} ms  {detail}")
     calibration = calibrate()

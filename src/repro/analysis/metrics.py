@@ -73,19 +73,6 @@ class ProtocolSeries:
         """Peak bandwidth per point."""
         return [p.max_bandwidth for p in self.points]
 
-    def at_rate(self, rate_per_hour: float) -> BandwidthPoint:
-        """The point measured at ``rate_per_hour`` (exact match).
-
-        Raises :class:`~repro.errors.ConfigurationError` when the rate was
-        not part of the sweep.
-        """
-        for point in self.points:
-            if point.rate_per_hour == rate_per_hour:
-                return point
-        raise ConfigurationError(
-            f"{self.protocol}: no point at rate {rate_per_hour}/hour"
-        )
-
 
 def series_by_name(series: List[ProtocolSeries]) -> Dict[str, ProtocolSeries]:
     """Index a list of series by protocol name.

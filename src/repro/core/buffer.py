@@ -47,11 +47,6 @@ class BufferProfile:
     peak_bytes: float
     total_bytes: float
 
-    @property
-    def peak_fraction_of_video(self) -> float:
-        """Peak buffer as a fraction of the total video size."""
-        return self.peak_bytes / self.total_bytes if self.total_bytes > 0 else 0.0
-
 
 def buffer_profile(
     plan: ClientPlan,

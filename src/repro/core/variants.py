@@ -74,18 +74,6 @@ class DHBVariant:
             track_clients=track_clients,
         )
 
-    @property
-    def saturation_bytes_per_second(self) -> float:
-        """Saturated average server bandwidth in bytes/second.
-
-        At saturation segment ``S_j`` is transmitted once every ``T[j]``
-        slots, moving ``segment_bytes[j-1]`` bytes each time.
-        """
-        return sum(
-            weight / (period * self.slot_duration)
-            for weight, period in zip(self.segment_bytes, self.periods)
-        )
-
 
 def _check_wait(video: VBRVideo, max_wait: float) -> None:
     if max_wait <= 0:

@@ -54,11 +54,6 @@ class CacheAllocation:
         """Segments actually allocated (``<= budget`` always)."""
         return sum(self.prefixes)
 
-    @property
-    def titles_cached(self) -> int:
-        """Titles with a non-empty cached prefix."""
-        return sum(1 for k in self.prefixes if k > 0)
-
     def prefix_of(self, title: int) -> int:
         """Cached prefix length of ``title`` (0 when not cached)."""
         if not 0 <= title < len(self.prefixes):

@@ -94,8 +94,3 @@ class FastBroadcasting(StaticBroadcastProtocol):
         if n_streams is None:
             n_streams = fb_streams_for_segments(n_segments)
         super().__init__(fb_map(n_streams, n_segments))
-
-    @classmethod
-    def for_segments(cls, n_segments: int) -> "FastBroadcasting":
-        """FB instance carrying exactly ``n_segments`` segments."""
-        return cls(n_segments=n_segments)

@@ -113,9 +113,3 @@ def build_protocol(name: str, context: ProtocolContext) -> AnyProtocol:
         ) from None
     return factory(context)
 
-
-def is_slotted(name: str) -> bool:
-    """Whether ``name`` runs on the slotted simulator."""
-    if name not in _FACTORIES:
-        raise ConfigurationError(f"unknown protocol {name!r}")
-    return name in SLOTTED_NAMES

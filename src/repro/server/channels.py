@@ -136,7 +136,3 @@ class UnicastVODServer(ReactiveModel):
         """Fraction of requests blocked so far."""
         total = self.admitted + self.blocked
         return self.blocked / total if total else 0.0
-
-    def expected_blocking(self, rate_per_second: float) -> float:
-        """Erlang-B prediction for Poisson arrivals at ``rate_per_second``."""
-        return erlang_b(rate_per_second * self.duration, self.pool.capacity)

@@ -83,11 +83,6 @@ class ProvisioningResult:
         index = min(max(index, 0), len(sorted_loads) - 1)
         return int(sorted_loads[index])
 
-    @property
-    def sum_of_title_peaks_bound(self) -> float:
-        """Sum of per-title means — a lower reference for multiplexing gain."""
-        return float(sum(self.per_title_means))
-
 
 def _title_process(workload: TitleWorkload, title: int) -> ArrivalProcess:
     if isinstance(workload, bool):

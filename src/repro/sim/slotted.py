@@ -176,18 +176,6 @@ class SlottedResult:
     #: ``handle_batch`` (True) or the base per-request loop (False).
     columnar: bool = False
 
-    def scaled_mean(self, stream_bandwidth: float) -> float:
-        """Mean server bandwidth when each stream carries ``stream_bandwidth``.
-
-        Used by the compressed-video experiment (Figure 9), where bandwidth
-        is reported in bytes/second rather than stream counts.
-        """
-        return self.mean_streams * stream_bandwidth
-
-    def scaled_max(self, stream_bandwidth: float) -> float:
-        """Peak server bandwidth when each stream carries ``stream_bandwidth``."""
-        return self.max_streams * stream_bandwidth
-
 
 #: Bins of the waiting-time sketch: slot-duration / WAIT_SKETCH_BINS of
 #: quantile resolution (a few milliseconds at figure-7 slot lengths).

@@ -36,13 +36,6 @@ def per_hour_to_per_second(rate_per_hour: float) -> float:
     return rate_per_hour / HOUR
 
 
-def per_second_to_per_hour(rate_per_second: float) -> float:
-    """Convert a request arrival rate from arrivals/second to arrivals/hour."""
-    if rate_per_second < 0:
-        raise ConfigurationError(f"arrival rate must be >= 0, got {rate_per_second}")
-    return rate_per_second * HOUR
-
-
 def hours(value: float) -> float:
     """Express ``value`` hours in seconds."""
     return value * HOUR
@@ -51,18 +44,3 @@ def hours(value: float) -> float:
 def minutes(value: float) -> float:
     """Express ``value`` minutes in seconds."""
     return value * MINUTE
-
-
-def kb_per_s(value: float) -> float:
-    """Express ``value`` kilobytes/second in bytes/second."""
-    return value * KILOBYTE
-
-
-def bytes_to_kb(value: float) -> float:
-    """Express ``value`` bytes in kilobytes."""
-    return value / KILOBYTE
-
-
-def bytes_to_mb(value: float) -> float:
-    """Express ``value`` bytes in megabytes."""
-    return value / MEGABYTE

@@ -101,11 +101,6 @@ class MPEGConfig:
         sizes = {"I": self.i_mean, "P": self.p_mean, "B": self.b_mean}
         return sum(sizes[c] for c in self.gop_pattern) / len(self.gop_pattern)
 
-    @property
-    def mean_rate(self) -> float:
-        """Expected bytes/second at activity 1.0 (ignoring jitter inflation)."""
-        return self.mean_frame_size * self.fps
-
 
 def generate_mpeg_trace(
     duration_seconds: int,

@@ -53,14 +53,6 @@ class SegmentedVideo:
         """
         return self.max_segment_bytes / self.segment_duration
 
-    def segment_rate(self, segment: int) -> float:
-        """Average bandwidth of 1-based ``segment`` in bytes/second."""
-        if not 1 <= segment <= self.n_segments:
-            raise VideoModelError(
-                f"segment {segment} outside 1..{self.n_segments}"
-            )
-        return self.segment_bytes[segment - 1] / self.segment_duration
-
 
 def segments_for_wait(duration: float, max_wait: float) -> int:
     """Number of equal segments needed to cap the waiting time at ``max_wait``.

@@ -21,13 +21,6 @@ def test_series_accessors():
     assert series.maxima == [3.0, 7.0]
 
 
-def test_at_rate():
-    series = ProtocolSeries("DHB", [point(1.0, 2.0), point(5.0, 3.0)])
-    assert series.at_rate(5.0).mean_bandwidth == 3.0
-    with pytest.raises(ConfigurationError):
-        series.at_rate(99.0)
-
-
 def test_series_by_name():
     a = ProtocolSeries("A")
     b = ProtocolSeries("B")

@@ -61,7 +61,7 @@ class TestFaultSchedule:
         with pytest.raises(ClusterError, match="unknown server"):
             schedule.validate_against(topology)
 
-    def test_transitions_and_is_down(self):
+    def test_transitions(self):
         schedule = FaultSchedule(crashes=(CrashWindow(1, 10, 20),))
         assert schedule.crashes_at(10) == [1]
         assert schedule.recoveries_at(20) == [1]

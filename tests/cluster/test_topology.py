@@ -74,7 +74,7 @@ class TestClusterTopology:
                 CatalogPlacement(replicas=((0,),)),
             )
 
-    def test_uniform_topology_and_catalog_map(self):
+    def test_uniform_topology(self):
         topology = uniform_topology(3, capacity=8, n_titles=4, placement="sharded")
         assert topology.n_servers == 3
         assert topology.n_titles == 4

@@ -38,7 +38,6 @@ def test_weighted_sizes():
     profile = buffer_profile(plan, segment_bytes=[10.0, 100.0, 5.0])
     assert profile.peak_bytes == 100.0
     assert profile.total_bytes == 115.0
-    assert profile.peak_fraction_of_video == pytest.approx(100.0 / 115.0)
 
 
 def test_figure5_client_buffers_two_segments():
@@ -81,7 +80,6 @@ def test_buffer_profile_invariants(trace, n_segments):
         assert min(profile.occupancy) >= -1e-9
         assert profile.occupancy[-1] == 0.0
         assert profile.peak_bytes <= n_segments
-        assert profile.peak_fraction_of_video <= 1.0
 
 
 def test_validation():

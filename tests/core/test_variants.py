@@ -87,13 +87,6 @@ class TestGenericBehaviour:
                 tiny_vbr.total_bytes, rel=1e-6
             )
 
-    def test_saturation_bytes_per_second(self, tiny_vbr):
-        variant = dhb_b(tiny_vbr, 2.0)
-        expected = sum(
-            w / (t * 2.0) for w, t in zip(variant.segment_bytes, variant.periods)
-        )
-        assert variant.saturation_bytes_per_second == pytest.approx(expected)
-
     def test_invalid_wait_rejected(self, tiny_vbr):
         with pytest.raises(ConfigurationError):
             dhb_a(tiny_vbr, 0.0)

@@ -104,7 +104,6 @@ def test_expected_hit_ratio_is_cached_mass():
         policy="popularity", budget=5, n_segments=10, prefixes=(3, 2, 0)
     )
     assert allocation.expected_hit_ratio([0.5, 0.3, 0.2]) == pytest.approx(0.8)
-    assert allocation.titles_cached == 2
 
 
 def test_validation():

@@ -72,7 +72,7 @@ def test_protocol_interface():
 
 
 def test_for_segments_constructor():
-    fb = FastBroadcasting.for_segments(99)
+    fb = FastBroadcasting(n_segments=99)
     assert fb.n_streams == 7
     assert fb.n_segments == 99
 

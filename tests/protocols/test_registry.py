@@ -9,7 +9,6 @@ from repro.protocols.registry import (
     ProtocolContext,
     available_protocols,
     build_protocol,
-    is_slotted,
 )
 from repro.sim.continuous import ReactiveModel
 from repro.sim.slotted import SlottedModel
@@ -32,7 +31,7 @@ def test_classification_is_total_and_disjoint():
 def test_classification_matches_types():
     for name in available_protocols():
         protocol = build_protocol(name, CONTEXT)
-        if is_slotted(name):
+        if name in SLOTTED_NAMES:
             assert isinstance(protocol, SlottedModel)
         else:
             assert isinstance(protocol, ReactiveModel)
@@ -49,8 +48,6 @@ def test_slotted_protocols_honour_segment_count():
 def test_unknown_name_rejected():
     with pytest.raises(ConfigurationError):
         build_protocol("nope", CONTEXT)
-    with pytest.raises(ConfigurationError):
-        is_slotted("nope")
 
 
 def test_context_validation():

@@ -98,10 +98,6 @@ class TestUnicastVODServer:
         # 5 streams of unicast would block almost everything:
         assert erlang_b(offered, 5) > 0.95
 
-    def test_expected_blocking_helper(self):
-        server = UnicastVODServer(n_channels=10, duration=100.0)
-        assert server.expected_blocking(0.05) == pytest.approx(erlang_b(5.0, 10))
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             UnicastVODServer(n_channels=2, duration=0.0)

@@ -42,7 +42,7 @@ class TestProvisioningResult:
 
     def test_mean_equals_sum_of_title_means(self, catalog_result):
         assert catalog_result.mean_streams == pytest.approx(
-            catalog_result.sum_of_title_peaks_bound, rel=1e-9
+            sum(catalog_result.per_title_means), rel=1e-9
         )
 
     def test_multiplexing_gain(self, catalog_result):

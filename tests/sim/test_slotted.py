@@ -90,14 +90,6 @@ def test_series_collection():
     assert result.series == [2, 2, 2, 2, 2]
 
 
-def test_scaled_results():
-    protocol = ConstantProtocol(3)
-    sim = SlottedSimulation(protocol, slot_duration=1.0, horizon_slots=10)
-    result = sim.run([])
-    assert result.scaled_mean(100.0) == pytest.approx(300.0)
-    assert result.scaled_max(100.0) == pytest.approx(300.0)
-
-
 def test_default_slot_weight_equals_load():
     protocol = ConstantProtocol(3)
     sim = SlottedSimulation(protocol, slot_duration=1.0, horizon_slots=10)

@@ -14,6 +14,7 @@ from benchmarks.check_regression import (  # noqa: E402
     compare,
     main,
 )
+from benchmarks.perf_report import BENCHES, Relative, TimeRatio  # noqa: E402
 
 
 #: Benches whose fresh detail must carry ``verified: 1`` for the gate.
@@ -267,30 +268,97 @@ class TestMain:
     def test_committed_baseline_is_current_schema(self):
         baseline = json.loads((_REPO_ROOT / "BENCH_sweep.json").read_text())
         assert baseline["calibration_seconds"] > 0.0
-        for name in VERIFIED_BENCHES:
+        for name in VERIFIED_BENCHES + MEMORY_BENCHES:
             assert name in baseline["benches"]
-            assert baseline["benches"][name]["detail"]["verified"] == 1
-        for name in MEMORY_BENCHES:
-            assert baseline["benches"][name]["detail"]["peak_rss_mb"] < 1024.0
-        assert baseline["benches"]["micro_dhb_10m"]["detail"][
-            "speedup_vs_scalar"
-        ] >= 5.0
-        assert baseline["benches"]["checkpoint_resume_quick"]["detail"][
-            "overhead_pct"
-        ] < 5.0
-        serve_detail = baseline["benches"]["serve_loopback_quick"]["detail"]
-        assert serve_detail["clients_per_sec"] >= 25.0
-        assert serve_detail["p99_wait_ms"] <= 75.0
-        edge_detail = baseline["benches"]["edge_quick"]["detail"]
-        assert edge_detail["hit_ratio"] >= edge_detail["expected_hit_ratio"] - 0.05
-        assert (
-            baseline["benches"]["edge_quick"]["seconds"]
-            <= 1.5 * baseline["benches"]["cluster_quick"]["seconds"] + 0.005
-        )
-        adaptive_detail = baseline["benches"]["adaptive_day_quick"]["detail"]
-        assert adaptive_detail["adaptive_peak"] <= adaptive_detail["static_peak"]
-        assert adaptive_detail["retunes"] >= 1
-        assert (
-            baseline["benches"]["adaptive_day_quick"]["seconds"]
-            <= 1.5 * baseline["benches"]["fig7_quick_serial"]["seconds"] + 0.005
-        )
+        _lines, failures = compare(baseline, baseline)
+        assert failures == []
+        # No gate row reads it: the quick day must actually retune.
+        assert baseline["benches"]["adaptive_day_quick"]["detail"]["retunes"] >= 1
+
+
+#: Every gate row of the table, as ``(bench, row)``.
+GATE_ROWS = [(name, gate) for name, bench in BENCHES.items() for gate in bench.gates]
+
+#: A step far below any bound's scale but far above float rounding.
+EPS = 1e-6
+
+
+def _row_id(row):
+    name, gate = row
+    return f"{name}-{getattr(gate, 'key', None) or gate.other}"
+
+
+def _place(report, name, gate, step):
+    """Put a row's checked value ``step`` (in EPS) past its bound.
+
+    ``step`` < 0 is just inside the bound, 0 is exactly at it and > 0 is
+    just past it.  Time ratios read ``(1.495 + 0.005) / (0.995 + 0.005)``,
+    exactly 1.5 in binary floating point, at the bound.
+    """
+    benches = report["benches"]
+    if isinstance(gate, TimeRatio):
+        benches[gate.other]["seconds"] = 0.995
+        benches[name]["seconds"] = gate.ceiling - 0.005 + step * EPS
+        return
+    detail = benches[name]["detail"]
+    if isinstance(gate, Relative):
+        detail[gate.other] = 0.9
+        bound = 0.9 + gate.offset
+    else:
+        bound = gate.bound
+    if gate.op == "==":
+        detail[gate.key] = bound if step <= 0 else bound + 1
+    elif gate.op in ("<", "<="):
+        detail[gate.key] = bound + step * EPS
+    else:
+        detail[gate.key] = bound - step * EPS
+
+
+@pytest.mark.parametrize("row", GATE_ROWS, ids=_row_id)
+class TestGateRows:
+    """Each table row holds its bound with its own strictness."""
+
+    def _failures(self, report):
+        # An empty baseline leaves only the table rows to check.
+        return compare(report, {"benches": {}})[1]
+
+    def test_just_inside_passes(self, row):
+        report = _report({})
+        _place(report, *row, step=-1)
+        assert self._failures(report) == []
+
+    def test_at_bound_follows_strictness(self, row):
+        name, gate = row
+        report = _report({})
+        _place(report, name, gate, step=0)
+        failures = self._failures(report)
+        if getattr(gate, "op", "<=") == "<":
+            assert failures and all(f.startswith(f"{name}: ") for f in failures)
+        else:
+            assert failures == []
+
+    def test_just_past_fails(self, row):
+        name, gate = row
+        report = _report({})
+        _place(report, name, gate, step=1)
+        failures = self._failures(report)
+        assert len(failures) == 1
+        assert failures[0].startswith(f"{name}: ")
+
+    def test_missing_value_fails(self, row):
+        name, gate = row
+        report = _report({})
+        if isinstance(gate, TimeRatio):
+            del report["benches"][gate.other]["seconds"]
+        else:
+            del report["benches"][name]["detail"][gate.key]
+        failures = self._failures(report)
+        assert len(failures) == 1
+        assert failures[0].startswith(f"{name}: ")
+
+
+def test_table_carries_the_recorded_rows():
+    for name in VERIFIED_BENCHES:
+        assert "verified" in [getattr(g, "key", None) for g in BENCHES[name].gates]
+    for name in MEMORY_BENCHES:
+        assert "peak_rss_mb" in [getattr(g, "key", None) for g in BENCHES[name].gates]

@@ -26,7 +26,7 @@ def test_mean_rate_near_configured(rng):
     # modest factor of the nominal GOP rate.
     envelope_mean = sum(config.act_envelope) / len(config.act_envelope)
     assert video.average_bandwidth == pytest.approx(
-        config.mean_rate * envelope_mean, rel=0.2
+        config.mean_frame_size * config.fps * envelope_mean, rel=0.2
     )
 
 

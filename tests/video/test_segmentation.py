@@ -36,17 +36,6 @@ def test_max_segment_rate(tiny_vbr):
     assert seg.max_segment_rate <= tiny_vbr.peak_bandwidth()
 
 
-def test_segment_rate_lookup(tiny_vbr):
-    seg = segment_video(tiny_vbr, 3)
-    assert seg.segment_rate(1) == pytest.approx(
-        seg.segment_bytes[0] / seg.segment_duration
-    )
-    with pytest.raises(VideoModelError):
-        seg.segment_rate(0)
-    with pytest.raises(VideoModelError):
-        seg.segment_rate(4)
-
-
 def test_segments_for_wait_paper_example():
     # 8170-second video, one-minute wait -> 137 segments (Section 4).
     assert segments_for_wait(8170.0, 60.0) == 137
