@@ -136,9 +136,11 @@ def test_poisson_generation(benchmark):
 def test_nhpp_day_generation(benchmark):
     """Thinned diurnal + event-ring day (the adaptive study's, at 1x).
 
-    About 14.6k thinning candidates, 2.4k kept: the draw loop plus one
-    rate evaluation per chunk.  A rate call per candidate would show up
-    here as nearly twice the time.
+    About 14.6k thinning candidates, 2.4k kept, drawn from raw ``PCG64``
+    words in array operations plus one scalar redraw per slow ziggurat
+    word, with one rate evaluation per chunk.  The ziggurat tables are
+    derived on the first call in a process, so the first round includes
+    that one-off cost.
     """
     process = default_day_workload().process()
     rng = np.random.default_rng(1)

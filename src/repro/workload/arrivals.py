@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, List, Sequence
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -126,8 +126,38 @@ class TraceArrivals(ArrivalProcess):
 
 #: Thinning candidates drawn before their rates are evaluated in one call.
 #: Chunks of this size keep the draw lists' peak memory at or below the
-#: single kept-times list of a one-rate-call-per-candidate loop.
+#: single kept-times list of a one-rate-call-per-candidate loop; the
+#: ``PCG64`` path reads this many raw words per buffer.
 THINNING_CHUNK = 16_384
+
+
+def pcg64_buffer_words() -> int:
+    """Raw words per buffer of the ``PCG64`` path: :data:`THINNING_CHUNK`,
+    at least 2 so that every buffer holds a candidate."""
+    return max(THINNING_CHUNK, 2)
+
+
+def _scalar_candidates(
+    horizon: float, scale: float, rng: np.random.Generator
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Thinning candidates ``(times, uniforms)`` from one scalar
+    ``exponential(scale)`` and one ``random()`` call per candidate, in
+    chunks of :data:`THINNING_CHUNK`."""
+    exponential, uniform = rng.exponential, rng.random
+    t = 0.0
+    crossed = False
+    while not crossed:
+        times: List[float] = []
+        draws: List[float] = []
+        for _ in range(THINNING_CHUNK):
+            t += exponential(scale)
+            if t >= horizon:
+                crossed = True
+                break
+            times.append(t)
+            draws.append(uniform())
+        if times:
+            yield np.array(times), np.array(draws)
 
 
 class NonHomogeneousPoisson(ArrivalProcess):
@@ -141,6 +171,14 @@ class NonHomogeneousPoisson(ArrivalProcess):
     exponential gap and then one uniform, stopping at the first gap past the
     horizon without a uniform for it; up to :data:`THINNING_CHUNK`
     candidates are drawn before :meth:`rates` evaluates them in one call.
+
+    A generator whose bit generator is exactly ``numpy.random.PCG64`` is
+    read in raw words instead (:mod:`repro.workload.pcg64`): the same gaps,
+    uniforms and generator end state, bit for bit, from array operations
+    plus one scalar redraw per slow ziggurat word.  Its tables are derived
+    from the installed numpy on the first such call; any other bit
+    generator, a subclass of ``PCG64`` included, or a failed derivation
+    takes the scalar loop.
 
     Parameters
     ----------
@@ -175,22 +213,20 @@ class NonHomogeneousPoisson(ArrivalProcess):
         self._check_horizon(horizon)
         lam_max = self.max_rate_per_hour / HOUR
         scale = 1.0 / lam_max
-        exponential, uniform = rng.exponential, rng.random
-        kept: List[np.ndarray] = []
-        t = 0.0
-        crossed = False
-        while not crossed:
-            times: List[float] = []
-            draws: List[float] = []
-            for _ in range(THINNING_CHUNK):
-                t += exponential(scale)
-                if t >= horizon:
-                    crossed = True
-                    break
-                times.append(t)
-                draws.append(uniform())
-            if times:
-                kept.append(self._thin(np.array(times), np.array(draws)))
+        bit_generator = getattr(rng, "bit_generator", None)
+        tables = None
+        if type(bit_generator) is np.random.PCG64:
+            # Imported here, so that set-up does not compile it.
+            from . import pcg64
+
+            tables = pcg64.ziggurat_tables()
+        if tables is None:
+            candidates = _scalar_candidates(horizon, scale, rng)
+        else:
+            candidates = pcg64.thinning_candidates(
+                horizon, scale, bit_generator, tables, pcg64_buffer_words()
+            )
+        kept = [self._thin(times, draws) for times, draws in candidates]
         return np.concatenate(kept) if kept else np.empty(0)
 
     def _thin(self, times: np.ndarray, draws: np.ndarray) -> np.ndarray:

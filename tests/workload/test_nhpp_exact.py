@@ -2,7 +2,10 @@
 
 The oracle is :mod:`tests.workload.nhpp_reference`: the literal thinning
 loop and the scalar rate formulas.  Each case compares the trace and the
-generator's end state (the next uniforms drawn after it).
+generator's end state: its whole state, the buffered 32-bit half included,
+and the next uniforms drawn after it.  ``PCG64`` generators take the
+raw-word path; the cases at the end pin its slow ziggurat words, buffer
+seams, derived tables and the bit generators that keep the scalar loop.
 """
 
 from functools import partial
@@ -12,7 +15,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.units import HOUR
-from repro.workload import arrivals
+from repro.workload import arrivals, pcg64
 from repro.workload.arrivals import (
     NonHomogeneousPoisson,
     SuperposedArrivals,
@@ -56,13 +59,28 @@ def reference_generate(process, horizon, rng):
     )
 
 
-def assert_matches_reference(process, horizon, seed):
-    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+def same_state(a, b):
+    """Bit-generator states equal, key by key (MT19937 keeps an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def assert_matches_reference(process, horizon, seed, bit_generator=np.random.PCG64,
+                             buffered=False):
+    rng = np.random.Generator(bit_generator(seed))
+    oracle = np.random.Generator(bit_generator(seed))
+    if buffered:
+        rng.integers(0, 10, dtype=np.uint32)
+        oracle.integers(0, 10, dtype=np.uint32)
     got = process.generate(horizon, rng)
     want = reference_generate(process, horizon, oracle)
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+    assert same_state(rng.bit_generator.state, oracle.bit_generator.state)
     assert rng.random(4).tolist() == oracle.random(4).tolist()
     return got
 
@@ -121,6 +139,15 @@ CHUNKED = {
 def test_chunk_boundaries_do_not_change_the_stream(monkeypatch, name, chunk):
     monkeypatch.setattr(arrivals, "THINNING_CHUNK", chunk)
     assert len(assert_matches_reference(CHUNKED[name], 20 * HOUR, 4242)) > 0
+
+
+@pytest.mark.parametrize("name", ["day", "lambda"])
+def test_buffered_32_bit_half_survives(name):
+    process, horizon = CASES[name]
+    rng = np.random.default_rng(99)
+    rng.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    assert_matches_reference(process, horizon, 99, buffered=True)
 
 
 def test_horizon_shorter_than_first_gap():
@@ -182,3 +209,146 @@ def test_diurnal_profile_rate_at_is_its_rates():
     profile = child_daytime_profile(300.0)
     times = rate_probe_times()[:1000]
     assert [profile.rate_at(t) for t in times.tolist()] == profile.rates(times).tolist()
+
+
+def walk_reference(seed, scale, count):
+    """The first ``count`` candidates of the reference loop on a PCG64 at
+    ``seed``: per candidate its time, its gap's first word and how many
+    words the gap read, counted by stepping the generator's LCG."""
+    bit_generator = np.random.PCG64(seed)
+    rng = np.random.Generator(bit_generator)
+    inc = bit_generator.state["state"]["inc"]
+    t, word, walked = 0.0, 0, []
+    for _ in range(count):
+        before = bit_generator.state["state"]["state"]
+        t += float(rng.exponential(scale))
+        after = bit_generator.state["state"]["state"]
+        width = 0
+        while before != after:
+            before = (before * pcg64.PCG64_MULTIPLIER + inc) % (1 << 128)
+            width += 1
+        walked.append((t, word, width))
+        rng.random()
+        word += width + 1
+    return walked
+
+
+#: A constant-rate process: every candidate's keep test is one uniform.
+FLAT = NonHomogeneousPoisson(lambda t: 45.0, max_rate_per_hour=90.0)
+FLAT_SCALE = 1.0 / (90.0 / HOUR)
+
+
+@pytest.mark.parametrize("which", [0, 1, 5])
+def test_horizons_around_a_slow_word(which):
+    walked = walk_reference(2001, FLAT_SCALE, 3000)
+    slow = [i for i, (_, _, width) in enumerate(walked) if width > 1 and i > 0]
+    i = slow[which]
+    times = [t for t, _, _ in walked]
+    horizons = [
+        times[i - 1],  # crossing on the fast gap just before the slow one
+        np.nextafter(times[i], -np.inf),  # crossing on the slow gap
+        times[i],  # ends exactly on the slow gap's time
+        np.nextafter(times[i], np.inf),  # slow gap inside, crossing after it
+        times[i + 1],
+    ]
+    for horizon in horizons:
+        got = assert_matches_reference(FLAT, float(horizon), 2001)
+        assert len(got) <= i + 1
+
+
+def seam_straddles(walked, size):
+    """How many slow gaps read words past the end of the raw-word buffer
+    they start in, with buffers of ``size`` words laid out as the PCG64
+    path lays them: a buffer ends before the first gap that starts past
+    it, or that starts on its last word and is fast."""
+    base, straddles = 0, 0
+    for _, word, width in walked:
+        if word >= base + size or (word == base + size - 1 and width == 1):
+            base = word
+        straddles += word + width > base + size and width > 1
+    return straddles
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_slow_gaps_straddle_buffer_seams(monkeypatch, chunk):
+    monkeypatch.setattr(arrivals, "THINNING_CHUNK", chunk)
+    walked = walk_reference(4242, FLAT_SCALE, 800)
+    assert seam_straddles(walked, arrivals.pcg64_buffer_words()) > 0
+    assert_matches_reference(FLAT, walked[-1][0], 4242)
+
+
+def first_slow_seed():
+    for seed in range(1000):
+        if walk_reference(seed, FLAT_SCALE, 1)[0][2] > 1:
+            return seed
+    raise AssertionError("no seed in 0..999 starts on a slow word")
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_first_word_slow(buffered):
+    seed = first_slow_seed()
+    assert_matches_reference(FLAT, 10 * HOUR, seed, buffered=buffered)
+    assert_matches_reference(FLAT, 1e-9, seed, buffered=buffered)
+
+
+class PCG64Subclass(np.random.PCG64):
+    pass
+
+
+def forbid(*args, **kwargs):
+    raise AssertionError("this path must not run")
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM, PCG64Subclass]
+)
+def test_other_bit_generators_take_the_scalar_loop(monkeypatch, bit_generator):
+    monkeypatch.setattr(pcg64, "thinning_candidates", forbid)
+    process, horizon = CASES["day"]
+    assert_matches_reference(process, horizon, 2001, bit_generator=bit_generator)
+
+
+def test_pcg64_takes_the_raw_word_path(monkeypatch):
+    monkeypatch.setattr(arrivals, "_scalar_candidates", forbid)
+    assert_matches_reference(*CASES["ring"], 7)
+
+
+def test_ziggurat_tables_from_installed_numpy():
+    tables = pcg64.derive_ziggurat()
+    assert tables is not None, "the installed numpy's ziggurat did not derive"
+    ke, we = tables
+    assert ke[1] == 0 and ke[0] > 0
+    cached_ke, cached_we = pcg64.ziggurat_tables()
+    assert np.array_equal(ke, cached_ke) and np.array_equal(we, cached_we)
+
+    # Step-counted truth on 10^5 words: a state whose next word is ``w``
+    # is ``w`` stepped back once; a draw is fast iff it reads one word.
+    probe = np.random.PCG64(17)
+    draw = np.random.Generator(probe).standard_exponential
+    inc = probe.state["state"]["inc"]
+    inverse = pow(pcg64.PCG64_MULTIPLIER, -1, 1 << 128)
+    words = np.random.default_rng(3).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    words[:256] = (np.arange(256, dtype=np.uint64) << 3) | (ke[:256] - 1) << 11
+    for n, word in enumerate(words.tolist()):
+        previous = ((word - inc) * inverse) % (1 << 128)
+        probe.state = {"bit_generator": "PCG64", "state": {"state": previous, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0}
+        if n < 1000:
+            assert int(probe.random_raw()) == word
+            probe.state = {"bit_generator": "PCG64",
+                           "state": {"state": previous, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+        value = draw()
+        fast = probe.state["state"]["state"] == word
+        ri, layer = word >> 11, (word >> 3) & 0xFF
+        assert fast == (ri < int(ke[layer])), hex(word)
+        if fast:
+            assert value == float(ri) * we[layer], hex(word)
+
+
+def test_failed_derivation_falls_back_to_the_scalar_loop(monkeypatch):
+    monkeypatch.setattr(pcg64, "PCG64_MULTIPLIER", pcg64.PCG64_MULTIPLIER + 2)
+    assert pcg64.derive_ziggurat() is None
+    monkeypatch.setattr(pcg64, "ziggurat_tables", lambda: None)
+    monkeypatch.setattr(pcg64, "thinning_candidates", forbid)
+    assert_matches_reference(*CASES["ring"], 2001)
