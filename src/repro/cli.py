@@ -412,7 +412,9 @@ def _cmd_edge(args: argparse.Namespace) -> str:
     summary = (
         f"at {fraction:.0%} budget ({focus.cache_segments} segments/edge): "
         f"hit ratio {focus.hit_ratio:.3f}, backbone bandwidth saved "
-        f"{focus.backbone_saved:.1%} (analytic bound {focus.theory_bound:.1%})"
+        f"{focus.backbone_saved:.1%} (analytic bound {focus.theory_bound:.1%}); "
+        f"{focus.joins_deferred} origin joins deferred, {focus.joins_dropped} "
+        f"dropped at the horizon, longest deferral {focus.max_deferral_slots} slot(s)"
     )
     return "\n".join([header, study.render(), summary])
 

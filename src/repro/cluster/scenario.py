@@ -34,6 +34,7 @@ aggregate — strictly less whenever titles peak at different times.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +63,11 @@ from .topology import ClusterTopology, uniform_topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..runtime import Engine, RunSpec
+
+#: Slots whose arrivals :func:`run_scenario` decides in one edge-tier call
+#: and prepares for delivery at once: long enough to amortise the per-call
+#: cost, short enough that a chunk's arrays stay small.
+DECISION_CHUNK_SLOTS = 64
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,12 @@ class ClusterResult:
     crashes: int
     failovers: List[FailoverEvent] = field(default_factory=list)
     instances_lost: int = 0
+    #: Edge-tier runs only (see :func:`run_scenario`): suffix joins dropped
+    #: at the horizon, joins deferred inside it, and the longest deferral
+    #: of any prefix hit in slots.  Not part of :meth:`to_dict`.
+    edge_joins_dropped: int = 0
+    edge_joins_deferred: int = 0
+    edge_max_deferral_slots: int = 0
 
     @property
     def mean_streams(self) -> float:
@@ -284,23 +296,30 @@ def run_scenario(
     The keyword-only hooks are the origin→edge hierarchy's seam
     (:mod:`repro.edge` — the only intended caller):
 
-    * ``edge_tier`` intercepts every arrival before routing.  Its
-      ``begin_slot(slot)`` runs at the top of each slot (the re-allocation
-      hook) and ``admit(title, t, slot, slot_end)`` returns a decision: a
-      *miss* falls through to the unmodified delivery path, a *hit* either
-      joins the origin now for the suffix (``admit_suffix``), joins at a
-      later slot (shaper deferral — queued and delivered exactly like an
-      arrival of that slot), or never joins (fully cached title).  With no
-      tier (the default) the loop is byte-for-byte the pure-cluster path.
+    * ``edge_tier`` decides every arrival before routing, a chunk of at
+      most :data:`DECISION_CHUNK_SLOTS` slots at a time: at the top of a
+      chunk's first slot, ``chunk_stop(slot, stop)`` bounds the chunk (it
+      ends at the next popularity re-allocation) and ``decide(slot,
+      counts, titles)`` returns the chunk's ``(prefix, defer)`` arrays.
+      A zero prefix is a *miss* and takes the unmodified delivery path; a
+      hit either joins the origin in its own slot for the suffix
+      (``admit_suffix`` from segment ``prefix + 1``), joins ``defer``
+      slots later (shaper deferral — queued and delivered exactly like an
+      arrival of that slot), or never joins (``prefix >= n_segments``:
+      the whole video is at the edge).  The edge reads no cluster state,
+      so deciding ahead of delivery changes nothing.  With no tier (the
+      default) every arrival is a miss.
     * ``router_override`` substitutes a pre-configured
       :class:`~repro.cluster.routing.Router` instance (the hierarchy's
       prefix-aware router carries the live allocation).
 
     A deferred join whose slot lands at or past the horizon is dropped
     unmeasured when it is decided, like an arrival past the horizon: the
-    pending-join ledger only ever holds joins the loop will deliver.  With
-    an observation, the ``cluster.edge_joins_dropped`` counter reports how
-    many were dropped.
+    pending-join ledger only ever holds joins the loop will deliver.  The
+    result counts the dropped joins, the joins deferred inside the
+    horizon and the longest deferral (``edge_joins_*``,
+    ``edge_max_deferral_slots``); with an observation, the
+    ``cluster.edge_joins_dropped`` counter reports the dropped ones.
     """
     topology = scenario.topology
     placement = topology.placement
@@ -320,9 +339,10 @@ def run_scenario(
     titles = ZipfCatalog(topology.n_titles, scenario.zipf_theta).assign(
         len(times), streams.get("cluster-titles")
     )
-    # Python floats and ints: the per-arrival loop reads list items instead
-    # of boxing a numpy scalar per arrival.
-    times, titles = times.tolist(), titles.tolist()
+    # Slot s's arrivals are times[starts[s]:starts[s + 1]], those before
+    # its end (arrivals at or past the horizon are never offered).
+    slot_ends = np.arange(1, horizon + 1) * d
+    starts = np.concatenate(([0], np.searchsorted(times, slot_ends)))
     context = scenario._context()
 
     def protocol_factory(title: int):
@@ -347,7 +367,7 @@ def run_scenario(
     # ``(title, first_segment, wait, in_window)`` tuples; only slots inside
     # the horizon ever get an entry.
     pending_joins: Dict[int, List[Tuple[int, int, float, bool]]] = {}
-    joins_dropped = 0
+    joins_dropped = joins_deferred = max_deferral = 0
 
     measured = horizon - warmup
     # Post-warmup scheduled demand: one row per server, one per title.
@@ -356,8 +376,6 @@ def run_scenario(
     waits: List[float] = []
     rejected = 0
     failover_reports: List[FailoverReport] = []
-    arrival_index = 0
-    n_arrivals = len(times)
     faults = scenario.faults
 
     def deliver(title: int, first_segment: int, wait: float, measured: bool):
@@ -379,13 +397,62 @@ def run_scenario(
         if measured:
             waits.append(wait)
 
+    def plan(first: int, stop: int):
+        # The deliveries of slots first..stop-1: ``(title, first_segment,
+        # wait)`` in arrival order (``first_segment`` 0: served fully at
+        # the edge, only the wait counts) and how many fall in each slot.
+        # Deferred edge joins go to the pending ledger here, or are
+        # dropped at the horizon, and never reach the slot loop.
+        nonlocal joins_dropped, joins_deferred, max_deferral
+        lo, hi = starts[first], starts[stop]
+        counts = np.diff(starts[first:stop + 1])
+        slots = np.repeat(np.arange(first, stop), counts)
+        chunk_titles = titles[lo:hi]
+        first_segments = np.ones(hi - lo, dtype=np.int64)
+        chunk_waits = slot_ends[slots] - times[lo:hi]
+        if edge_tier is not None:
+            prefix, defer = edge_tier.decide(first, counts, chunk_titles)
+            hit = prefix > 0
+            first_segments = np.where(prefix >= scenario.n_segments, 0, prefix + 1)
+            chunk_waits = np.where(hit, defer * d, chunk_waits)
+            deferred = hit & (first_segments > 0) & (defer > 0)
+            join_slots = slots + defer
+            dropped = deferred & (join_slots >= horizon)
+            n_dropped = int(np.count_nonzero(dropped))
+            joins_dropped += n_dropped
+            joins_deferred += int(np.count_nonzero(deferred)) - n_dropped
+            if hit.any():
+                max_deferral = max(max_deferral, int(defer[hit].max()))
+            queued = np.flatnonzero(deferred & ~dropped)
+            for join_slot, *join in zip(
+                join_slots[queued].tolist(),
+                chunk_titles[queued].tolist(),
+                first_segments[queued].tolist(),
+                chunk_waits[queued].tolist(),
+                (slots[queued] >= warmup).tolist(),
+            ):
+                pending_joins.setdefault(join_slot, []).append(tuple(join))
+            now = ~deferred
+            counts = np.bincount(slots[now] - first, minlength=stop - first)
+            chunk_titles = chunk_titles[now]
+            first_segments = first_segments[now]
+            chunk_waits = chunk_waits[now]
+        deliveries = zip(
+            chunk_titles.tolist(), first_segments.tolist(), chunk_waits.tolist()
+        )
+        return deliveries, iter(counts.tolist())
+
     if metrics is not None:
         run_span = metrics.timer("cluster.run_seconds").time()
         run_span.__enter__()
 
+    chunk_stop = 0
     for slot in range(horizon):
-        if edge_tier is not None:
-            edge_tier.begin_slot(slot)
+        if slot == chunk_stop:
+            chunk_stop = min(slot + DECISION_CHUNK_SLOTS, horizon)
+            if edge_tier is not None:
+                chunk_stop = edge_tier.chunk_stop(slot, chunk_stop)
+            deliveries, slot_counts = plan(slot, chunk_stop)
         # 1. Fault transitions (recoveries first: a server whose window ends
         # here is back up for the whole slot).
         for server_id in faults.recoveries_at(slot):
@@ -425,43 +492,18 @@ def run_scenario(
                     per_title[title, column] += load
 
         # 3. Deliver the slot's arrivals through the router.
-        slot_end = (slot + 1) * d
         slot_admitted = 0
         slot_rejected = 0
+        in_window = slot >= warmup
         # Edge-deferred suffix joins due now go first: they arrived in an
         # earlier slot, so they precede this slot's fresh arrivals.
         for join in pending_joins.pop(slot, ()):
             deliver(*join)
-        while arrival_index < n_arrivals and times[arrival_index] < slot_end:
-            t = times[arrival_index]
-            title = titles[arrival_index]
-            arrival_index += 1
-            first_segment = 1
-            wait = slot_end - t
-            if edge_tier is not None:
-                decision = edge_tier.admit(title, t, slot, slot_end)
-                if decision.hit:
-                    if decision.served_fully:
-                        if slot >= warmup:
-                            waits.append(decision.wait)
-                        continue
-                    join_slot = decision.join_slot
-                    if join_slot > slot:
-                        if join_slot < horizon:
-                            pending_joins.setdefault(join_slot, []).append(
-                                (
-                                    title,
-                                    decision.first_segment,
-                                    decision.wait,
-                                    slot >= warmup,
-                                )
-                            )
-                        else:
-                            joins_dropped += 1
-                        continue
-                    first_segment = decision.first_segment
-                    wait = decision.wait
-            deliver(title, first_segment, wait, slot >= warmup)
+        for title, first_segment, wait in islice(deliveries, next(slot_counts)):
+            if first_segment:
+                deliver(title, first_segment, wait, in_window)
+            elif in_window:
+                waits.append(wait)
         rejected += slot_rejected
 
         if trace is not None:
@@ -557,6 +599,9 @@ def run_scenario(
         crashes=len(failover_reports),
         failovers=failovers,
         instances_lost=instances_lost,
+        edge_joins_dropped=joins_dropped,
+        edge_joins_deferred=joins_deferred,
+        edge_max_deferral_slots=max_deferral,
     )
 
 

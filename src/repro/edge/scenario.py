@@ -172,6 +172,21 @@ class HierarchyResult:
         return self.hits / decided if decided else 0.0
 
     @property
+    def joins_dropped(self) -> int:
+        """Hits whose origin join fell at or past the horizon: never served."""
+        return self.cluster.edge_joins_dropped
+
+    @property
+    def joins_deferred(self) -> int:
+        """Hits whose origin join the shaper deferred to a later slot in the run."""
+        return self.cluster.edge_joins_deferred
+
+    @property
+    def max_deferral_slots(self) -> int:
+        """The longest shaper deferral of any hit, in slots."""
+        return self.cluster.edge_max_deferral_slots
+
+    @property
     def edge_segments_served(self) -> int:
         """Prefix segment instances unicast from edge caches."""
         return sum(edge.segments_served for edge in self.edges)
@@ -248,6 +263,9 @@ class HierarchyResult:
             f"({self.hits} hits / {self.misses} misses / "
             f"{self.bypassed} bypassed), "
             f"{self.edge_segments_served} prefix segments served at the edge",
+            f"shaped joins: {self.joins_deferred} deferred, "
+            f"{self.joins_dropped} dropped at the horizon; longest deferral "
+            f"{self.max_deferral_slots} slot(s)",
             f"origin demand: mean {self.origin_mean_streams:.2f} streams, "
             f"peak {self.cluster.peak_streams}; analytic savings bound "
             f"{self.theory_bound:.3f}",

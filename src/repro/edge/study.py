@@ -34,6 +34,9 @@ class BudgetPoint:
     edge_segments_served: int
     backbone_saved: float
     theory_bound: float
+    joins_deferred: int
+    joins_dropped: int
+    max_deferral_slots: int
 
 
 @dataclass
@@ -60,6 +63,9 @@ class BudgetStudy:
                 point.edge_segments_served,
                 f"{point.backbone_saved:.3f}",
                 f"{point.theory_bound:.3f}",
+                point.joins_deferred,
+                point.joins_dropped,
+                point.max_deferral_slots,
             ]
             for point in self.points
         ]
@@ -71,6 +77,9 @@ class BudgetStudy:
                 "edge segments",
                 "saved",
                 "bound",
+                "deferred",
+                "dropped",
+                "max defer",
             ],
             rows,
         )
@@ -131,6 +140,9 @@ def run_budget_study(
             edge_segments_served=result.edge_segments_served,
             backbone_saved=result.backbone_saved_vs(baseline),
             theory_bound=result.theory_bound,
+            joins_deferred=result.joins_deferred,
+            joins_dropped=result.joins_dropped,
+            max_deferral_slots=result.max_deferral_slots,
         )
         for scenario, result in zip(scenarios, results)
     ]

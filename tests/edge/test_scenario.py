@@ -11,10 +11,10 @@ The load-bearing assertions:
   results from the serial and process backends.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.scenario import run_scenario
-from repro.edge.node import EdgeDecision
 from repro.edge.scenario import preset_hierarchy, run_hierarchy
 from repro.edge.shaping import TrafficClass
 from repro.edge.study import run_budget_study
@@ -177,16 +177,17 @@ class _JoinAtTier:
         self.join_slots = list(join_slots)
         self.seen = 0
 
-    def begin_slot(self, slot):
-        pass
+    def chunk_stop(self, slot, stop):
+        return stop
 
-    def admit(self, title, t, slot, slot_end):
-        index = self.seen
-        self.seen += 1
-        join_slot = self.join_slots[index] if index < len(self.join_slots) else slot
-        return EdgeDecision(
-            hit=True, first_segment=2, join_slot=join_slot, edge_segments=1
-        )
+    def decide(self, slot, counts, titles):
+        slots = np.repeat(np.arange(slot, slot + len(counts)), counts)
+        join_slots = slots.copy()
+        for i in range(len(slots)):
+            if self.seen + i < len(self.join_slots):
+                join_slots[i] = self.join_slots[self.seen + i]
+        self.seen += len(slots)
+        return np.ones(len(slots), dtype=np.int64), join_slots - slots
 
 
 def test_joins_at_or_past_the_horizon_are_dropped_and_counted():

@@ -6,9 +6,13 @@ generator's end state: its whole state, the buffered 32-bit half included,
 and the next uniforms drawn after it.  ``PCG64`` generators take the
 raw-word path; the cases at the end pin its slow ziggurat words, buffer
 seams, derived tables and the bit generators that keep the scalar loop.
+
+The scalar reference is slow, so each stream it walks is cached for the
+module, keyed by everything it depends on: several cases compare
+different chunk sizes or code paths against one stream.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -68,20 +72,28 @@ def same_state(a, b):
     return a == b
 
 
+@lru_cache(maxsize=None)
+def reference_stream(process, horizon, seed, bit_generator, buffered):
+    """The reference trace, the generator's end state and its next uniforms."""
+    oracle = np.random.Generator(bit_generator(seed))
+    if buffered:
+        oracle.integers(0, 10, dtype=np.uint32)
+    want = reference_generate(process, horizon, oracle)
+    return want, oracle.bit_generator.state, oracle.random(4).tolist()
+
+
 def assert_matches_reference(process, horizon, seed, bit_generator=np.random.PCG64,
                              buffered=False):
     rng = np.random.Generator(bit_generator(seed))
-    oracle = np.random.Generator(bit_generator(seed))
     if buffered:
         rng.integers(0, 10, dtype=np.uint32)
-        oracle.integers(0, 10, dtype=np.uint32)
     got = process.generate(horizon, rng)
-    want = reference_generate(process, horizon, oracle)
+    want, state, uniforms = reference_stream(process, horizon, seed, bit_generator, buffered)
     assert got.dtype == want.dtype == np.float64
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    assert same_state(rng.bit_generator.state, oracle.bit_generator.state)
-    assert rng.random(4).tolist() == oracle.random(4).tolist()
+    assert same_state(rng.bit_generator.state, state)
+    assert rng.random(4).tolist() == uniforms
     return got
 
 
@@ -211,6 +223,7 @@ def test_diurnal_profile_rate_at_is_its_rates():
     assert [profile.rate_at(t) for t in times.tolist()] == profile.rates(times).tolist()
 
 
+@lru_cache(maxsize=None)
 def walk_reference(seed, scale, count):
     """The first ``count`` candidates of the reference loop on a PCG64 at
     ``seed``: per candidate its time, its gap's first word and how many
@@ -277,6 +290,7 @@ def test_slow_gaps_straddle_buffer_seams(monkeypatch, chunk):
     assert_matches_reference(FLAT, walked[-1][0], 4242)
 
 
+@lru_cache(maxsize=None)
 def first_slow_seed():
     for seed in range(1000):
         if walk_reference(seed, FLAT_SCALE, 1)[0][2] > 1:
