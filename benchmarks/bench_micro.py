@@ -149,19 +149,22 @@ def test_nhpp_day_generation(benchmark):
 
 
 def test_edge_tier_admission_indebted(benchmark):
-    """Per-arrival edge decisions on a permanently indebted uplink.
+    """Chunked edge decisions on a permanently indebted uplink.
 
     The stock hierarchy's two edges (8 titles, 60 segments, 25 % cache,
     16-stream uplinks) take 20k Zipf arrivals at the 100x day's ~56 per
-    slot.  Each prefix costs 10-60 tokens against ~11 earned per slot, so
-    after the first burst every hit is deferred: one prefix lookup, one
-    class pick, one bucket draw and one decision per arrival, the regime
-    of the day workload's edge tier.
+    slot, decided 64 slots per :meth:`EdgeTier.decide` call as the cluster
+    loop does.  Each prefix costs 10-60 tokens against ~11 earned per slot,
+    so after the first burst every hit is deferred: the regime of the day
+    workload's edge tier.
     """
     scenario = preset_hierarchy()
     catalog = ZipfCatalog(scenario.topology.n_titles, scenario.zipf_theta)
-    titles = catalog.assign(20_000, np.random.default_rng(1)).tolist()
+    titles = catalog.assign(20_000, np.random.default_rng(1))
     per_slot = 56
+    counts = np.full(-(-len(titles) // per_slot), per_slot)
+    counts[-1] -= counts.sum() - len(titles)
+    chunk = 64
 
     def admit_all():
         nodes = [
@@ -179,15 +182,14 @@ def test_edge_tier_admission_indebted(benchmark):
             for spec in scenario.topology.edges
         ]
         tier = EdgeTier(nodes, scenario.prefix_policy, catalog)
-        admit = tier.admit
         deferred = 0
-        for i, title in enumerate(titles):
-            slot = i // per_slot
-            if i % per_slot == 0:
-                tier.begin_slot(slot)
-            decision = admit(title, slot * 20.0, slot, (slot + 1) * 20.0)
-            if decision.hit and decision.join_slot > slot:
-                deferred += 1
+        for slot in range(0, len(counts), chunk):
+            first = slot * per_slot
+            prefix, defer = tier.decide(
+                slot, counts[slot:slot + chunk], titles[first:first + chunk * per_slot]
+            )
+            joins = (prefix > 0) & (prefix < scenario.n_segments)
+            deferred += int(np.count_nonzero(joins & (defer > 0)))
         return deferred
 
     deferred = benchmark(admit_all)

@@ -54,14 +54,6 @@ class CacheAllocation:
         """Segments actually allocated (``<= budget`` always)."""
         return sum(self.prefixes)
 
-    def prefix_of(self, title: int) -> int:
-        """Cached prefix length of ``title`` (0 when not cached)."""
-        if not 0 <= title < len(self.prefixes):
-            raise ConfigurationError(
-                f"title {title} outside catalog of {len(self.prefixes)}"
-            )
-        return self.prefixes[title]
-
     def expected_hit_ratio(self, probabilities: Sequence[float]) -> float:
         """Analytic hit ratio: the popularity mass of cached titles.
 

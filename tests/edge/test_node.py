@@ -32,18 +32,26 @@ def make_node(
     )
 
 
+def admit(node, title, slot):
+    """One arrival on ``node`` alone, through the tier's one-arrival call."""
+    tier = EdgeTier(
+        [node], policy="popularity", catalog=ZipfCatalog(len(node.allocation.prefixes), 1.0)
+    )
+    return tier.admit(title, slot * 20.0, slot, (slot + 1) * 20.0)
+
+
 class TestEdgeNode:
     def test_cold_title_misses(self):
         node = make_node(cache_segments=2)  # budget 2: title 2 gets no prefix
-        decision = node.admit(2, slot=5)
+        decision = admit(node, 2, slot=5)
         assert not decision.hit
         assert node.misses == 1 and node.hits == 0
 
     def test_hit_joins_origin_for_the_suffix(self):
         node = make_node(cache_segments=4)
-        prefix = node.allocation.prefix_of(0)
+        prefix = node.allocation.prefixes[0]
         assert 0 < prefix < N_SEGMENTS
-        decision = node.admit(0, slot=5)
+        decision = admit(node, 0, slot=5)
         assert decision.hit and not decision.served_fully
         assert decision.first_segment == prefix + 1
         assert decision.join_slot == 5  # no deferral on an idle uplink
@@ -53,7 +61,7 @@ class TestEdgeNode:
 
     def test_fully_cached_title_never_joins(self):
         node = make_node(cache_segments=3 * N_SEGMENTS)
-        decision = node.admit(0, slot=2)
+        decision = admit(node, 0, slot=2)
         assert decision.hit and decision.served_fully
         assert decision.edge_segments == N_SEGMENTS
 
@@ -64,9 +72,9 @@ class TestEdgeNode:
         )
         # Prefix costs 10 tokens; the bucket holds 20 (burst 4 x rate 5),
         # so the third request must wait for refills.
-        assert node.admit(0, slot=0).join_slot == 0
-        assert node.admit(0, slot=0).served_fully  # k = n: no join at all
-        third = node.admit(0, slot=0)
+        assert admit(node, 0, slot=0).join_slot == 0
+        assert admit(node, 0, slot=0).served_fully  # k = n: no join at all
+        third = admit(node, 0, slot=0)
         assert third.wait > 0.0
         assert third.wait == pytest.approx(
             node.shaper.deferral_slots["only"] * 20.0
@@ -75,9 +83,23 @@ class TestEdgeNode:
     def test_zero_uplink_class_bypasses_to_origin(self):
         classes = (TrafficClass("free", weight=1, uplink_share=0.0),)
         node = make_node(cache_segments=6, shares=(1.0,), classes=classes)
-        decision = node.admit(0, slot=1)
+        decision = admit(node, 0, slot=1)
         assert not decision.hit
         assert node.bypassed == 1 and node.hits == 0
+
+    def test_decide_takes_runs_of_arrivals(self):
+        node = make_node(cache_segments=2)  # budget 2: title 2 gets no prefix
+        k = node.allocation.prefixes[0]
+        prefix, defer, classes = node.decide([0, 2, 0], [0, 0, 1], 2)
+        assert prefix.tolist() == [k, 0, k]
+        assert defer.tolist() == [0, 0, 0]
+        assert classes.tolist() == [0, -1, 1]  # a cold title has no class
+        assert (node.hits, node.misses) == (2, 1)
+
+    def test_title_outside_catalog_is_rejected(self):
+        node = make_node()
+        with pytest.raises(ConfigurationError, match="outside catalog"):
+            node.decide([3], [0], 1)
 
     def test_allocation_must_fit_budget(self):
         spec = EdgeSpec(edge_id=0, cache_segments=2, uplink_streams=1.0)

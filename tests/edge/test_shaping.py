@@ -12,9 +12,21 @@ from repro.edge.shaping import (
 from repro.errors import ConfigurationError
 
 
+def classify(shaper, count):
+    """Class names of ``count`` requests shaped in turn."""
+    classes, _ = shaper.shape([0] * count, [0] * count, 1)
+    return [shaper.names[index] for index in classes]
+
+
+def reserve(shaper, cost, slot_starts=0):
+    """Deferral of one ``cost``-token request after ``slot_starts`` refills."""
+    _, defers = shaper.shape([cost], [slot_starts], slot_starts + 1)
+    return int(defers[0])
+
+
 def test_classification_follows_weights():
     shaper = PolicyShaper(DEFAULT_CLASSES, uplink_streams=10.0)
-    names = [shaper.classify().name for _ in range(1000)]
+    names = classify(shaper, 1000)
     assert names.count("premium") == 700
     assert names.count("best-effort") == 300
 
@@ -22,16 +34,14 @@ def test_classification_follows_weights():
 def test_classification_is_deterministic():
     first = PolicyShaper(DEFAULT_CLASSES, uplink_streams=10.0)
     second = PolicyShaper(DEFAULT_CLASSES, uplink_streams=10.0)
-    assert [first.classify().name for _ in range(50)] == [
-        second.classify().name for _ in range(50)
-    ]
+    assert [classify(first, 1)[0] for _ in range(50)] == classify(second, 50)
 
 
 def test_classification_interleaves():
     # Weighted round-robin spreads the minority class through the stream
     # rather than batching it at the end.
     shaper = PolicyShaper(DEFAULT_CLASSES, uplink_streams=10.0)
-    first_ten = [shaper.classify().name for _ in range(10)]
+    first_ten = classify(shaper, 10)
     assert first_ten.count("best-effort") == 3
     assert first_ten[0] == "premium"
 
@@ -39,12 +49,11 @@ def test_classification_interleaves():
 def test_bucket_covers_burst_then_defers():
     cls = (TrafficClass("only", weight=1, uplink_share=1.0),)
     shaper = PolicyShaper(cls, uplink_streams=5.0, burst_slots=2.0)
-    only = shaper.classes[0]
     # Capacity is 10 tokens: two 5-segment prefixes go out immediately.
-    assert shaper.reserve(only, 5) == 0
-    assert shaper.reserve(only, 5) == 0
+    assert reserve(shaper, 5) == 0
+    assert reserve(shaper, 5) == 0
     # The bucket is empty; the next 5-cost request waits one refill.
-    assert shaper.reserve(only, 5) == 1
+    assert reserve(shaper, 5) == 1
     assert shaper.deferrals["only"] == 1
     assert shaper.deferral_slots["only"] == 1
 
@@ -52,21 +61,17 @@ def test_bucket_covers_burst_then_defers():
 def test_deferral_grows_with_debt():
     cls = (TrafficClass("only", weight=1, uplink_share=1.0),)
     shaper = PolicyShaper(cls, uplink_streams=2.0, burst_slots=1.0)
-    only = shaper.classes[0]
-    assert shaper.reserve(only, 2) == 0
-    assert shaper.reserve(only, 2) == 1
-    assert shaper.reserve(only, 2) == 2  # debt accumulates: queueing delay
+    assert reserve(shaper, 2) == 0
+    assert reserve(shaper, 2) == 1
+    assert reserve(shaper, 2) == 2  # debt accumulates: queueing delay
 
 
 def test_refill_is_capped_at_burst():
     cls = (TrafficClass("only", weight=1, uplink_share=1.0),)
     shaper = PolicyShaper(cls, uplink_streams=4.0, burst_slots=1.0)
-    only = shaper.classes[0]
-    for _ in range(10):
-        shaper.begin_slot()
     # Idle slots must not bank more than one burst allowance.
-    assert shaper.reserve(only, 4) == 0
-    assert shaper.reserve(only, 4) == 1
+    assert reserve(shaper, 4, slot_starts=10) == 0
+    assert reserve(shaper, 4) == 1
 
 
 def test_zero_share_class_bypasses():
@@ -75,8 +80,11 @@ def test_zero_share_class_bypasses():
         TrafficClass("free", weight=1, uplink_share=0.0),
     )
     shaper = PolicyShaper(classes, uplink_streams=8.0)
-    free = shaper.classes[1]
-    assert shaper.reserve(free, 3) is None
+    # Equal weights alternate from the first class: the second request is
+    # the free class's, and it is shaped out (-1).
+    classes, defers = shaper.shape([3, 3], [0, 0], 1)
+    assert classes.tolist() == [0, 1]
+    assert defers.tolist() == [0, -1]
     assert shaper.bypassed["free"] == 1
 
 

@@ -4,10 +4,11 @@
 path was made allocation-free (``max(..., key=(credit, -i))``
 classification, name-keyed buckets and counters).  The production shaper
 must agree with it exactly, request by request: the class chosen, the
-deferral returned, every bucket level and every per-class counter — through
-both the public ``classify``/``reserve`` pair and the ``pick``/``draw``
-pair the edge node calls.  Class sets are drawn with tied weights, zero
-uplink shares and fractional uplinks.
+deferral returned, every bucket level and every per-class counter.  The
+production side shapes the same requests as runs of random length through
+``PolicyShaper.shape``, slot starts inside and between the runs.  Class
+sets are drawn with tied weights, zero uplink shares and fractional
+uplinks.
 """
 
 from hypothesis import given, settings
@@ -43,7 +44,7 @@ def class_sets(draw):
 STEPS = st.lists(
     st.one_of(
         st.just(None),  # a slot boundary: refill every bucket
-        st.tuples(st.booleans(), st.integers(0, 40)),  # (via pick/draw, cost)
+        st.tuples(st.booleans(), st.integers(0, 40)),  # (starts a run, cost)
     ),
     min_size=1,
     max_size=300,
@@ -69,24 +70,33 @@ def assert_same_state(shaper, reference):
 def test_shaper_matches_reference(classes, uplink, burst, steps):
     shaper = PolicyShaper(classes, uplink_streams=uplink, burst_slots=burst)
     reference = ReferenceShaper(classes, uplink_streams=uplink, burst_slots=burst)
+    expected, got = [], []
+    costs, epochs, starts = [], [], 0
+
+    def shape_run():
+        picked, defers = shaper.shape(costs, epochs, starts + 1)
+        got.extend(zip((shaper.names[i] for i in picked), defers.tolist()))
+
     for step in steps:
         if step is None:
-            shaper.begin_slot()
             reference.begin_slot()
+            starts += 1
             continue
-        hot_path, cost = step
+        new_run, cost = step
         expected_class = reference.classify()
         expected_defer = reference.reserve(expected_class, cost)
-        if hot_path:
-            index = shaper.pick()
-            assert shaper.names[index] == expected_class.name
-            defer = shaper.draw(index, cost)
-        else:
-            chosen = shaper.classify()
-            assert chosen == expected_class
-            defer = shaper.reserve(chosen, cost)
-        assert defer == expected_defer
-        assert type(defer) is type(expected_defer)
+        # The shaper marks a shaped-out request -1 where the reference
+        # returns None.
+        expected.append(
+            (expected_class.name, -1 if expected_defer is None else expected_defer)
+        )
+        if new_run:
+            shape_run()
+            costs, epochs, starts = [], [], 0
+        costs.append(cost)
+        epochs.append(starts)
+    shape_run()
+    assert got == expected
     assert_same_state(shaper, reference)
 
 
@@ -97,6 +107,6 @@ def test_ties_go_to_declaration_order():
     )
     shaper = PolicyShaper(classes, uplink_streams=4.0)
     reference = ReferenceShaper(classes, uplink_streams=4.0)
-    names = [shaper.classify().name for _ in range(6)]
+    names = [shaper.names[i] for i in shaper.shape([0] * 6, [0] * 6, 1)[0]]
     assert names == [reference.classify().name for _ in range(6)]
     assert names == ["a", "b"] * 3
