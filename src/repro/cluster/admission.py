@@ -13,22 +13,39 @@ applied at transmission time through a *deferral ledger*:
 * a server whose backlog reaches the admission limit reports no headroom,
   which is the signal routers use to reject or divert new requests.
 
-The ledger is aggregate — it counts deferred instances without tracking
-*which* instance is late.  That keeps the cap enforcement O(titles) per slot
-regardless of load, and matches how the provisioning layer reasons about
-overflow slots; scenarios that need exact per-segment delivery accounting
-(the fault-injection tests) run with enough capacity that the backlog stays
-zero, where scheduled and transmitted instances coincide.
+The deferral ledger is aggregate — it counts deferred instances without
+tracking *which* instance is late, and matches how the provisioning layer
+reasons about overflow slots; scenarios that need exact per-segment
+delivery accounting (the fault-injection tests) run with enough capacity
+that the backlog stays zero, where scheduled and transmitted instances
+coincide.
+
+The summed demand itself lives in a *demand ledger*: one count per slot,
+the sum of the hosted protocols' :meth:`~repro.sim.slotted.SlottedModel.slot_load`.
+Every hosted protocol logs the slot of each instance it schedules into one
+list the server owns (:meth:`~repro.sim.slotted.SlottedModel.bind_placements`)
+— admissions, suffix joins and failover repairs alike — and the ledger
+folds that log in before each read.  It is seeded in bulk, one
+``slot_loads`` slice per title, for a run of slots at a time (so a
+protocol's fixed load and writes made before the slot was seeded count
+too), and a crash resets it with the schedules.  :meth:`demand`, hence
+:meth:`finalize_slot` and the routers' :meth:`pressure`, costs O(1) per
+read instead of one ``slot_load`` per title.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ClusterError
 from ..sim.slotted import SlottedModel
 from .topology import ServerSpec
+
+#: Slots the demand ledger seeds at once when a read runs past its end: one
+#: ``slot_loads`` slice per title then serves that many slots of reads.
+_SEED_SLOTS = 64
 
 
 @dataclass(frozen=True)
@@ -47,9 +64,6 @@ class SlotReport:
         The effective channel budget applied (post fault injection).
     alive:
         Whether the server was up during the slot.
-    title_loads:
-        Title → instances its protocol scheduled for the slot (``demand``
-        is their sum); empty while the server is down.
     """
 
     demand: int
@@ -57,7 +71,6 @@ class SlotReport:
     backlog: int
     capacity: int
     alive: bool
-    title_loads: Dict[int, int] = field(default_factory=dict)
 
 
 class CappedServer:
@@ -89,9 +102,11 @@ class CappedServer:
         self.spec = spec
         self.titles = list(titles)
         self._factory = protocol_factory
-        self.protocols: Dict[int, SlottedModel] = {
-            title: protocol_factory(title) for title in titles
-        }
+        # The demand ledger: _demand[i] is the summed load of slot
+        # _floor + i; _placed logs the slot of every instance the hosted
+        # protocols schedule, not yet added in.
+        self._placed: List[int] = []
+        self._build(0)
         self.backlog_limit = (
             int(backlog_limit) if backlog_limit is not None else spec.capacity
         )
@@ -158,16 +173,56 @@ class CappedServer:
     def pressure(self, slot: int) -> int:
         """Routing load signal: backlog plus the next slot's scheduled demand.
 
-        Deterministic and cheap (O(titles)); the least-loaded and
-        prefix-aware routers rank candidates by it.
+        Deterministic and O(1), read off the demand ledger; the
+        least-loaded and prefix-aware routers rank candidates by it.
         """
         return self.backlog + self.demand(slot + 1)
 
-    # -- the capped timeline --------------------------------------------------
+    # -- the demand ledger ----------------------------------------------------
+
+    def _build(self, slot: int) -> None:
+        """Fresh protocols released below ``slot``, logging into an empty ledger."""
+        self.protocols: Dict[int, SlottedModel] = {
+            title: self._factory(title) for title in self.titles
+        }
+        for protocol in self.protocols.values():
+            protocol.release_before(slot)
+            protocol.bind_placements(self._placed)
+        self._placed.clear()
+        self._floor = slot
+        self._demand: List[int] = []
 
     def demand(self, slot: int) -> int:
-        """Segment instances the hosted protocols scheduled for ``slot``."""
-        return sum(protocol.slot_load(slot) for protocol in self.protocols.values())
+        """Segment instances the hosted protocols scheduled for ``slot``.
+
+        Always ``sum(p.slot_load(slot) for p in protocols.values())``: the
+        ledger adds the logged placements into the slots it has seeded,
+        then seeds up to ``slot`` if it must.  A placement at or past the
+        seeded end is left out, because the seed reads it from the
+        protocols' loads; one below the floor was released.
+        """
+        index = slot - self._floor
+        if index < 0:
+            return sum(protocol.slot_load(slot) for protocol in self.protocols.values())
+        ledger = self._demand
+        if self._placed:
+            seeded = len(ledger)
+            floor = self._floor
+            for placed in self._placed:
+                offset = placed - floor
+                if 0 <= offset < seeded:
+                    ledger[offset] += 1
+            self._placed.clear()
+        if index >= len(ledger):
+            start = self._floor + len(ledger)
+            stop = max(slot + 1, start + _SEED_SLOTS)
+            totals = [0] * (stop - start)
+            for protocol in self.protocols.values():
+                totals = list(map(add, totals, protocol.slot_loads(start, stop)))
+            ledger.extend(totals)
+        return ledger[index]
+
+    # -- the capped timeline --------------------------------------------------
 
     def finalize_slot(self, slot: int, capacity: Optional[int] = None) -> SlotReport:
         """Apply the channel cap to ``slot`` and advance the deferral ledger.
@@ -185,11 +240,7 @@ class CappedServer:
         cap = self.spec.capacity if capacity is None else int(capacity)
         if cap < 0:
             raise ClusterError(f"effective capacity must be >= 0, got {cap}")
-        title_loads = {
-            title: protocol.slot_load(slot)
-            for title, protocol in self.protocols.items()
-        }
-        demand = sum(title_loads.values())
+        demand = self.demand(slot)
         owed = self.backlog + demand
         transmitted = min(owed, cap)
         self.backlog = owed - transmitted
@@ -201,20 +252,19 @@ class CappedServer:
             backlog=self.backlog,
             capacity=cap,
             alive=True,
-            title_loads=title_loads,
         )
 
-    def slot_instances(self, slot: int) -> Dict[int, List[int]]:
-        """Title → segment numbers scheduled in ``slot`` (for delivery audits)."""
-        return {
-            title: protocol.slot_instances(slot)
-            for title, protocol in self.protocols.items()
-        }
-
     def release_before(self, slot: int) -> None:
-        """Drop per-slot bookkeeping for slots ``< slot`` on every title."""
+        """Drop per-slot bookkeeping for slots ``< slot``: titles and ledger.
+
+        Monotone like :meth:`SlottedModel.release_before`, so a runner may
+        release once per run of slots.
+        """
         for protocol in self.protocols.values():
             protocol.release_before(slot)
+        if slot > self._floor:
+            del self._demand[: slot - self._floor]
+            self._floor = slot
 
     # -- fault transitions ----------------------------------------------------
 
@@ -223,16 +273,15 @@ class CappedServer:
 
         Hosted protocols are rebuilt fresh (their pending transmissions are
         gone — the degraded-mode machinery reschedules what clients still
-        need on surviving replicas) and the deferral backlog is cleared
-        (those instances belonged to the lost schedule).
+        need on surviving replicas), the demand ledger restarts empty at
+        ``slot`` and the deferral backlog is cleared (those instances
+        belonged to the lost schedule).
         """
         if not self.alive:
             return
         self.alive = False
         self.backlog = 0
-        self.protocols = {title: self._factory(title) for title in self.titles}
-        for protocol in self.protocols.values():
-            protocol.release_before(slot)
+        self._build(slot)
 
     def recover(self) -> None:
         """Bring the server back up (with the fresh, empty schedules)."""

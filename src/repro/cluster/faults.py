@@ -132,6 +132,22 @@ class FaultSchedule:
         """Server ids whose crash window ends at ``slot``."""
         return [c.server_id for c in self.crashes if c.end_slot == slot]
 
+    def chunk_stop(self, slot: int, stop: int) -> int:
+        """The first crash or recovery slot in ``(slot, stop)``, else ``stop``.
+
+        A runner that works in runs of slots ends a run there, so every
+        server is up or down for a whole run.
+        """
+        return min(
+            (
+                edge
+                for crash in self.crashes
+                for edge in (crash.start_slot, crash.end_slot)
+                if slot < edge < stop
+            ),
+            default=stop,
+        )
+
     def effective_capacity(self, server_id: int, nominal: int, slot: int) -> int:
         """Per-slot channel budget after applying loss windows.
 

@@ -15,14 +15,20 @@ record-before-deliver convention (:mod:`repro.sim.slotted`):
    the slot is finalized, so rescheduled instances may still land in the
    current slot and no admitted client can miss a deadline-now segment;
 2. **finalize** — each server applies its (possibly fault-reduced) channel
-   cap to the slot's scheduled demand and advances its deferral ledger;
+   cap to the slot's scheduled demand, read in O(1) off its demand ledger
+   (:mod:`repro.cluster.admission`), and advances its deferral ledger;
    its :class:`~repro.cluster.admission.SlotReport` fills the run's
-   per-server and per-title load matrices;
+   per-server load matrix;
 3. **deliver** — the slot's arrivals are routed: the title's replica list is
    filtered to alive servers with admission headroom, the router picks one
    (or rejects), and the chosen server admits the request into its protocol;
-4. **release** — per-slot bookkeeping below the current slot is dropped,
-   keeping memory flat over long horizons.
+4. **release**, on the last slot of a chunk of at most
+   :data:`DECISION_CHUNK_SLOTS` slots (chunks also end at every crash and
+   recovery) — the chunk's loads are final, so each up server adds its
+   per-title loads for the chunk's measured slots into the per-title
+   matrix, one ``slot_loads`` slice per title, and then drops its
+   bookkeeping below the current slot, keeping memory flat over long
+   horizons.
 
 The per-title series make the cluster's statistical-multiplexing argument
 testable: provisioning each title alone costs the sum of per-title
@@ -33,6 +39,7 @@ aggregate — strictly less whenever titles peak at different times.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -65,7 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..runtime import Engine, RunSpec
 
 #: Slots whose arrivals :func:`run_scenario` decides in one edge-tier call
-#: and prepares for delivery at once: long enough to amortise the per-call
+#: and prepares for delivery at once, and after which it reads the per-title
+#: loads and releases the servers: long enough to amortise the per-call
 #: cost, short enough that a chunk's arrays stay small.
 DECISION_CHUNK_SLOTS = 64
 
@@ -178,10 +186,13 @@ class ClusterResult:
     failovers: List[FailoverEvent] = field(default_factory=list)
     instances_lost: int = 0
     #: Edge-tier runs only (see :func:`run_scenario`): suffix joins dropped
-    #: at the horizon, joins deferred inside it, and the longest deferral
-    #: of any prefix hit in slots.  Not part of :meth:`to_dict`.
+    #: at the horizon, joins deferred inside it, and the exact median, 99th
+    #: percentile (nearest rank) and maximum of the prefix hits' shaper
+    #: deferrals in slots.  Not part of :meth:`to_dict`.
     edge_joins_dropped: int = 0
     edge_joins_deferred: int = 0
+    edge_median_deferral_slots: int = 0
+    edge_p99_deferral_slots: int = 0
     edge_max_deferral_slots: int = 0
 
     @property
@@ -317,8 +328,8 @@ def run_scenario(
     unmeasured when it is decided, like an arrival past the horizon: the
     pending-join ledger only ever holds joins the loop will deliver.  The
     result counts the dropped joins, the joins deferred inside the
-    horizon and the longest deferral (``edge_joins_*``,
-    ``edge_max_deferral_slots``); with an observation, the
+    horizon and the hits' deferral percentiles (``edge_joins_*``,
+    ``edge_*_deferral_slots``); with an observation, the
     ``cluster.edge_joins_dropped`` counter reports the dropped ones.
     """
     topology = scenario.topology
@@ -336,9 +347,12 @@ def run_scenario(
         times = scenario.workload.process().generate(
             horizon * d, streams.get(stream_name)
         )
+    # Held in the narrowest integer type (one byte for a small catalog): the
+    # loop only slices and indexes it, and the memory pays for the hits'
+    # deferrals kept below.
     titles = ZipfCatalog(topology.n_titles, scenario.zipf_theta).assign(
         len(times), streams.get("cluster-titles")
-    )
+    ).astype(np.min_scalar_type(topology.n_titles - 1))
     # Slot s's arrivals are times[starts[s]:starts[s + 1]], those before
     # its end (arrivals at or past the horizon are never offered).
     slot_ends = np.arange(1, horizon + 1) * d
@@ -367,7 +381,9 @@ def run_scenario(
     # ``(title, first_segment, wait, in_window)`` tuples; only slots inside
     # the horizon ever get an entry.
     pending_joins: Dict[int, List[Tuple[int, int, float, bool]]] = {}
-    joins_dropped = joins_deferred = max_deferral = 0
+    joins_dropped = joins_deferred = 0
+    # Every hit's shaper deferral in slots, in decision order.
+    deferrals = array("q")
 
     measured = horizon - warmup
     # Post-warmup scheduled demand: one row per server, one per title.
@@ -403,7 +419,7 @@ def run_scenario(
         # the edge, only the wait counts) and how many fall in each slot.
         # Deferred edge joins go to the pending ledger here, or are
         # dropped at the horizon, and never reach the slot loop.
-        nonlocal joins_dropped, joins_deferred, max_deferral
+        nonlocal joins_dropped, joins_deferred
         lo, hi = starts[first], starts[stop]
         counts = np.diff(starts[first:stop + 1])
         slots = np.repeat(np.arange(first, stop), counts)
@@ -421,8 +437,7 @@ def run_scenario(
             n_dropped = int(np.count_nonzero(dropped))
             joins_dropped += n_dropped
             joins_deferred += int(np.count_nonzero(deferred)) - n_dropped
-            if hit.any():
-                max_deferral = max(max_deferral, int(defer[hit].max()))
+            deferrals.frombytes(defer[hit].astype(np.int64, copy=False).tobytes())
             queued = np.flatnonzero(deferred & ~dropped)
             for join_slot, *join in zip(
                 join_slots[queued].tolist(),
@@ -449,7 +464,10 @@ def run_scenario(
     chunk_stop = 0
     for slot in range(horizon):
         if slot == chunk_stop:
-            chunk_stop = min(slot + DECISION_CHUNK_SLOTS, horizon)
+            chunk_first = slot
+            chunk_stop = faults.chunk_stop(
+                slot, min(slot + DECISION_CHUNK_SLOTS, horizon)
+            )
             if edge_tier is not None:
                 chunk_stop = edge_tier.chunk_stop(slot, chunk_stop)
             deliveries, slot_counts = plan(slot, chunk_stop)
@@ -487,9 +505,6 @@ def run_scenario(
             column = slot - warmup
             for row, report in enumerate(reports):
                 server_loads[row, column] = report.demand
-                # Empty while the server is down.
-                for title, load in report.title_loads.items():
-                    per_title[title, column] += load
 
         # 3. Deliver the slot's arrivals through the router.
         slot_admitted = 0
@@ -530,11 +545,23 @@ def run_scenario(
                 }
             )
 
-        # 4. Bounded memory: drop bookkeeping below the current slot.
-        for server in servers:
-            server.release_before(slot)
+        # 4. At the chunk's end, its per-title loads are final: add them in
+        # (a down server adds none), then drop bookkeeping below this slot.
+        if slot + 1 == chunk_stop:
+            first = max(chunk_first, warmup)
+            for server in servers:
+                if server.alive and server.titles and first < chunk_stop:
+                    per_title[server.titles, first - warmup:chunk_stop - warmup] += [
+                        protocol.slot_loads(first, chunk_stop)
+                        for protocol in server.protocols.values()
+                    ]
+                server.release_before(slot)
 
     aggregate = server_loads.sum(axis=0)
+    hit_deferrals = np.frombuffer(deferrals, dtype=np.int64)
+    median_deferral, p99_deferral, max_deferral = (
+        _nearest_rank(hit_deferrals, percent) for percent in (50, 99, 100)
+    )
     failovers = [event for report in failover_reports for event in report.events]
     instances_lost = sum(report.lost_for_good for report in failover_reports)
     admitted = sum(server.admitted for server in servers)
@@ -601,8 +628,23 @@ def run_scenario(
         instances_lost=instances_lost,
         edge_joins_dropped=joins_dropped,
         edge_joins_deferred=joins_deferred,
+        edge_median_deferral_slots=median_deferral,
+        edge_p99_deferral_slots=p99_deferral,
         edge_max_deferral_slots=max_deferral,
     )
+
+
+def _nearest_rank(values: np.ndarray, percent: int) -> int:
+    """Smallest value at least ``percent`` % of ``values`` do not exceed.
+
+    Exact, ranked in integers; 0 for no values.  Partitions ``values`` in
+    place, so no copy of a long array is made.
+    """
+    if not len(values):
+        return 0
+    rank = max(-(-percent * len(values) // 100), 1)
+    values.partition(rank - 1)
+    return int(values[rank - 1])
 
 
 def scenario_specs(scenarios: Sequence[ClusterScenario]) -> List["RunSpec"]:

@@ -228,6 +228,10 @@ class DHBProtocol(SlottedModel):
             )
         return plan
 
+    def bind_placements(self, log: List[int]) -> None:
+        """Log every instance the schedule gets (admissions and repairs)."""
+        self.schedule.placement_log = log
+
     def slot_load(self, slot: int) -> int:
         """Segment instances transmitted during ``slot`` (streams of rate b)."""
         return self.schedule.load(slot)

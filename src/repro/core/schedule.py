@@ -40,7 +40,9 @@ heuristic (least-loaded slot, ties broken to the latest) with that store.
 and periodically compacts the backing array, keeping memory flat over
 arbitrarily long runs.  The schedule still keeps full per-slot instance
 lists, for bandwidth auditing, for failover (:meth:`future_instances`) and
-so that tests can inspect the raw schedule.
+so that tests can inspect the raw schedule.  An owner that sums several
+schedules' loads (a cluster server's demand ledger) sets
+:attr:`placement_log` to a list, and every placement appends its slot.
 """
 
 from __future__ import annotations
@@ -149,6 +151,9 @@ class SlotSchedule:
         )
         self._released_before = 0
         self._total_instances = 0
+        #: Optional list every scheduled instance appends its slot to (an
+        #: owner's demand ledger reads and clears it); ``None`` logs nothing.
+        self.placement_log: Optional[List[int]] = None
 
     @property
     def total_instances(self) -> int:
@@ -212,6 +217,8 @@ class SlotSchedule:
         else:
             bucket.append(segment)
         self._total_instances += 1
+        if self.placement_log is not None:
+            self.placement_log.append(slot)
         if slot > self._next_tx[segment - 1]:
             self._next_tx[segment - 1] = slot
         if self._future is not None:
@@ -385,6 +392,8 @@ class SlotSchedule:
         else:
             bucket.append(segment)
         self._total_instances += 1
+        if self.placement_log is not None:
+            self.placement_log.append(chosen)
         if chosen > self._next_tx[segment - 1]:
             self._next_tx[segment - 1] = chosen
         if self._future is not None:
@@ -439,6 +448,7 @@ class SlotSchedule:
         weights = self._weights
         occupied = self._slots
         next_tx = self._next_tx
+        log = self.placement_log
         base = self._base
         low = first_slot - base
         for last_slot, segment in zip(last_slots, segments):
@@ -467,6 +477,8 @@ class SlotSchedule:
                 bucket.append(segment)
             if chosen > next_tx[segment - 1]:
                 next_tx[segment - 1] = chosen
+            if log is not None:
+                log.append(chosen)
         placed = len(segments)
         self._total_instances += placed
         return placed

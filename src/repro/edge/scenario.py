@@ -187,6 +187,16 @@ class HierarchyResult:
         return self.cluster.edge_max_deferral_slots
 
     @property
+    def median_deferral_slots(self) -> int:
+        """The median shaper deferral of the hits, in slots (exact)."""
+        return self.cluster.edge_median_deferral_slots
+
+    @property
+    def p99_deferral_slots(self) -> int:
+        """The 99th-percentile shaper deferral of the hits, in slots (exact)."""
+        return self.cluster.edge_p99_deferral_slots
+
+    @property
     def edge_segments_served(self) -> int:
         """Prefix segment instances unicast from edge caches."""
         return sum(edge.segments_served for edge in self.edges)
@@ -207,7 +217,10 @@ class HierarchyResult:
         """Fraction of the baseline's mean backbone streams saved.
 
         ``baseline`` is the pure-DHB run of :meth:`HierarchyScenario.cluster`
-        (equivalently, the zero-budget hierarchy).
+        (equivalently, the zero-budget hierarchy).  A hit whose origin join
+        was dropped at the horizon never loaded the origin, so with
+        :attr:`joins_dropped` > 0 the value is an upper bound on the saving;
+        the budget study and ``repro-cli edge`` print it as one.
         """
         if baseline.mean_streams <= 0:
             return 0.0
@@ -264,8 +277,9 @@ class HierarchyResult:
             f"{self.bypassed} bypassed), "
             f"{self.edge_segments_served} prefix segments served at the edge",
             f"shaped joins: {self.joins_deferred} deferred, "
-            f"{self.joins_dropped} dropped at the horizon; longest deferral "
-            f"{self.max_deferral_slots} slot(s)",
+            f"{self.joins_dropped} dropped at the horizon; deferral median "
+            f"{self.median_deferral_slots}, p99 {self.p99_deferral_slots}, "
+            f"longest {self.max_deferral_slots} slot(s)",
             f"origin demand: mean {self.origin_mean_streams:.2f} streams, "
             f"peak {self.cluster.peak_streams}; analytic savings bound "
             f"{self.theory_bound:.3f}",

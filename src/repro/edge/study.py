@@ -34,9 +34,26 @@ class BudgetPoint:
     edge_segments_served: int
     backbone_saved: float
     theory_bound: float
+    hits: int
     joins_deferred: int
     joins_dropped: int
+    median_deferral_slots: int
+    p99_deferral_slots: int
     max_deferral_slots: int
+
+    def saved_text(self) -> str:
+        """The backbone saving as printed, flagged when it is only a bound.
+
+        Hits whose origin join was dropped at the horizon count as saved
+        (:meth:`HierarchyResult.backbone_saved_vs`), so with any dropped
+        join the saving reads as an upper bound with the count beside it.
+        """
+        if not self.joins_dropped:
+            return f"{self.backbone_saved:.1%}"
+        return (
+            f"≤ {self.backbone_saved:.1%}, {self.joins_dropped:,} of "
+            f"{self.hits:,} hits never reached the origin"
+        )
 
 
 @dataclass
@@ -61,10 +78,12 @@ class BudgetStudy:
                 f"{point.hit_ratio:.3f}",
                 f"{point.origin_mean_streams:.2f}",
                 point.edge_segments_served,
-                f"{point.backbone_saved:.3f}",
+                f"{'≤' if point.joins_dropped else ''}{point.backbone_saved:.3f}",
                 f"{point.theory_bound:.3f}",
                 point.joins_deferred,
                 point.joins_dropped,
+                point.median_deferral_slots,
+                point.p99_deferral_slots,
                 point.max_deferral_slots,
             ]
             for point in self.points
@@ -79,15 +98,23 @@ class BudgetStudy:
                 "bound",
                 "deferred",
                 "dropped",
+                "p50 defer",
+                "p99 defer",
                 "max defer",
             ],
             rows,
         )
+        notes = [
+            f"budget {point.cache_segments}: saved {point.saved_text()}"
+            for point in self.points
+            if point.joins_dropped
+        ]
         return "\n".join(
             [
                 f"edge budget study ({self.scenario}): backbone bandwidth "
                 "saved vs pure DHB broadcast",
                 table,
+                *notes,
             ]
         )
 
@@ -140,8 +167,11 @@ def run_budget_study(
             edge_segments_served=result.edge_segments_served,
             backbone_saved=result.backbone_saved_vs(baseline),
             theory_bound=result.theory_bound,
+            hits=result.hits,
             joins_deferred=result.joins_deferred,
             joins_dropped=result.joins_dropped,
+            median_deferral_slots=result.median_deferral_slots,
+            p99_deferral_slots=result.p99_deferral_slots,
             max_deferral_slots=result.max_deferral_slots,
         )
         for scenario, result in zip(scenarios, results)

@@ -224,6 +224,9 @@ class StaticBroadcastProtocol(SlottedModel):
         if self.metrics is not None:
             self.metrics.counter("protocol.requests").inc(count)
 
+    def bind_placements(self, log: List[int]) -> None:
+        """Requests never change a load, so nothing is ever logged."""
+
     def slot_load(self, slot: int) -> int:
         """Fixed protocols keep every stream busy in every slot."""
         return self.map.n_streams

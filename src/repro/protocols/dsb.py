@@ -19,7 +19,7 @@ paper notes, because the skyscraper widths pack fewer segments per stream.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..errors import ConfigurationError
 from ..sim.slotted import SlottedModel
@@ -63,6 +63,7 @@ class DynamicSkyscraperProtocol(SlottedModel):
             g: set() for g in range(len(self.widths))
         }
         self._released_before = 0
+        self._placement_log: Optional[List[int]] = None
         self.requests_admitted = 0
 
     @property
@@ -79,10 +80,18 @@ class DynamicSkyscraperProtocol(SlottedModel):
         """Mark, per group, the client's latest feasible broadcast cycle."""
         self.requests_admitted += 1
         first_segment = 1
+        log = self._placement_log
         for group, width in enumerate(self.widths):
             cycle_start = ((slot + first_segment) // width) * width
-            self._marked_cycles[group].add(cycle_start)
+            marked = self._marked_cycles[group]
+            if log is not None and cycle_start not in marked:
+                log.extend(range(cycle_start, cycle_start + width))
+            marked.add(cycle_start)
             first_segment += width
+
+    def bind_placements(self, log: List[int]) -> None:
+        """Log each slot of every cycle marked from now on."""
+        self._placement_log = log
 
     def slot_load(self, slot: int) -> int:
         """Streams transmitting during ``slot`` (marked cycles only)."""

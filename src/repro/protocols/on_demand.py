@@ -130,6 +130,10 @@ class OnDemandMapProtocol(SlottedModel):
             self.metrics.counter("protocol.requests").inc(count)
             self.metrics.counter("protocol.instances_scheduled").inc(int(fresh.size))
 
+    def bind_placements(self, log: List[int]) -> None:
+        """Log every occurrence marked from now on."""
+        self._schedule.placement_log = log
+
     def slot_load(self, slot: int) -> int:
         """Occurrences actually transmitted during ``slot``."""
         return self._schedule.load(slot)

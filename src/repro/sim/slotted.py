@@ -78,6 +78,18 @@ class SlottedModel(abc.ABC):
         if self.metrics is not None:
             self.metrics.counter(name).inc(amount)
 
+    def bind_placements(self, log: List[int]) -> None:
+        """Append the slot of every instance scheduled from now on to ``log``.
+
+        One slot per instance, so a host that sums several protocols' loads
+        (a cluster server's demand ledger) keeps its sums by reading ``log``
+        instead of re-reading every protocol's loads.  Every protocol whose
+        admissions change a load overrides this; the default refuses.
+        """
+        raise ConfigurationError(
+            f"{type(self).__name__} cannot log the slots it schedules"
+        )
+
     @abc.abstractmethod
     def handle_request(self, slot: int) -> None:
         """Admit a request that arrived during ``slot``.

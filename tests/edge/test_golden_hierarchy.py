@@ -120,11 +120,14 @@ def test_stressed_run_defers_inside_and_past_the_horizon():
 
 def test_stock_preset_overload_is_reported():
     # The stock `repro-cli edge` hierarchy: 1,362 of its 1,374 hits are
-    # deferred, 470 of them past the horizon, the longest by 402 slots.
+    # deferred, 470 of them past the horizon; the hits' deferral has median
+    # 174 slots, p99 390 and max 402.
     result = run_hierarchy(preset_hierarchy(seed=2001))
     assert result.hits == 1374
     assert result.joins_deferred + result.joins_dropped == 1362
     assert result.joins_dropped == 470
+    assert result.median_deferral_slots == 174
+    assert result.p99_deferral_slots == 390
     assert result.max_deferral_slots == 402
     deferrals = sum(totals["deferrals"] for totals in result.class_totals.values())
     assert deferrals == 1362

@@ -203,6 +203,29 @@ def test_edge_quick(capsys):
     assert "bound" in out
 
 
+def test_edge_stock_flags_saving_as_bound(capsys):
+    # Stock preset, seed 2001: 470 of the 1,374 hits at the 25 % budget
+    # join the origin past the horizon, so the saving is only a bound.
+    assert main(["edge", "--seed", "2001"]) == 0
+    out = capsys.readouterr().out
+    flag = "≤ 56.5%, 470 of 1,374 hits never reached the origin"
+    summary = out.splitlines()[-1]
+    assert f"backbone bandwidth saved {flag}" in summary
+    assert "deferral median 174, p99 390, longest 402 slot(s)" in summary
+    assert f"budget 120: saved {flag}" in out
+    assert "≤0.565" in out
+
+
+def test_edge_quick_flags_only_budgets_that_drop_joins(capsys):
+    # The quick preset drops no join at its 25 % focus budget, so that
+    # saving prints as measured; only the 50 % budget drops joins.
+    assert main(["edge", "--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "backbone bandwidth saved 46.0% (analytic" in lines[-1]
+    notes = [line for line in lines if line.startswith("budget ")]
+    assert notes == ["budget 90: saved ≤ 70.6%, 19 of 276 hits never reached the origin"]
+
+
 def test_edge_quick_with_metrics(tmp_path, capsys):
     metrics_path = tmp_path / "edge.json"
     assert (
