@@ -1,4 +1,4 @@
-"""Bit-for-bit cluster goldens: results and metrics of four cluster runs.
+"""Bit-for-bit cluster goldens: results and metrics of five cluster runs.
 
 ``golden_cluster.json`` pins the routing paths the ``crash`` golden in
 ``tests/runtime/golden_runtime.json`` leaves open: the quick ``baseline``
@@ -6,7 +6,11 @@ preset (affinity routing), the quick ``skewed`` preset (least-loaded
 routing over a popularity placement), a saturated two-server run whose
 router rejects requests, and a ``faulted`` run (round-robin routing over a
 sharded placement, one channel-loss window and one crash whose titles have
-no surviving replica, so instances are lost for good).  Every run must
+no surviving replica, so instances are lost for good), and the quick
+``crash`` preset, whose crashed server's titles fail over to surviving
+replicas: every failover instance is newly placed through
+:func:`repro.cluster.faults.reschedule_instance`, so this golden pins what a
+failover repair does to the survivors' schedules and demand.  Every run must
 reproduce its :meth:`ClusterResult.to_dict` snapshot and its ``cluster.*``
 counters, gauges and histograms exactly (timers carry wall times and are
 left out); the ``faulted`` run also pins its ``cluster-slot`` trace lines
@@ -67,6 +71,7 @@ def configurations():
                 ),
             ),
         ),
+        "crash": presets["crash"],
     }
 
 
@@ -118,6 +123,13 @@ def test_faulted_golden_loses_instances_and_channels():
         for record in records
         for server in record["servers"]
     )
+
+
+def test_crash_golden_fails_over_to_new_placements():
+    crash = GOLDEN["crash"]["result"]
+    assert crash["failovers"]
+    assert all(not event["shared"] for event in crash["failovers"])
+    assert crash["instances_lost"] == 0
 
 
 def _generate():
