@@ -42,7 +42,6 @@ from .heuristic import (
     latest_min_load_chooser,
     make_random_chooser,
     make_slack_chooser,
-    random_chooser,
 )
 from .periods import PeriodVector
 from .schedule import SlotSchedule
@@ -73,6 +72,5 @@ __all__ = [
     "make_all_variants",
     "make_random_chooser",
     "make_slack_chooser",
-    "random_chooser",
     "worst_case_buffer",
 ]

@@ -17,7 +17,7 @@ and *random fit* isolate each half of the heuristic.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -103,42 +103,6 @@ def make_random_chooser(rng: np.random.Generator) -> SlotChooser:
         return int(rng.integers(first_slot, last_slot + 1))
 
     return random_chooser
-
-
-#: Seed of the module-level :func:`random_chooser`'s shared generator.
-RANDOM_CHOOSER_SEED = 0x5EED
-
-#: The shared generator behind :func:`random_chooser`, created lazily.
-_default_rng: Optional[np.random.Generator] = None
-
-
-def _default_generator() -> np.random.Generator:
-    global _default_rng
-    if _default_rng is None:
-        _default_rng = np.random.default_rng(RANDOM_CHOOSER_SEED)
-    return _default_rng
-
-
-def random_chooser(
-    load_of: Callable[[int], int],
-    first_slot: int,
-    last_slot: int,
-    rng: Optional[np.random.Generator] = None,
-) -> int:
-    """Module-level convenience wrapper over :func:`make_random_chooser`.
-
-    **Determinism contract.**  Without an explicit ``rng`` this draws from a
-    single process-wide generator seeded with :data:`RANDOM_CHOOSER_SEED`,
-    so a run's picks are a reproducible function of the number of calls made
-    before it — *not* independent per call.  Common-random-number
-    experiments that need replayable, stream-isolated draws should build a
-    dedicated chooser with :func:`make_random_chooser` (as the ablation
-    harness does) or pass their own ``rng``.
-    """
-    if rng is None:
-        rng = _default_generator()
-    _check_window(first_slot, last_slot)
-    return int(rng.integers(first_slot, last_slot + 1))
 
 
 def make_slack_chooser(slack: int) -> SlotChooser:

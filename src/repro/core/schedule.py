@@ -1,9 +1,9 @@
 """The slotted transmission schedule.
 
 :class:`SlotSchedule` is the single mutable data structure behind every
-dynamic slotted protocol here (DHB and its variants, UD, dynamic NPB).  It
-records which segment instances are transmitted in which slot and answers
-the two queries the schedulers need:
+dynamic slotted protocol here (DHB and its variants, UD, dynamic NPB,
+DSB).  It records which segment instances are transmitted in which slot and
+answers the two queries the schedulers need:
 
 * ``load(slot)`` — how many instances (= data streams of bandwidth ``b``)
   slot already carries, and
@@ -34,8 +34,10 @@ Load storage is an array keyed by slot offset, not a per-slot dict: the
 active slot span of a window-sharing protocol is bounded by the largest
 period, so a flat ``array('q')`` indexed by ``slot - base`` gives O(1)
 scalar reads/writes at CPython-attribute speed *and* a zero-copy numpy view
-for vectorised window minima.  :meth:`place_latest_min` fuses the DHB
-heuristic (least-loaded slot, ties broken to the latest) with that store.
+for vectorised window minima.  :meth:`place_latest_min_many` fuses the DHB
+heuristic (least-loaded slot, ties broken to the latest) with that store in
+one scan over a batch of windows; :meth:`place_latest_min` is its
+one-window case and :meth:`add` the one write at a given slot.
 :meth:`release_before` advances the logical floor in O(1) amortised time
 and periodically compacts the backing array, keeping memory flat over
 arbitrarily long runs.  The schedule still keeps full per-slot instance
@@ -349,86 +351,39 @@ class SlotSchedule:
     def place_latest_min(self, first_slot: int, last_slot: int, segment: int) -> int:
         """Schedule ``segment`` in the least-loaded slot of ``[first_slot, last_slot]``.
 
-        Ties go to the latest slot: the fused form of the paper's heuristic
-        (:func:`repro.core.heuristic.latest_min_load_chooser`) plus
-        :meth:`add` — bit-for-bit the same choice, read straight off the
-        load array (a reverse Python scan for small windows, a vectorised
-        argmin otherwise).  Returns the chosen slot.
+        The one-window case of :meth:`place_latest_min_many`.  Returns the
+        chosen slot.
         """
-        if not 1 <= segment <= self.n_segments:
-            self._check_segment(segment)
-        if last_slot < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
-                f"{self._released_before}"
-            )
-        loads = self._loads
-        if last_slot - self._base >= len(loads):
-            self._ensure_capacity(last_slot)
-            loads = self._loads
-        base = self._base
-        low = first_slot - base
-        high = last_slot - base
-        if high - low < _SMALL_WINDOW:
-            chosen_index = high
-            best_load = loads[high]
-            for index in range(high - 1, low - 1, -1):
-                load = loads[index]
-                if load < best_load:
-                    chosen_index, best_load = index, load
-        else:
-            # argmin of the reversed view finds the first minimum from the
-            # end, which *is* the latest among equals.
-            chosen_index = high - int(self._loads_np[low : high + 1][::-1].argmin())
-        chosen = base + chosen_index
-        loads[chosen_index] += 1
-        if self._weight_loads is not None:
-            self._weight_loads[chosen_index] += self._weights[segment - 1]
-        bucket = self._slots.get(chosen)
-        if bucket is None:
-            self._slots[chosen] = [segment]
-        else:
-            bucket.append(segment)
-        self._total_instances += 1
-        if self.placement_log is not None:
-            self.placement_log.append(chosen)
-        if chosen > self._next_tx[segment - 1]:
-            self._next_tx[segment - 1] = chosen
-        if self._future is not None:
-            insort(self._future[segment - 1], chosen)
-        return chosen
+        return self.place_latest_min_many(first_slot, (last_slot,), (segment,))
 
     def place_latest_min_many(
         self, first_slot: int, last_slots: Sequence[int], segments: Sequence[int]
-    ) -> int:
-        """Fused admission loop: one :meth:`place_latest_min` per window.
+    ) -> Optional[int]:
+        """Place ``segments[k]`` at the least-loaded slot of
+        ``[first_slot, last_slots[k]]``, in order; returns the last chosen slot.
 
-        Places ``segments[k]`` at the least-loaded/latest slot of
-        ``[first_slot, last_slots[k]]``, in order, reading loads live (each
-        placement sees the previous ones) — bit-for-bit the sequence of
-        individual :meth:`place_latest_min` calls, but with the bounds
-        validation and capacity reservation hoisted out of the loop: one
-        ``_ensure_capacity`` for the largest window covers every placement.
-        Returns the number of instances placed.
+        Ties go to the latest slot: the fused form of the paper's heuristic
+        (:func:`repro.core.heuristic.latest_min_load_chooser`) plus
+        :meth:`add`, window by window, each reading the loads the previous
+        placements left — bit-for-bit the same choices.  The segments are
+        checked, and one ``_ensure_capacity`` for the farthest window covers
+        every placement, before the first is made.  Each window is scanned
+        from its end (a Python loop for small windows, a reversed argmin
+        otherwise), so the first minimum found is the latest among equals.
+        Builtin ``min``/``max`` cost more per call than these short loops,
+        so each window is checked for emptiness as the scan reaches it.
 
         This is the admission kernel of the batched protocols: a whole
         slot's worth of requests reduces (via the sharing invariant) to one
         pass over the segments that lack a shareable future instance.
-        Sorted-mode schedules place one at a time, keeping the loop below
-        free of index-mode checks.
+        Returns ``None`` when there is no window.
         """
         if len(last_slots) != len(segments):
             raise SchedulingError(
                 f"{len(last_slots)} windows for {len(segments)} segments"
             )
         if not segments:
-            return 0
-        if self._future is not None:
-            for last_slot, segment in zip(last_slots, segments):
-                self.place_latest_min(first_slot, last_slot, segment)
-            return len(segments)
+            return None
         for segment in segments:
             if not 1 <= segment <= self.n_segments:
                 self._check_segment(segment)
@@ -438,8 +393,6 @@ class SlotSchedule:
                 f"{self._released_before}"
             )
         farthest = max(last_slots)
-        if farthest < first_slot:
-            raise SchedulingError(f"empty slot window [{first_slot}, {farthest}]")
         if farthest - self._base >= len(self._loads):
             self._ensure_capacity(farthest)
         loads = self._loads
@@ -448,6 +401,7 @@ class SlotSchedule:
         weights = self._weights
         occupied = self._slots
         next_tx = self._next_tx
+        future = self._future
         log = self.placement_log
         base = self._base
         low = first_slot - base
@@ -479,9 +433,10 @@ class SlotSchedule:
                 next_tx[segment - 1] = chosen
             if log is not None:
                 log.append(chosen)
-        placed = len(segments)
-        self._total_instances += placed
-        return placed
+            if future is not None:
+                insort(future[segment - 1], chosen)
+        self._total_instances += len(segments)
+        return chosen
 
     def release_before(self, slot: int) -> None:
         """Drop per-slot bookkeeping for slots ``< slot`` (bounded memory).

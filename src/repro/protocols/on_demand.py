@@ -1,34 +1,36 @@
 """On-demand transmission over a fixed broadcast map.
 
-The Universal Distribution protocol and the dynamic NPB variant of Section 3
-share one idea: keep a fixed protocol's segment-to-stream *timing*, but
-transmit an occurrence only when at least one admitted client will consume
-it.  "Segments are transmitted only on demand, which saves a considerable
-amount of bandwidth when the request arrival rate remains below 100 requests
-per hour.  Above 200 requests per hour, all channels become saturated and
-the UD reverts to a conventional FB protocol."
+The Universal Distribution protocol, the dynamic NPB variant of Section 3
+and dynamic skyscraper broadcasting share one idea: keep a fixed protocol's
+segment-to-stream *timing*, but transmit an occurrence only when at least
+one admitted client will consume it.  "Segments are transmitted only on
+demand, which saves a considerable amount of bandwidth when the request
+arrival rate remains below 100 requests per hour.  Above 200 requests per
+hour, all channels become saturated and the UD reverts to a conventional FB
+protocol."
 
-:class:`OnDemandMapProtocol` implements the shared machinery: a client
-arriving during slot ``i`` consumes, for each segment, the *first* map
-occurrence at or after slot ``i + 1`` (its set-top box listens to all
-streams); the server marks exactly those occurrences for transmission.
-Each segment rides one train of the map, so its occurrences are evenly
-spaced with a period no larger than its deadline: the first occurrence at or
-after ``i + 1`` is ``offset + ceil((i + 1 - offset) / period) * period``,
-always on time, and
-marking is idempotent — overlapping requests share marked occurrences, which
-is where all the bandwidth savings come from.
+:class:`OnDemandMapProtocol` implements the shared machinery; the one thing
+its subclasses may change is the *occurrence rule*
+(:meth:`~OnDemandMapProtocol.occurrences`), which map occurrence of each
+segment a client arriving during slot ``i`` consumes.  By default (UD,
+dynamic NPB) it is the *first* occurrence at or after slot ``i + 1`` (the
+set-top box listens to all streams); DSB takes the *latest* one at or
+before the deadline ``i + j``.  Each segment rides one train of the map, so
+its occurrences are evenly spaced with a period no larger than its
+deadline, and either rule is one closed form per train, always on time.
+The server marks exactly the chosen occurrences for transmission.  Marking
+is idempotent — overlapping requests share marked occurrences, which is
+where all the bandwidth savings come from.
 
 Marked occurrences are stored in a
 :class:`~repro.core.schedule.SlotSchedule` — the same array-backed slot
 store the dynamic protocols use — which makes per-slot load reads O(1) and
 lets admission run vectorised: one numpy expression computes every
-segment's next occurrence, one compare against the schedule's
-future-instance index finds the (few, at saturation) occurrences not yet
-marked.  Since admissions arrive in non-decreasing slot order within a
-simulation, a segment's marked occurrences are non-decreasing too, so
-"already marked" is exactly "equals the segment's latest scheduled
-instance".
+segment's occurrence, one compare against the schedule's future-instance
+index finds the (few, at saturation) occurrences not yet marked.  Either
+rule's occurrence is non-decreasing in the arrival slot, and admissions
+arrive in non-decreasing slot order within a simulation, so "already
+marked" is exactly "equals the segment's latest scheduled instance".
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class OnDemandMapProtocol(SlottedModel):
     Parameters
     ----------
     static_map:
-        The underlying fixed schedule (FB for UD, pagoda for dynamic NPB).
+        The underlying fixed schedule (FB for UD, pagoda for dynamic NPB,
+        skyscraper for DSB).
     """
 
     def __init__(self, static_map: StaticMap):
@@ -84,16 +87,17 @@ class OnDemandMapProtocol(SlottedModel):
             for slot in self._schedule.occupied_slots()
         }
 
-    def next_occurrence(self, segment: int, after_slot: int) -> int:
-        """First slot ``>= after_slot`` in which ``segment`` is broadcast."""
-        train = self.map.trains[segment - 1]
-        period, offset = train.period, train.offset
-        if after_slot <= offset:
-            return offset
-        return offset + -(-(after_slot - offset) // period) * period
+    def occurrences(self, slot: int) -> np.ndarray:
+        """Occurrence slot of each segment (entry ``j - 1`` for ``S_j``) that
+        a client arriving during ``slot`` consumes: the first at or after
+        ``slot + 1``.  Subclasses override this rule only."""
+        delta = slot + 1 - self._offsets_np
+        periods = self._periods_np
+        steps = -(delta // -periods)  # ceil-div; <= 0 when slot + 1 <= offset
+        return self._offsets_np + np.maximum(steps, 0) * periods
 
     def handle_request(self, slot: int) -> None:
-        """Mark, for each segment, its first occurrence after ``slot``.
+        """Mark, for each segment, the occurrence :meth:`occurrences` picks.
 
         Vectorised: occurrences for all segments in one expression, then
         only the not-yet-marked ones (``occurrence != latest scheduled``)
@@ -106,19 +110,14 @@ class OnDemandMapProtocol(SlottedModel):
         """Admit ``count`` same-slot requests with one marking pass.
 
         Every request arriving during ``slot`` consumes exactly the same
-        occurrences (the first of each segment after ``slot``), and marking
-        is idempotent, so the batch reduces to one vectorised pass plus
-        O(1) bookkeeping — observably identical to ``count`` repeated
-        :meth:`handle_request` calls.
+        occurrences, and marking is idempotent, so the batch reduces to one
+        vectorised pass plus O(1) bookkeeping — observably identical to
+        ``count`` repeated :meth:`handle_request` calls.
         """
         if count <= 0:
             return
         schedule = self._schedule
-        after = slot + 1
-        delta = after - self._offsets_np
-        periods = self._periods_np
-        steps = -(delta // -periods)  # ceil-div; <= 0 when after <= offset
-        occurrences = self._offsets_np + np.maximum(steps, 0) * periods
+        occurrences = self.occurrences(slot)
         fresh = (occurrences != schedule.next_transmissions).nonzero()[0]
         if fresh.size:
             add = schedule.add

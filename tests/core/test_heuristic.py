@@ -12,7 +12,6 @@ from repro.core.heuristic import (
     latest_min_load_chooser,
     make_random_chooser,
     make_slack_chooser,
-    random_chooser,
 )
 
 
@@ -66,10 +65,6 @@ class TestRandom:
         assert [a(loads_fn(loads), 1, 9) for _ in range(20)] == [
             b(loads_fn(loads), 1, 9) for _ in range(20)
         ]
-
-    def test_module_level_wrapper(self):
-        pick = random_chooser(loads_fn({1: 0, 2: 0}), 1, 2, rng=np.random.default_rng(1))
-        assert pick in (1, 2)
 
 
 class TestSlackChooser:

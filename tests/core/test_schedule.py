@@ -1,12 +1,12 @@
 """Tests for repro.core.schedule."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.core.heuristic import latest_min_load_chooser
-from repro.core.schedule import SlotSchedule
+from repro.core.schedule import _INITIAL_CAPACITY, SlotSchedule
 
 
 def test_add_and_load():
@@ -233,6 +233,90 @@ def test_release_keeps_loads_consistent(instances, floor):
     for slot in range(260):
         want = len(expected.get(slot, ())) if slot >= floor else 0
         assert schedule.load(slot) == want
+
+
+ORACLE_SEGMENTS = 6
+
+#: One admission: a release floor step, the window start's offset past the
+#: floor, whether to place one window at a time, and (width, segment) per
+#: window.  Widths mix the reverse-scan and argmin paths; offsets and widths
+#: push slots well past the initial load capacity.
+oracle_admissions = st.lists(
+    st.tuples(
+        st.integers(0, _INITIAL_CAPACITY // 2),
+        st.integers(0, _INITIAL_CAPACITY),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 20), st.integers(0, 2 * _INITIAL_CAPACITY)),
+                st.integers(1, ORACLE_SEGMENTS),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize("sorted_future", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(
+    prior=st.lists(
+        st.tuples(st.integers(0, 3 * _INITIAL_CAPACITY), st.integers(1, ORACLE_SEGMENTS)),
+        max_size=40,
+    ),
+    weights=st.none() | st.lists(
+        st.integers(0, 9).map(float), min_size=ORACLE_SEGMENTS, max_size=ORACLE_SEGMENTS
+    ),
+    admissions=oracle_admissions,
+)
+def test_placements_match_chooser_plus_add(sorted_future, prior, weights, admissions):
+    """Property: every placement, one window or a batch, leaves the schedule
+    exactly as the paper's chooser followed by :meth:`add` on a twin."""
+    fused = SlotSchedule(ORACLE_SEGMENTS, weights, sorted_future=sorted_future)
+    twin = SlotSchedule(ORACLE_SEGMENTS, weights, sorted_future=sorted_future)
+    fused.placement_log, twin.placement_log = [], []
+    for slot, segment in prior:
+        fused.add(slot, segment)
+        twin.add(slot, segment)
+    floor = 0
+    end = max([slot for slot, _ in prior], default=0) + 1
+    for step, offset, one_at_a_time, windows in admissions:
+        floor += step
+        fused.release_before(floor)
+        twin.release_before(floor)
+        first = floor + offset
+        last_slots = [first + width for width, _ in windows]
+        segments = [segment for _, segment in windows]
+        end = max(end, max(last_slots) + 1)
+        expected = []
+        for last, segment in zip(last_slots, segments):
+            expected.append(latest_min_load_chooser(twin.load, first, last))
+            twin.add(expected[-1], segment)
+        if one_at_a_time:
+            chosen = [
+                fused.place_latest_min(first, last, segment)
+                for last, segment in zip(last_slots, segments)
+            ]
+            assert chosen == expected
+        else:
+            last = fused.place_latest_min_many(first, last_slots, segments)
+            assert last == expected[-1]
+    assert fused.loads(0, end) == twin.loads(0, end)
+    assert fused.weights(0, end) == twin.weights(0, end)
+    for slot in range(end):
+        assert fused.segments_in(slot) == twin.segments_in(slot)
+    assert fused.next_transmissions.tolist() == twin.next_transmissions.tolist()
+    assert fused.future_instances(floor) == twin.future_instances(floor)
+    assert fused.placement_log == twin.placement_log
+    assert fused.total_instances == twin.total_instances
+    for segment in range(1, ORACLE_SEGMENTS + 1):
+        for window_end in range(floor, end):
+            assert fused.shareable(segment, floor - 1, window_end) == twin.shareable(
+                segment, floor - 1, window_end
+            )
 
 
 class TestWeights:

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.protocols.dsb import DynamicSkyscraperProtocol
-from repro.protocols.sb import sb_streams_for_segments
+from repro.protocols.sb import sb_streams_for_segments, skyscraper_widths
 from repro.protocols.ud import UniversalDistributionProtocol
 from repro.sim.slotted import SlottedSimulation
 from repro.workload.arrivals import DeterministicArrivals, PoissonArrivals
+
+from .dsb_reference import ReferenceDSB
 
 
 def test_idle_system_costs_nothing():
@@ -83,9 +87,39 @@ def test_release_before_prunes():
     dsb = DynamicSkyscraperProtocol(n_streams=3)
     dsb.handle_request(slot=0)
     dsb.release_before(50)
-    assert all(len(marks) == 0 for marks in dsb._marked_cycles.values())
+    assert all(dsb.slot_instances(s) == [] for s in range(60))
+    assert dsb.slot_loads(0, 60) == [0] * 60
     dsb.handle_request(slot=50)
     assert sum(dsb.slot_load(s) for s in range(50, 60)) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_streams=st.integers(1, 8),
+    width_cap=st.none() | st.integers(1, 29),
+    arrivals=st.lists(st.integers(0, 600), max_size=200),
+    release_every=st.integers(1, 50),
+)
+def test_matches_cycle_set_reference(n_streams, width_cap, arrivals, release_every):
+    """Loads and instances equal the per-stream cycle-set model's, across
+    releases, for any stream count and width cap."""
+    dsb = DynamicSkyscraperProtocol(n_streams=n_streams, width_cap=width_cap)
+    reference = ReferenceDSB(skyscraper_widths(n_streams, width_cap))
+    assert dsb.widths == reference.widths
+    floor = 0
+    for count, slot in enumerate(sorted(arrivals)):
+        if count % release_every == 0:
+            floor = slot
+            dsb.release_before(floor)
+            reference.release_before(floor)
+        dsb.handle_request(slot)
+        reference.handle_request(slot)
+    stop = floor + 700
+    assert dsb.slot_loads(floor, stop) == [
+        len(reference.slot_instances(s)) for s in range(floor, stop)
+    ]
+    for s in range(floor, stop):
+        assert sorted(dsb.slot_instances(s)) == sorted(reference.slot_instances(s))
 
 
 def test_validation():

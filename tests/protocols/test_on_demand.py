@@ -20,12 +20,12 @@ def test_idle_system_transmits_nothing():
 
 def test_next_occurrence():
     protocol = make_protocol()
-    # S2 occurs at even slots, S3 at odd slots.
-    assert protocol.next_occurrence(2, 1) == 2
-    assert protocol.next_occurrence(2, 2) == 2
-    assert protocol.next_occurrence(2, 3) == 4
-    assert protocol.next_occurrence(3, 2) == 3
-    assert protocol.next_occurrence(1, 7) == 7
+    # S2 occurs at even slots, S3 at odd slots; a client arriving during
+    # slot i takes each segment's first occurrence at or after i + 1.
+    assert protocol.occurrences(0).tolist() == [1, 2, 1]
+    assert protocol.occurrences(1).tolist() == [2, 2, 3]
+    assert protocol.occurrences(2).tolist() == [3, 4, 3]
+    assert protocol.occurrences(6).tolist() == [7, 8, 7]
 
 
 def test_request_marks_first_occurrences():
@@ -58,8 +58,7 @@ def test_marked_occurrences_meet_deadlines():
     protocol = make_protocol()
     for arrival in range(10):
         protocol.handle_request(arrival)
-        for segment in range(1, 4):
-            occurrence = protocol.next_occurrence(segment, arrival + 1)
+        for segment, occurrence in enumerate(protocol.occurrences(arrival), 1):
             assert arrival + 1 <= occurrence <= arrival + segment
 
 

@@ -23,6 +23,7 @@ from repro.core.dhb import DHBProtocol
 from repro.errors import SimulationError
 from repro.obs.trace import MemoryTraceSink
 from repro.protocols.dnpb import DynamicPagodaProtocol
+from repro.protocols.dsb import DynamicSkyscraperProtocol
 from repro.protocols.fb import FastBroadcasting
 from repro.protocols.ud import UniversalDistributionProtocol
 from repro.runtime.seeds import arrival_trace
@@ -36,6 +37,7 @@ PROTOCOL_FACTORIES = {
     "dhb": lambda: DHBProtocol(n_segments=N_SEGMENTS),
     "ud": lambda: UniversalDistributionProtocol(n_segments=N_SEGMENTS),
     "dnpb": lambda: DynamicPagodaProtocol(n_segments=N_SEGMENTS),
+    "dsb": lambda: DynamicSkyscraperProtocol(n_segments=N_SEGMENTS),
 }
 
 
