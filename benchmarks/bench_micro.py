@@ -137,8 +137,9 @@ def test_nhpp_day_generation(benchmark):
     """Thinned diurnal + event-ring day (the adaptive study's, at 1x).
 
     About 14.6k thinning candidates, 2.4k kept, drawn from raw ``PCG64``
-    words in array operations plus one scalar redraw per slow ziggurat
-    word, with one rate evaluation per chunk.  The ziggurat tables are
+    words in array operations, slow ziggurat words decided from the word
+    after them and only undecidable ones redrawn by a scalar call, with
+    one rate evaluation per chunk.  The ziggurat tables are
     derived on the first call in a process, so the first round includes
     that one-off cost.
     """

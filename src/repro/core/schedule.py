@@ -367,7 +367,9 @@ class SlotSchedule:
         :meth:`add`, window by window, each reading the loads the previous
         placements left — bit-for-bit the same choices.  The segments are
         checked, and one ``_ensure_capacity`` for the farthest window covers
-        every placement, before the first is made.  Each window is scanned
+        every placement, before the first is made; an empty window raises
+        when the scan reaches it, and the windows placed before it stay
+        placed and counted in :attr:`total_instances`.  Each window is scanned
         from its end (a Python loop for small windows, a reversed argmin
         otherwise), so the first minimum found is the latest among equals.
         Builtin ``min``/``max`` cost more per call than these short loops,
@@ -407,6 +409,9 @@ class SlotSchedule:
         low = first_slot - base
         for last_slot, segment in zip(last_slots, segments):
             if last_slot < first_slot:
+                self._total_instances += next(
+                    k for k, last in enumerate(last_slots) if last < first_slot
+                )
                 raise SchedulingError(
                     f"empty slot window [{first_slot}, {last_slot}]"
                 )

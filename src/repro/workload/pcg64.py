@@ -5,10 +5,14 @@ thinning candidate, one ``exponential`` gap and one ``random()`` uniform.
 On a ``PCG64`` generator, a uniform is one 64-bit word, and an exponential
 is one word on the ziggurat's fast path and more on its slow path.  This
 module rebuilds that interleaved order from raw words in array
-operations, redraws each slow word with a scalar call, and leaves the
-generator in the state the scalar loop would have left, bit for bit.  The
-ziggurat's tables are derived from the installed numpy on first use; when
-the derivation fails, callers keep the scalar loop.
+operations, slow path included: a slow word's accept/reject test is
+decided from the word after it wherever the answer is certain, and only
+the words it cannot decide (tail words, near ties, words at a buffer's
+end) are redrawn by a scalar call.  The generator is left in the state the
+scalar loop would have left, bit for bit.  The ziggurat's tables are
+derived from the installed numpy on first use and checked against scalar
+draws of sampled slow words; when the derivation or the check fails,
+callers keep the scalar loop.
 """
 
 from __future__ import annotations
@@ -23,6 +27,21 @@ PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 #: ``next_double``'s scale: a uniform is ``(word >> 11) * 2**-53``.
 _UNIFORM_SCALE = 1.0 / 9007199254740992.0
+#: A slow word is decided from its uniform only when the two sides of
+#: numpy's acceptance test differ by more than this share of the right
+#: side: far above the rounding by which the derived ``fe`` and ``np.exp``
+#: may differ from numpy's, and far below the smallest gap seen on 87k
+#: slow words of layers 1-255 (2.6e-7).
+DECISION_MARGIN = 1e-9
+#: Slow words of each layer the derivation's self-check replays; layer 1,
+#: where every word is slow and ``we[1]`` is probed, gets more.
+_CHECKED_PER_LAYER, _CHECKED_TOP_LAYER = 8, 64
+
+# How a gap's draw ends at a word: on the fast path, on an accepted or a
+# rejected slow word (the draw restarts two words on), or by a scalar redraw.
+_FAST, _ACCEPT, _REJECT, _REDRAW = 0, 1, 2, 3
+
+Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _xsl_rr(state: int) -> int:
@@ -32,65 +51,174 @@ def _xsl_rr(state: int) -> int:
     return ((word >> rot) | (word << (64 - rot))) & 0xFFFFFFFFFFFFFFFF
 
 
-def derive_ziggurat() -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``(ke, we)`` of the installed numpy's exponential ziggurat, or None.
+class _Probe:
+    """A ``PCG64`` set to chosen states, drawing one standard exponential.
 
-    ``standard_exponential`` reads one word ``w``; with ``ri = w >> 11`` and
-    ``layer = (w >> 3) & 0xFF`` it returns ``float(ri) * we[layer]`` and
-    reads nothing more iff ``ri < ke[layer]``, and otherwise reads at least
-    one more word.  Each table entry is found by probes.  A probe sets a
-    ``PCG64`` one LCG step before the state ``w``, for a chosen word ``w``:
-    a state below ``2**64`` outputs itself, so the next word is ``w``.  It
-    draws once, and is fast iff the state is then ``w``.  ``ke[layer]`` is
-    bisected over ``ri`` in ``[0, 2**53]`` and ``we[layer]`` is the draw at
-    ``ri = 1``; a layer with ``ke <= 1`` never uses its ``we``, which is
-    left 0.  Returns None if the generator's step or output differ from
-    :data:`PCG64_MULTIPLIER` and XSL-RR, if ``ke[0]`` is 0, or if a
-    layer's largest fast word does not draw ``float(ri) * we``.
+    A state below ``2**64`` outputs itself, so :meth:`draw` of a word
+    starts from the state one LCG step before the state ``word``.
     """
-    probe = np.random.PCG64(0)
-    inc = probe.state["state"]["inc"]
-    start = probe.state["state"]["state"]
-    word = int(probe.random_raw())
-    stepped = probe.state["state"]["state"]
-    if stepped != (start * PCG64_MULTIPLIER + inc) & _MASK128 or word != _xsl_rr(stepped):
-        return None
-    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
-    draw = np.random.Generator(probe).standard_exponential
 
-    def probe_word(ri: int, layer: int) -> Tuple[bool, float]:
-        target = (ri << 11) | (layer << 3)
-        previous = ((target - inc) * inverse) & _MASK128
-        probe.state = {"bit_generator": "PCG64",
-                       "state": {"state": previous, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0}
-        value = draw()
-        return probe.state["state"]["state"] == target, value
+    def __init__(self, bit_generator: np.random.PCG64):
+        self.bit_generator = bit_generator
+        self.inc = bit_generator.state["state"]["inc"]
+        self.inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+        self.exponential = np.random.Generator(bit_generator).standard_exponential
 
+    def step(self, state: int) -> int:
+        return (state * PCG64_MULTIPLIER + self.inc) & _MASK128
+
+    def draw_from(self, state: int) -> Tuple[float, int]:
+        """A draw's value and the state after it, starting at ``state``."""
+        self.bit_generator.state = {"bit_generator": "PCG64",
+                                    "state": {"state": state, "inc": self.inc},
+                                    "has_uint32": 0, "uinteger": 0}
+        value = self.exponential()
+        return value, self.bit_generator.state["state"]["state"]
+
+    def draw(self, word: int) -> Tuple[float, int]:
+        """A draw whose first word is ``word``: it read only ``word`` iff
+        the state after it is ``word``, and one more iff ``step(word)``."""
+        return self.draw_from(((word - self.inc) * self.inverse) & _MASK128)
+
+
+def _probe_tables(probe: _Probe) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """``(ke, we)`` found by probes, or None (see :func:`derive_ziggurat`)."""
     ke = np.zeros(256, dtype=np.uint64)
     we = np.zeros(256, dtype=np.float64)
     for layer in range(256):
         low, high = 0, 1 << 53
         while low < high:
             mid = (low + high) // 2
-            if probe_word(mid, layer)[0]:
+            word = (mid << 11) | (layer << 3)
+            if probe.draw(word)[1] == word:
                 low = mid + 1
             else:
                 high = mid
         ke[layer] = low
         if low > 1:
-            we[layer] = probe_word(1, layer)[1]
-            fast, value = probe_word(low - 1, layer)
-            if not fast or value != float(low - 1) * we[layer]:
+            we[layer] = probe.draw((1 << 11) | (layer << 3))[0]
+            word = ((low - 1) << 11) | (layer << 3)
+            value, after = probe.draw(word)
+            if after != word or value != float(low - 1) * we[layer]:
                 return None
-    if ke[0] == 0:
+        elif layer:
+            # No fast word past ri = 0: ``we`` is the value of a slow word
+            # at ri = 1 that is accepted, so its draw reads two words.
+            for spare in range(8):
+                word = (1 << 11) | (layer << 3) | spare
+                value, after = probe.draw(word)
+                if after == probe.step(word):
+                    we[layer] = value
+                    break
+            else:
+                return None
+    if ke[0] <= 1:
         return None
-    ke.flags.writeable = we.flags.writeable = False
     return ke, we
 
 
+def _layer_heights(we: np.ndarray) -> np.ndarray:
+    """``fe``, the curve's height at each layer's edge: ``exp(-x)`` at
+    ``x = we * 2**53``, and 1 for layer 0."""
+    fe = np.exp(-we * 9007199254740992.0)
+    fe[0] = 1.0
+    return fe
+
+
+def _decide(
+    ri: np.ndarray, layers: np.ndarray, uniform_words: np.ndarray, tables: Tables
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(decided, accepted)`` for slow words, given the words after them.
+
+    numpy accepts a slow word of layer ``l >= 1`` iff
+    ``(fe[l-1] - fe[l]) * U + fe[l] < exp(-x)``, with ``x = ri * we[l]``
+    and ``U`` the next word's uniform; layer 0 is the tail.  A word is
+    decided iff its layer is not 0 and the two sides differ by more than
+    :data:`DECISION_MARGIN` of the right side.
+    """
+    _, we, fe = tables
+    layers = layers.astype(np.intp)
+    x = ri.astype(np.float64) * we[layers]
+    uniforms = (uniform_words >> 11) * _UNIFORM_SCALE
+    lhs = (fe[layers - 1] - fe[layers]) * uniforms + fe[layers]
+    rhs = np.exp(-x)
+    decided = (layers > 0) & (np.abs(lhs - rhs) > DECISION_MARGIN * rhs)
+    return decided, lhs < rhs
+
+
+def _replays_slow_words(probe: _Probe, tables: Tables) -> bool:
+    """Whether :func:`_decide` and the gap formula agree with scalar draws
+    on sampled slow words of layers 1-255.
+
+    An accepted word must read two words and draw ``float(ri) * we[l]``;
+    a rejected one must draw exactly what a draw starting two words on
+    draws, ending in the same state.
+    """
+    ke, we, _ = tables
+    layers = np.concatenate([np.full(_CHECKED_TOP_LAYER, 1),
+                             np.repeat(np.arange(1, 256), _CHECKED_PER_LAYER)])
+    layers = layers[ke[layers] < 1 << 53].astype(np.uint64)
+    rng = np.random.default_rng(0)
+    ri = rng.integers(ke[layers], 1 << 53, dtype=np.uint64)
+    spare = rng.integers(0, 8, size=len(layers), dtype=np.uint64)
+    words = ((ri << np.uint64(11)) | (layers << np.uint64(3)) | spare).tolist()
+    steps = [probe.step(word) for word in words]
+    decided, accepted = _decide(
+        ri, layers, np.array([_xsl_rr(s) for s in steps], dtype=np.uint64), tables
+    )
+    for n in np.flatnonzero(decided).tolist():
+        value, after = probe.draw(words[n])
+        if accepted[n]:
+            if after != steps[n] or value != float(int(ri[n])) * we[int(layers[n])]:
+                return False
+        elif (value, after) != probe.draw_from(steps[n]):
+            return False
+    return True
+
+
+def derive_ziggurat() -> Optional[Tables]:
+    """``(ke, we, fe)`` of the installed numpy's exponential ziggurat, or None.
+
+    ``standard_exponential`` reads one word ``w``; with ``ri = w >> 11`` and
+    ``layer = (w >> 3) & 0xFF`` it returns ``x = float(ri) * we[layer]``
+    and reads nothing more iff ``ri < ke[layer]``; otherwise the word is
+    slow and :func:`_decide` states what numpy does with it.  Each ``ke``
+    and ``we`` entry is found by probes.  A probe sets a ``PCG64`` one LCG
+    step before the state ``w``, for a chosen word ``w``: a state below
+    ``2**64`` outputs itself, so the next word is ``w``.  It draws once,
+    and is fast iff the state is then ``w``.  ``ke[layer]`` is bisected
+    over ``ri`` in ``[0, 2**53]`` and ``we[layer]`` is the draw at
+    ``ri = 1``; a layer with ``ke <= 1`` (layer 1, where every word is
+    slow) takes ``we`` from an accepted slow draw at ``ri = 1``.  ``fe``
+    cannot be probed bit for bit; it is ``exp(-we * 2**53)``, with
+    ``fe[0] = 1``, and is only used where :data:`DECISION_MARGIN` makes
+    the answer certain.  Returns None if the generator's step or output
+    differ from :data:`PCG64_MULTIPLIER` and XSL-RR, if ``ke[0] <= 1``, if
+    a layer's largest fast word does not draw ``float(ri) * we``, or if
+    sampled slow words do not replay (:func:`_replays_slow_words`).
+    """
+    bit_generator = np.random.PCG64(0)
+    inc = bit_generator.state["state"]["inc"]
+    start = bit_generator.state["state"]["state"]
+    word = int(bit_generator.random_raw())
+    stepped = bit_generator.state["state"]["state"]
+    if stepped != (start * PCG64_MULTIPLIER + inc) & _MASK128 or word != _xsl_rr(stepped):
+        return None
+    probe = _Probe(bit_generator)
+    found = _probe_tables(probe)
+    if found is None:
+        return None
+    ke, we = found
+    tables = (ke, we, _layer_heights(we))
+    if not _replays_slow_words(probe, tables):
+        return None
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @functools.lru_cache(maxsize=None)
-def ziggurat_tables() -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def ziggurat_tables() -> Optional[Tables]:
     """:func:`derive_ziggurat`, once per process, on first use."""
     return derive_ziggurat()
 
@@ -99,7 +227,7 @@ def thinning_candidates(
     horizon: float,
     scale: float,
     bit_generator: np.random.PCG64,
-    tables: Tuple[np.ndarray, np.ndarray],
+    tables: Tables,
     size: int,
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Thinning candidates ``(times, uniforms)`` drawn from raw words.
@@ -107,21 +235,27 @@ def thinning_candidates(
     Rebuilds the scalar draw order (per candidate ``exponential(scale)``
     then ``random()``, no uniform after the gap that crosses the horizon)
     on buffers of ``size >= 2`` words, each starting where a gap starts.
-    A word whose exponential is on the ziggurat's fast path is one gap and
-    the next word its uniform.  At a slow word the draw is redone by a
-    private ``PCG64`` moved there, the words it read are counted by
-    stepping the LCG, and its uniform is the word after them.  A buffer
-    ends before a gap that starts past it, or that starts on its last word
-    and needs a uniform from the next.  Times are a cumsum seeded with the
-    running time, the same sequential adds as ``t += gap``.  At the
-    crossing, ``bit_generator`` takes the 128-bit state the scalar loop
-    would have left, keeping its buffered 32-bit half.
+    A fast word is one gap and the next word its uniform.  A slow word is
+    decided from the word after it (:func:`_decide`): an accepted one is
+    the gap, with its uniform two words on; a rejected one restarts the
+    draw two words on, which may be fast or slow again.  Either way the
+    gap is ``scale * x`` of the word that ends the chain, the fast
+    formula.  Only a word the buffer cannot decide (a tail word, a near
+    tie, a chain link whose test or uniform would read past the buffer) is
+    redrawn, by a private ``PCG64`` moved there, the words it read counted
+    by stepping the LCG, and its uniform the word after them; that walker
+    moves only at a redraw and at a buffer's end.  A buffer ends before a
+    gap that starts past it, or that starts on its last word and needs a
+    uniform from the next.  Times are a cumsum seeded with the running
+    time, the same sequential adds as ``t += gap``.  At the crossing,
+    ``bit_generator`` takes the 128-bit state the scalar loop would have
+    left, keeping its buffered 32-bit half.
     """
-    ke, we = tables
+    ke, we, _ = tables
     state = bit_generator.state
     inc = state["state"]["inc"]
-    # ``walker`` only steps forward: it sits where the next gap or slow
-    # word starts; ``reader`` reads each buffer from the walker's state.
+    # ``walker`` only steps forward, to each redraw and to the start of
+    # each buffer; ``reader`` reads each buffer from the walker's state.
     walker, reader = np.random.PCG64(0), np.random.PCG64(0)
     walker.state = {"bit_generator": "PCG64", "state": dict(state["state"]),
                     "has_uint32": 0, "uinteger": 0}
@@ -131,42 +265,66 @@ def thinning_candidates(
         buffer_state = walker.state
         reader.state = buffer_state
         raw = reader.random_raw(size)
-        slow = np.flatnonzero((raw >> 11) >= ke[(raw >> 3) & 0xFF])
-        redrawn: List[int] = []  # candidates whose gap was redrawn
+        ri = raw >> 11
+        layers = (raw >> 3) & 0xFF
+        slow = np.flatnonzero(ri >= ke[layers])
+        # A decided word's test and its gap's uniform lie inside the buffer.
+        inside = slow[: int(np.searchsorted(slow, size - 2))]
+        decided, accepted = _decide(ri[inside], layers[inside], raw[inside + 1], tables)
+        kinds = np.full(len(slow), _REDRAW)
+        kinds[: len(inside)] = np.where(decided, np.where(accepted, _ACCEPT, _REJECT), _REDRAW)
+        kind = dict(zip(slow.tolist(), kinds.tolist()))
+        special: List[int] = []  # candidates whose gap starts on a slow word
+        special_ends: List[int] = []  # the word whose ``x`` each gap takes
+        special_widths: List[int] = []  # the words each gap read
+        redrawn: List[int] = []  # the special candidates redrawn
         redrawn_gaps: List[float] = []
         redrawn_uniforms: List[int] = []  # their uniforms' words
-        redrawn_widths: List[int] = []  # the words their gaps read
-        p = count = 0  # the walker's word, and the candidates before it
-        for q in slow.tolist():
+        # The word the next gap starts on, the candidates before it, and
+        # the walker's word.
+        p = count = walked = 0
+        for q, how in kind.items():
             if q < p or (q - p) & 1:
-                continue  # a uniform's word, or one a redraw read
+                continue  # a uniform's word, or one an earlier gap read
             count += (q - p) // 2
-            walker.advance(q - p)
-            before = walker.state["state"]["state"]
-            redrawn_gaps.append(exponential(scale))
-            after = walker.state["state"]["state"]
-            width = 0
-            while before != after:
-                before = (before * PCG64_MULTIPLIER + inc) & _MASK128
-                width += 1
-            redrawn_uniforms.append(int(walker.random_raw()))
-            redrawn.append(count)
-            redrawn_widths.append(width)
+            link = q  # the chain's last draw so far, and how it ends
+            while how == _REJECT:
+                link += 2
+                how = kind.get(link, _FAST if link < size - 1 else _REDRAW)
+            if how == _REDRAW:
+                walker.advance(link - walked)
+                before = walker.state["state"]["state"]
+                redrawn_gaps.append(exponential(scale))
+                after = walker.state["state"]["state"]
+                width = link - q
+                while before != after:
+                    before = (before * PCG64_MULTIPLIER + inc) & _MASK128
+                    width += 1
+                redrawn_uniforms.append(int(walker.random_raw()))
+                redrawn.append(count)
+                walked = q + width + 1
+                link = q  # any word: the redrawn gap replaces its value
+            else:
+                width = link - q + (2 if how == _ACCEPT else 1)
+            special.append(count)
+            special_ends.append(link)
+            special_widths.append(width)
             count += 1
             p = q + width + 1
             if p >= size:
                 break
         rest = max(size - p, 0) // 2
         count += rest
-        walker.advance(2 * rest)
+        walker.advance(p + 2 * rest - walked)
         widths = np.ones(count, dtype=np.int64)
-        widths[redrawn] = redrawn_widths
+        widths[special] = special_widths
         start = np.zeros(count, dtype=np.int64)
         np.cumsum(widths[:-1] + 1, out=start[1:])
-        gap_words = raw[start]
-        gaps = scale * ((gap_words >> 11).astype(np.float64) * we[(gap_words >> 3) & 0xFF])
+        ends = start.copy()
+        ends[special] = special_ends
+        gaps = scale * (ri[ends].astype(np.float64) * we[layers[ends]])
         gaps[redrawn] = redrawn_gaps
-        uniform_words = raw[np.minimum(start + 1, size - 1)]
+        uniform_words = raw[np.minimum(start + widths, size - 1)]
         uniform_words[redrawn] = np.array(redrawn_uniforms, dtype=np.uint64)
         uniforms = (uniform_words >> 11) * _UNIFORM_SCALE
         gaps[0] += t

@@ -200,6 +200,14 @@ class TestPlaceLatestMin:
         with pytest.raises(SchedulingError):
             schedule.place_latest_min(3, 8, 1)
 
+    def test_empty_window_keeps_the_placements_before_it_counted(self):
+        schedule = SlotSchedule(n_segments=2)
+        with pytest.raises(SchedulingError):
+            schedule.place_latest_min_many(5, [8, 3], [1, 2])
+        assert schedule.load(8) == 1
+        assert schedule.segments_in(8) == [1]
+        assert schedule.total_instances == 1
+
 
 @given(
     instances=st.lists(

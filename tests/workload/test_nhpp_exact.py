@@ -330,10 +330,11 @@ def test_pcg64_takes_the_raw_word_path(monkeypatch):
 def test_ziggurat_tables_from_installed_numpy():
     tables = pcg64.derive_ziggurat()
     assert tables is not None, "the installed numpy's ziggurat did not derive"
-    ke, we = tables
+    ke, we, fe = tables
     assert ke[1] == 0 and ke[0] > 0
-    cached_ke, cached_we = pcg64.ziggurat_tables()
+    cached_ke, cached_we, cached_fe = pcg64.ziggurat_tables()
     assert np.array_equal(ke, cached_ke) and np.array_equal(we, cached_we)
+    assert np.array_equal(fe, cached_fe)
 
     # Step-counted truth on 10^5 words: a state whose next word is ``w``
     # is ``w`` stepped back once; a draw is fast iff it reads one word.
@@ -364,5 +365,161 @@ def test_failed_derivation_falls_back_to_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(pcg64, "PCG64_MULTIPLIER", pcg64.PCG64_MULTIPLIER + 2)
     assert pcg64.derive_ziggurat() is None
     monkeypatch.setattr(pcg64, "ziggurat_tables", lambda: None)
+    monkeypatch.setattr(pcg64, "thinning_candidates", forbid)
+    assert_matches_reference(*CASES["ring"], 2001)
+
+
+#: The ``inc`` of the generators the slow-path cases start at chosen states.
+INC = np.random.PCG64(0).state["state"]["inc"]
+INVERSE = pow(pcg64.PCG64_MULTIPLIER, -1, 1 << 128)
+
+
+def pcg64_at(state):
+    """A ``bit_generator`` for :func:`assert_matches_reference`: a
+    ``PCG64`` at ``state``, whatever the seed."""
+    def make(_seed):
+        bit_generator = np.random.PCG64(0)
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": INC},
+                               "has_uint32": 0, "uinteger": 0}
+        return bit_generator
+    return make
+
+
+def draw_kind(words, at):
+    """What numpy does with a draw starting at ``words[at]``: ``fast``,
+    ``tail``, or the raw-word path's ``accept``, ``reject`` or
+    ``undecided`` for a slow word of layers 1-255."""
+    tables = pcg64.ziggurat_tables()
+    ri, layer = words[at] >> 11, (words[at] >> 3) & 0xFF
+    if ri < int(tables[0][layer]):
+        return "fast"
+    if layer == 0:
+        return "tail"
+    decided, accepted = pcg64._decide(
+        np.array([ri], dtype=np.uint64), np.array([layer], dtype=np.uint64),
+        np.array([words[at + 1]], dtype=np.uint64), tables,
+    )
+    return "undecided" if not decided[0] else "accept" if accepted[0] else "reject"
+
+
+#: The kinds of draw a rejection may restart into, by name.
+CHAINED = {"fast": ("fast",), "slow": ("accept", "reject")}
+
+
+@lru_cache(maxsize=None)
+def chain_start(then):
+    """A ``PCG64`` state whose stream opens with a decided rejected slow
+    word, then, two words on, a draw of kind ``then``: ``fast``, or
+    ``slow`` for a decided slow word, accepted or rejected.  The word two
+    on is chosen (a state below ``2**64`` outputs itself) and varied until
+    the words before it fit."""
+    ke = pcg64.ziggurat_tables()[0]
+    for n in range(1 << 20):
+        layer = 1 + n % 255
+        ri = n if then == "fast" else int(ke[layer]) + n
+        state = (ri << 11) | (layer << 3) | (n & 7)
+        for _ in range(3):
+            state = ((state - INC) * INVERSE) % (1 << 128)
+        words = pcg64_at(state)(0).random_raw(4).tolist()
+        if draw_kind(words, 0) == "reject" and draw_kind(words, 2) in CHAINED[then]:
+            return state
+    raise AssertionError(f"no rejected word followed by {then}")
+
+
+@pytest.mark.parametrize("then", ["fast", "slow"])
+def test_rejected_slow_word_restarts_the_draw(then):
+    state = chain_start(then)
+    words = pcg64_at(state)(0).random_raw(4).tolist()
+    assert draw_kind(words, 0) == "reject"
+    assert draw_kind(words, 2) in CHAINED[then]
+    got = assert_matches_reference(FLAT, 10 * HOUR, 0, bit_generator=pcg64_at(state))
+    assert len(got) > 0
+
+
+def test_tail_word_is_redrawn():
+    ke = pcg64.ziggurat_tables()[0]
+    word = (int(ke[0]) + 12345) << 11  # layer 0, slow: the ziggurat's tail
+    state = ((word - INC) * INVERSE) % (1 << 128)
+    assert draw_kind(pcg64_at(state)(0).random_raw(2).tolist(), 0) == "tail"
+    assert_matches_reference(FLAT, 10 * HOUR, 0, bit_generator=pcg64_at(state))
+
+
+@pytest.mark.parametrize("chunk, then", [(3, "fast"), (3, "slow"), (4, "slow")])
+def test_rejection_chain_straddles_a_buffer_seam(monkeypatch, chunk, then):
+    # The first buffer holds words 0..chunk-1.  Word 0's test is decided in
+    # it; the draw it restarts at word 2 reads word 3 and, when slow, its
+    # gap's uniform or next draw is word 4: past the buffer's end.
+    monkeypatch.setattr(arrivals, "THINNING_CHUNK", chunk)
+    state = chain_start(then)
+    assert (3 if then == "fast" else 4) >= chunk
+    assert_matches_reference(FLAT, 10 * HOUR, 0, bit_generator=pcg64_at(state))
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 64])
+def test_small_buffers_with_a_buffered_half(monkeypatch, chunk):
+    monkeypatch.setattr(arrivals, "THINNING_CHUNK", chunk)
+    assert_matches_reference(FLAT, 20 * HOUR, 99, buffered=True)
+
+
+def test_every_slow_word_redrawn_is_still_exact(monkeypatch):
+    monkeypatch.setattr(pcg64, "DECISION_MARGIN", float("inf"))
+    words = np.random.PCG64(5).random_raw(10_000)
+    ke = pcg64.ziggurat_tables()[0]
+    slow = np.flatnonzero((words[:-1] >> 11) >= ke[(words[:-1] >> 3) & 0xFF])
+    decided, _ = pcg64._decide(words[slow] >> 11, (words[slow] >> 3) & 0xFF,
+                               words[slow + 1], pcg64.ziggurat_tables())
+    assert len(slow) > 0 and not decided.any()
+    assert_matches_reference(*CASES["day"], 7)
+    assert_matches_reference(*CASES["ring"], 2001)
+
+
+def test_probed_top_layer_we_equals_step_counted_draws():
+    """Every layer-1 word is slow, so ``we[1]`` is probed from an accepted
+    draw; every accepted layer-1 draw of 200, found by stepping the LCG
+    (it reads two words), is ``float(ri) * we[1]``."""
+    ke, we, _ = pcg64.ziggurat_tables()
+    assert ke[1] == 0 and we[1] > 0
+    probe = np.random.PCG64(0)
+    draw = np.random.Generator(probe).standard_exponential
+    rng = np.random.default_rng(8)
+    accepted = 0
+    for ri in rng.integers(1, 1 << 53, size=200).tolist():
+        word = (ri << 11) | (1 << 3)
+        previous = ((word - INC) * INVERSE) % (1 << 128)
+        probe.state = {"bit_generator": "PCG64", "state": {"state": previous, "inc": INC},
+                       "has_uint32": 0, "uinteger": 0}
+        value = draw()
+        after = probe.state["state"]["state"]
+        if after == (word * pcg64.PCG64_MULTIPLIER + INC) % (1 << 128):
+            accepted += 1
+            assert value == float(ri) * we[1], hex(word)
+    assert accepted > 20
+
+
+def nudge_top_layer(probe_tables):
+    def probed(probe):
+        ke, we = probe_tables(probe)
+        we[1] = np.nextafter(we[1], np.inf)
+        return ke, we
+    return probed
+
+
+def shift_heights(layer_heights):
+    def heights(we):
+        fe = layer_heights(we)
+        fe[1:-1] = fe[2:].copy()  # each layer reads its neighbour's edge
+        return fe
+    return heights
+
+
+@pytest.mark.parametrize("table", ["fe", "we1"])
+def test_wrong_tables_fail_the_self_check(monkeypatch, table):
+    if table == "fe":
+        monkeypatch.setattr(pcg64, "_layer_heights", shift_heights(pcg64._layer_heights))
+    else:
+        monkeypatch.setattr(pcg64, "_probe_tables", nudge_top_layer(pcg64._probe_tables))
+    assert pcg64.derive_ziggurat() is None
+    monkeypatch.setattr(pcg64, "ziggurat_tables", pcg64.derive_ziggurat)
     monkeypatch.setattr(pcg64, "thinning_candidates", forbid)
     assert_matches_reference(*CASES["ring"], 2001)
