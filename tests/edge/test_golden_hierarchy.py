@@ -1,9 +1,11 @@
-"""Bit-for-bit hierarchy goldens: results and metrics of five edge runs.
+"""Bit-for-bit hierarchy goldens: results and metrics of six edge runs.
 
 ``golden_hierarchy.json`` was generated before the per-arrival edge path
 lost its allocations (frozen-dataclass decisions, per-class dict lookups,
-pending joins past the horizon kept until the run ends).  Every run must
-still reproduce it exactly: the :meth:`HierarchyResult.to_dict` snapshot
+pending joins past the horizon kept until the run ends); its ``day`` entry
+was added while the shaper still classified and metered hits in per-hit
+Python loops, before those became array replays.  Every run must still
+reproduce it exactly: the :meth:`HierarchyResult.to_dict` snapshot
 and the ``edge.*`` / ``cluster.*`` counters, gauges and histograms
 (timers carry wall times and are left out).
 
@@ -30,6 +32,7 @@ from repro.edge.scenario import preset_hierarchy, run_hierarchy
 from repro.edge.shaping import TrafficClass
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Observation
+from repro.workload.spec import WorkloadSpec
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_hierarchy.json"
 
@@ -52,6 +55,31 @@ def _stressed(quick):
     )
 
 
+def _day(stock, scale=10.0):
+    # The stock preset over a 24 h diurnal + event-ring day (the shape of
+    # the repository benchmark's ``day`` workload, at 10x its 1x rates).
+    # Both uplinks stay in debt from the first burst on: every node call
+    # shapes a chunk of a few hundred hits, nearly all of them deferred.
+    workload = WorkloadSpec.superpose(
+        [
+            WorkloadSpec.diurnal("child", 120.0 * scale),
+            WorkloadSpec.ring(
+                peak_rate_per_hour=400.0 * scale,
+                n_rings=3,
+                ring_delay_hours=0.5,
+                attenuation=0.5,
+                decay_hours=1.5,
+                start_hours=19.0,
+            ),
+        ]
+    )
+    return dataclasses.replace(
+        stock,
+        horizon_slots=int(24 * 3600 / stock.slot_duration),
+        workload=workload,
+    )
+
+
 def configurations():
     """Name → hierarchy scenario, in golden-file order."""
     quick = preset_hierarchy(quick=True)
@@ -67,6 +95,7 @@ def configurations():
         ),
         "zero_budget": quick.with_cache_budget(0),
         "stressed": _stressed(quick),
+        "day": _day(preset_hierarchy()),
     }
 
 
