@@ -14,6 +14,15 @@ bit-for-bit identical to the pure cluster: every decision degenerates to a
 ``admit(title, t, slot, slot_end)`` are the same kernel for one slot start
 or one arrival.
 
+Inside a chunk each node looks up its arrivals' prefixes in one table and
+hands its hits to :meth:`PolicyShaper.shape` as arrays: the class picks
+come from a queue of picks verified ahead by cumulative sums, and each
+class's bucket is replayed as one cumulative sum up to its first refill
+that meets the capacity, its per-draw loop running only from there.  So a
+node call costs a few array passes over its hits; per-hit Python work is
+left only where buckets refill to capacity between draws, the low-load
+case where hits are few.
+
 Timing of a prefix hit: the client starts the cached prefix (segments
 ``1..k``) from its edge after any shaper deferral and plays segment ``m``
 during the ``m``-th slot after the start.  Joining the origin broadcast

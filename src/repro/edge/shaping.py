@@ -34,6 +34,23 @@ import numpy as np
 from ..errors import ConfigurationError
 
 
+#: Most picks one speculation round guesses and verifies: about one node's
+#: share of a 64-slot decision chunk on the 100x ``day`` workload.
+SPECULATION_PICKS = 4096
+#: Fewest picks a round guesses: below a few hundred the round's fixed
+#: cost dominates.
+MIN_SPECULATION = 256
+#: Latest picks kept to guess from.
+HISTORY_PICKS = 4096
+#: Longest lag a guess may take, in periods of Σ weights picks.
+LAG_PERIODS = 32
+#: Latest picks each candidate lag is checked against.
+LAG_CHECK_PICKS = 512
+#: Fewest draws a class replays in array operations: below this the
+#: per-draw loop is cheaper than the replay's fixed cost.
+REPLAY_DRAWS = 48
+
+
 @dataclass(frozen=True)
 class TrafficClass:
     """One shaping class: a share of requests and a share of the uplink.
@@ -165,7 +182,21 @@ class PolicyShaper:
         n = len(self.classes)
         total_weight = sum(cls.weight for cls in self.classes)
         self._shares = [cls.weight / total_weight for cls in self.classes]
+        self._share_column = np.array(self._shares)[:, None]
+        self._class_column = np.arange(n)[:, None]
         self._credits = [0.0] * n
+        # Classification runs ahead (see _picks): picks verified but not
+        # yet handed out with the credits after each, the credits after
+        # the last one verified, the next window's size, the picks kept to
+        # guess from, the guess's lag and the seed guesses.
+        self._ready = np.empty(0, dtype=np.int64)
+        self._ready_credits = np.empty((n, 0))
+        self._tip = np.zeros(n)
+        self._window = MIN_SPECULATION
+        self._recent = np.empty(0, dtype=np.int64)
+        self._lag_unit = self._lag = total_weight
+        self._seed_credits = [0.0] * n
+        self._seed: List[int] = []
         # Token buckets: refill rate, capacity and (possibly negative) level.
         self._rates = [cls.uplink_share * self.uplink_streams for cls in self.classes]
         self._capacities = [rate * self.burst_slots for rate in self._rates]
@@ -204,52 +235,177 @@ class PolicyShaper:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Classify and meter a run of requests with slot starts between them.
 
-        Request ``i`` costs ``costs[i]`` tokens and comes after ``epochs[i]``
-        of the run's ``n_epochs - 1`` slot starts (``epochs`` is
-        non-decreasing); every slot start refills every bucket.  Classes
-        come from one weighted round-robin loop in request order, then each
-        class replays its own refills and draws in that order, so the
-        outcome is the request-by-request sequence exactly.  Returns
-        ``(classes, defers)`` arrays; a defer of -1 marks a request its
-        zero-share class shaped out.
+        Request ``i`` costs ``costs[i] >= 0`` tokens and comes after
+        ``epochs[i]`` of the run's ``n_epochs - 1`` slot starts (``epochs``
+        is non-decreasing); every slot start refills every bucket.  Classes
+        come from the weighted round-robin in request order (:meth:`_picks`),
+        then each class replays its own refills and draws in that order
+        (:meth:`_draws`), so the outcome is the request-by-request sequence
+        exactly.  Returns ``(classes, defers)`` arrays; a defer of -1 marks
+        a request its zero-share class shaped out.
         """
         costs = np.asarray(costs, dtype=np.int64)
         epochs = np.asarray(epochs, dtype=np.int64)
-        classes = np.array(self._picks(len(costs)), dtype=np.int64)
+        classes = self._picks(len(costs))
         defers = np.empty(len(costs), dtype=np.int64)
         for index in range(len(self.classes)):
             mine = classes == index
-            defers[mine] = self._draws(
-                index, costs[mine].tolist(), epochs[mine].tolist(), n_epochs - 1
-            )
+            defers[mine] = self._draws(index, costs[mine], epochs[mine], n_epochs - 1)
         return classes, defers
 
-    def _picks(self, count: int) -> List[int]:
+    def _picks(self, count: int) -> np.ndarray:
         """Classify ``count`` requests in turn; return their class indices.
 
         Weighted round-robin credits: every class earns its share, the
         first class holding the largest credit (ties go to declaration
-        order) takes the request and pays one credit.
+        order) takes the request and pays one credit.  The picks depend on
+        nothing but how many came before, so they are verified ahead, a
+        window at a time (:meth:`_speculate`), and handed out from there;
+        ``_credits`` is the state after the last pick handed out.
         """
-        credits = self._credits
-        shares = self._shares
-        picks: List[int] = []
-        append = picks.append
-        for _ in range(count):
-            credits = list(map(add, credits, shares))
-            top = max(credits)
-            best = credits.index(top)
-            credits[best] = top - 1.0
-            append(best)
-        self._credits = credits
+        if not count:
+            return np.empty(0, dtype=np.int64)
+        parts = []
+        need = count
+        while need:
+            if not len(self._ready):
+                self._speculate()
+            take = min(need, len(self._ready))
+            parts.append(self._ready[:take])
+            self._credits = self._ready_credits[:, take - 1].tolist()
+            self._ready = self._ready[take:]
+            self._ready_credits = self._ready_credits[:, take:]
+            need -= take
+        picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
         requests = self._requests
-        for index in range(len(requests)):
-            requests[index] += picks.count(index)
+        for index, n in enumerate(np.bincount(picks, minlength=len(requests))):
+            requests[index] += int(n)
         return picks
 
+    def _speculate(self) -> None:
+        """Verify the next window of picks; queue them and their credits.
+
+        The window's picks are guessed (:meth:`_guess`), then each class's
+        credit is replayed as one sequential ``np.cumsum`` over ``+share``
+        and, where the guess picks it, ``-1.0`` (``-0.0`` elsewhere): the
+        loop's own additions in the loop's order.  ``argmax`` over the
+        classes, first index on ties, is the loop's pick.  Every pick up to
+        the first one that disagrees with its guess saw exact credits, that
+        pick included, so those are queued and the rest of the window is
+        dropped.  The window doubles after a window without a wrong guess,
+        up to ``SPECULATION_PICKS``, and shrinks to twice the picks kept
+        (at least ``MIN_SPECULATION``) after one, so a wrong guess costs
+        work in proportion to the picks it kept, plus a constant.
+        """
+        m = self._window
+        guess = self._guess(m)
+        steps = np.empty((len(self._shares), 2 * m + 1))
+        steps[:, 0] = self._tip
+        steps[:, 1::2] = self._share_column
+        # -0.0 where the guess picks another class: x + -0.0 is x exactly.
+        np.multiply(guess == self._class_column, -1.0, out=steps[:, 2::2])
+        np.add.accumulate(steps, axis=1, out=steps)
+        before = steps[:, 1::2]
+        # argmax over the classes, first index on ties: a class takes the
+        # pick only from a strictly smaller credit.
+        actual = np.zeros(m, dtype=np.int64)
+        top = before[0]
+        for index in range(1, len(before)):
+            credit = before[index]
+            actual[credit > top] = index
+            top = np.maximum(top, credit)
+        wrong = actual != guess
+        miss = int(wrong.argmax())
+        missed = bool(wrong[miss])
+        after = steps[:, 2::2]
+        if missed:
+            m = miss + 1
+            # The wrong guess subtracted from the wrong class.
+            after[:, miss] = before[:, miss]
+            after[actual[miss], miss] -= 1.0
+        self._window = min(SPECULATION_PICKS, max(MIN_SPECULATION, 2 * m))
+        self._ready = actual[:m]
+        self._ready_credits = after[:, :m]
+        self._tip = after[:, m - 1]
+        self._learn(self._ready, missed)
+
+    def _guess(self, m: int) -> np.ndarray:
+        """Guess the next ``m`` picks: each one the pick ``lag`` picks earlier.
+
+        ``lag`` starts at Σ weights, the period of WRR on exact fractions.
+        Picks with none verified ``lag`` picks before them, and every pick
+        when that period is longer than the history kept, are guessed by
+        the request-by-request recurrence run ahead from zero credits
+        (:meth:`_seed_picks`).  Past the picks verified the guess repeats
+        itself with the same lag.
+        """
+        recent = self._recent
+        lag = self._lag
+        if lag > HISTORY_PICKS:
+            return self._seed_picks(m)
+        head = min(lag, m)
+        start = len(recent) - lag
+        if start >= 0:
+            guess = recent[start:start + head]
+        else:
+            seeded = min(head, -start)
+            guess = np.empty(head, dtype=np.int64)
+            guess[:seeded] = self._seed_picks(seeded)
+            guess[seeded:] = recent[:head - seeded]
+        return guess.take(np.arange(m) % head) if m > head else guess
+
+    def _seed_picks(self, m: int) -> np.ndarray:
+        """The next ``m`` picks of the per-request WRR recurrence.
+
+        It runs ahead of the picks verified, from zero credits, and
+        ``_seed`` holds what it has produced past them.  Its picks are
+        guesses like any other: only the verified ones are handed out.
+        Integer WRR would be a cheaper-looking seed, but float shares part
+        from it early (for 7:3 at the fifth and sixth picks), and each
+        wrong guess costs a window.
+        """
+        seed = self._seed
+        if len(seed) < m:
+            shares = self._shares
+            credits = self._seed_credits
+            append = seed.append
+            for _ in range(m - len(seed)):
+                credits = list(map(add, credits, shares))
+                top = max(credits)
+                best = credits.index(top)
+                credits[best] = top - 1.0
+                append(best)
+            self._seed_credits = credits
+        return np.array(seed[:m], dtype=np.int64)
+
+    def _learn(self, verified: np.ndarray, missed: bool) -> None:
+        """Record verified picks; after a miss, re-choose the guess's lag.
+
+        The new lag is the multiple of Σ weights (up to ``LAG_PERIODS`` of
+        them, within half the history kept) that predicted the longest run
+        of the latest picks, the shortest on ties.
+        """
+        del self._seed[:len(verified)]
+        unit = self._lag_unit
+        if unit > HISTORY_PICKS:
+            return
+        recent = np.concatenate((self._recent, verified))[-HISTORY_PICKS:]
+        self._recent = recent
+        longest = min(LAG_PERIODS, len(recent) // (2 * unit))
+        if not missed or longest < 2:
+            return
+        lags = unit * np.arange(1, longest + 1)
+        span = min(len(recent) - lags[-1], LAG_CHECK_PICKS)
+        at = np.arange(len(recent) - span, len(recent))
+        wrong = recent[at - lags[:, None]] != recent[at]
+        last = np.where(
+            wrong.any(axis=1), span - 1 - wrong[:, ::-1].argmax(axis=1), -1
+        )
+        self._lag = int(lags[last.argmin()])
+
     def _draws(
-        self, index: int, costs: List[int], epochs: List[int], n_refills: int
-    ) -> List[int]:
+        self, index: int, costs: np.ndarray, epochs: np.ndarray, n_refills: int
+    ) -> Sequence[int]:
         """Meter class ``index``'s draws over ``n_refills`` slot starts.
 
         Draw ``i`` of ``costs[i]`` tokens comes after ``epochs[i]`` of the
@@ -258,16 +414,73 @@ class PolicyShaper:
         ``ceil((k - level) / rate)`` slots when the level cannot cover it,
         and always subtracts ``k``.  A class with no uplink shapes every
         draw out (-1); its level stays at its zero capacity.
+
+        The refills and draws are replayed as one sequential ``np.cumsum``
+        of ``+rate`` and ``-k`` from the current level: the loop's own
+        additions, exact up to the first refill where the capacity clamp
+        binds.  From that refill on, :meth:`_meter` (the bucket's one
+        definition) runs draw by draw.  A bucket in debt is decided wholly
+        in array operations; one that would refill to capacity before its
+        first draw, or a run of fewer than ``REPLAY_DRAWS`` draws, goes
+        straight to the loop.
         """
         rate = self._rates[index]
+        n = len(costs)
         if rate <= 0.0:
-            self._bypassed[index] += len(costs)
-            return [-1] * len(costs)
-        capacity = self._capacities[index]
+            self._bypassed[index] += n
+            return [-1] * n
         level = self._levels[index]
+        capacity = self._capacities[index]
+        # A short run costs less draw by draw than the replay's set-up, and
+        # a bucket that refills to capacity before its first draw would
+        # fail the replay at once: meter those from the start.
+        if n < REPLAY_DRAWS or level + epochs[0] * rate > capacity:
+            return self._meter(index, level, 0, costs.tolist(), epochs.tolist(), n_refills)
+        # Step 0 is the level; draw i sits after its epochs[i] refills and
+        # the i draws before it.
+        at = epochs + np.arange(1, n + 1)
+        steps = np.full(n_refills + n + 1, rate)
+        steps[0] = level
+        steps[at] = -costs
+        np.add.accumulate(steps, out=steps)
+        # The first refill that overshoots the capacity is where the clamp
+        # binds; step 0 never does (a level never exceeds its capacity).
+        stop = int((steps > capacity).argmax()) or len(steps)
+        decided = n if stop == len(steps) else int(np.searchsorted(at, stop))
+        before = steps[at[:decided] - 1]
+        mine = costs[:decided]
+        defers = np.where(before >= mine, 0.0, np.ceil((mine - before) / rate))
+        defers = defers.astype(np.int64)
+        self._deferrals[index] += int(np.count_nonzero(defers))
+        self._deferral_slots[index] += int(defers.sum())
+        self._levels[index] = float(steps[stop - 1])
+        if stop == len(steps):
+            return defers
+        rest = self._meter(
+            index,
+            self._levels[index],
+            stop - 1 - decided,
+            costs[decided:].tolist(),
+            epochs[decided:].tolist(),
+            n_refills,
+        )
+        return np.concatenate((defers, rest))
+
+    def _meter(
+        self,
+        index: int,
+        level: float,
+        refilled: int,
+        costs: List[int],
+        epochs: List[int],
+        n_refills: int,
+    ) -> List[int]:
+        """Class ``index``'s bucket, draw by draw, from ``level`` after
+        ``refilled`` of the slot starts; counts the deferrals it returns."""
+        rate = self._rates[index]
+        capacity = self._capacities[index]
         defers: List[int] = []
         append = defers.append
-        refilled = 0
         # A last pseudo-draw (None) runs the refills after the last draw.
         for cost, epoch in zip(costs + [None], epochs + [n_refills]):
             while refilled < epoch:
