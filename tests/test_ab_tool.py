@@ -1,5 +1,6 @@
 """The verdict rule of ``tools/ab.py``: who wins a set of paired runs."""
 
+import os
 import pathlib
 import sys
 
@@ -36,3 +37,28 @@ def test_winner_needs_nine_of_ten_and_a_gap_beyond_the_iqr():
     # Ties count for neither side.
     assert ab.verdict(base, list(base), True)["wins"] == 0
     assert ab.verdict(base, list(base), True)["winner"] == "-"
+
+
+def test_stale_bytecode_is_deleted_from_a_directory_side(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    cache = package / "__pycache__"
+    cache.mkdir(parents=True)
+    (package / "fresh.py").write_text("x = 1\n")
+    (package / "stale.py").write_text("x = 1\n")
+    fresh = cache / "fresh.cpython-312.pyc"
+    stale = cache / "stale.cpython-312.pyc"
+    orphan = cache / "gone.cpython-312.pyc"
+    for cached in (fresh, stale, orphan):
+        cached.write_bytes(b"")
+    # ``stale.py`` was edited after its cache was written.
+    os.utime(stale, (1_000_000, 1_000_000))
+    os.utime(package / "stale.py", (2_000_000, 2_000_000))
+    os.utime(package / "fresh.py", (1_000_000, 1_000_000))
+    os.utime(fresh, (2_000_000, 2_000_000))
+
+    assert ab.clear_stale_bytecode(tmp_path) == [stale]
+    assert not stale.exists() and fresh.exists() and orphan.exists()
+    trees = ab.Trees(tmp_path / "scratch")
+    os.utime(fresh, (0, 0))
+    assert trees.resolve(str(tmp_path), "base") == tmp_path.resolve()
+    assert not fresh.exists() and trees.added == []

@@ -10,7 +10,9 @@
 ``git worktree`` under ``--scratch`` (a temporary directory by default) and
 removed afterwards, or an existing directory that holds a checkout.  The
 head defaults to this checkout as it stands, uncommitted edits included;
-the base defaults to ``HEAD``.
+the base defaults to ``HEAD``.  In a directory side, every ``.pyc`` older
+than its source is deleted before the first run: a stale cache makes each
+run recompile that module, which a fresh checkout would not.
 
 Each pair runs ``perfbench/run.py`` once on each tree, the base first in
 even pairs and the head first in odd ones, so a drift in host speed falls
@@ -111,6 +113,17 @@ def run_once(tree: pathlib.Path, args) -> Dict:
     return json.loads(lines[-1])
 
 
+def clear_stale_bytecode(tree: pathlib.Path) -> List[pathlib.Path]:
+    """Delete every ``.pyc`` under ``tree`` older than its source; return them."""
+    stale = []
+    for cached in tree.rglob("__pycache__/*.pyc"):
+        source = cached.parent.parent / (cached.name.split(".", 1)[0] + ".py")
+        if source.exists() and cached.stat().st_mtime < source.stat().st_mtime:
+            cached.unlink()
+            stale.append(cached)
+    return stale
+
+
 class Trees:
     """The two trees to compare; removes the worktrees it added."""
 
@@ -119,10 +132,11 @@ class Trees:
         self.added: List[pathlib.Path] = []
 
     def resolve(self, name: str, label: str) -> pathlib.Path:
-        if name == ".":
-            return ROOT
-        path = pathlib.Path(name)
+        path = ROOT if name == "." else pathlib.Path(name)
         if path.is_dir():
+            stale = clear_stale_bytecode(path)
+            if stale:
+                print(f"# {label}: deleted {len(stale)} stale .pyc under {path}", flush=True)
             return path.resolve()
         target = self.scratch / label
         subprocess.run(["git", "worktree", "add", "--detach", str(target), name],
@@ -167,9 +181,11 @@ def report(runs: Dict[str, List[Dict]], trace: bool) -> List[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD",
-                        help="revision or checkout directory (default HEAD)")
+                        help="revision or checkout directory (default HEAD); a directory's "
+                        ".pyc files older than their sources are deleted first")
     parser.add_argument("--head", default=".",
-                        help="revision or checkout directory (default: this checkout)")
+                        help="revision or checkout directory (default: this checkout); "
+                        "stale .pyc files are deleted as for --base")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=4242)
     parser.add_argument("--seconds", type=float, default=20.0)
