@@ -8,13 +8,16 @@ particular request would have been already scheduled."  These benches
 measure exactly that, plus the other constructive hot paths.
 """
 
+import time
+from operator import add
+
 import numpy as np
 
 from repro.core.dhb import DHBProtocol
 from repro.edge.cache import allocate_prefixes
 from repro.edge.node import EdgeNode, EdgeTier
 from repro.edge.scenario import preset_hierarchy
-from repro.edge.shaping import PolicyShaper
+from repro.edge.shaping import PolicyShaper, TrafficClass
 from repro.experiments.adaptive import default_day_workload
 from repro.protocols.base import verify_static_map
 from repro.protocols.npb import pagoda_map
@@ -25,6 +28,7 @@ from repro.smoothing.packing import pack_video
 from repro.video.matrix import matrix_like_video
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.popularity import ZipfCatalog
+from repro.workload.spec import WorkloadSpec
 
 
 def test_dhb_request_handling_cold(benchmark):
@@ -147,6 +151,69 @@ def test_nhpp_day_generation(benchmark):
     rng = np.random.default_rng(1)
     result = benchmark(lambda: process.generate(24 * 3600.0, rng))
     assert len(result) > 2000
+
+
+def _day_at(scale):
+    """:func:`default_day_workload`'s shape at ``scale`` x its rates."""
+    return WorkloadSpec.superpose([
+        WorkloadSpec.diurnal("child", 120.0 * scale),
+        WorkloadSpec.ring(peak_rate_per_hour=400.0 * scale, n_rings=3, ring_delay_hours=0.5,
+                          attenuation=0.5, decay_hours=1.5, start_hours=19.0),
+    ])
+
+
+def test_nhpp_day_generation_100x(benchmark):
+    """The same day at 100x, as the ``day`` benchmark workload generates it.
+
+    About 1.46M thinning candidates in ~181 raw-word buffers of 16,384,
+    242k kept: per-buffer decoding and per-chunk thinning decide the time,
+    not the per-call overhead the 1x bench sees.  The ring's rates come
+    from ``np.exp``, rechecked exactly only near a threshold.
+    """
+    process = _day_at(100.0).process()
+    result = benchmark(lambda: process.generate(24 * 3600.0, np.random.default_rng(4242)))
+    assert len(result) == 242_225
+
+
+def _wrr_loop(shares, m):
+    """``m`` picks of the per-request weighted round-robin loop."""
+    credits, picks = [0.0] * len(shares), []
+    for _ in range(m):
+        credits = list(map(add, credits, shares))
+        top = max(credits)
+        best = credits.index(top)
+        credits[best] = top - 1.0
+        picks.append(best)
+    return picks
+
+
+def test_shaper_picks_with_weights_past_the_history(benchmark):
+    """Class picks for 5000:3000, Σ weights above ``HISTORY_PICKS``.
+
+    100k picks in runs of 1-5,000, as an edge node asks for them.  No
+    lag fits the history kept, so the shaper hands out the recurrence's
+    own picks; it must take at most the per-request loop's time (best of
+    five, interleaved, with 10% for timer noise).
+    """
+    classes = (TrafficClass("a", weight=5000, uplink_share=0.6),
+               TrafficClass("b", weight=3000, uplink_share=0.4))
+    runs = np.random.default_rng(2).integers(1, 5_001, 40)
+    runs[-1] += 100_000 - runs.sum()
+    shares = [5000 / 8000, 3000 / 8000]
+
+    def shape_all():
+        shaper = PolicyShaper(classes)
+        return np.concatenate([shaper._picks(int(n)) for n in runs])
+
+    picks = benchmark(shape_all)
+    assert picks.tolist() == _wrr_loop(shares, 100_000)
+    best = {shape_all: float("inf"), _wrr_loop: float("inf")}
+    for _ in range(5):
+        for run in best:
+            start = time.perf_counter()
+            run() if run is shape_all else run(shares, 100_000)
+            best[run] = min(best[run], time.perf_counter() - start)
+    assert best[shape_all] <= 1.1 * best[_wrr_loop], best
 
 
 def _edge_tier(scenario, catalog):

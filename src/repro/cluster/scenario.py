@@ -228,13 +228,6 @@ class ClusterResult:
             overflow_probability
         )
 
-    def naive_capacity_sum(self, overflow_probability: float) -> int:
-        """Σ per-title capacities — what separate single-title servers cost."""
-        return sum(
-            self.title_capacity_for_overflow(title, overflow_probability)
-            for title in range(len(self.per_title))
-        )
-
     def to_dict(self) -> Dict:
         """JSON-safe snapshot; equality of snapshots is bit-for-bit equality."""
         return {

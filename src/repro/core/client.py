@@ -50,11 +50,6 @@ class ClientPlan:
         self.assignments[segment] = slot
         self.shared[segment] = shared
 
-    @property
-    def n_new_instances(self) -> int:
-        """Number of segment instances this request forced the server to add."""
-        return sum(1 for is_shared in self.shared.values() if not is_shared)
-
     def verify(self, periods: PeriodVector) -> None:
         """Check every playout deadline; raise on any violation.
 

@@ -132,6 +132,20 @@ def validate_classes(
     return tuple(classes)
 
 
+def _recurrence(credits: List[float], shares: List[float], m: int) -> Tuple[List[int], List[float]]:
+    """The next ``m`` picks of the per-request WRR from ``credits``, and
+    the credits after them."""
+    picks: List[int] = []
+    append = picks.append
+    for _ in range(m):
+        credits = list(map(add, credits, shares))
+        top = max(credits)
+        best = credits.index(top)
+        credits[best] = top - 1.0
+        append(best)
+    return picks, credits
+
+
 class PolicyShaper:
     """Classify requests and meter each class's draw on the edge uplink.
 
@@ -261,22 +275,27 @@ class PolicyShaper:
         order) takes the request and pays one credit.  The picks depend on
         nothing but how many came before, so they are verified ahead, a
         window at a time (:meth:`_speculate`), and handed out from there;
-        ``_credits`` is the state after the last pick handed out.
+        ``_credits`` is the state after the last pick handed out.  When Σ
+        weights exceeds the history kept, every guess would be the
+        recurrence's own pick, so the recurrence hands them out itself.
         """
         if not count:
             return np.empty(0, dtype=np.int64)
-        parts = []
-        need = count
-        while need:
-            if not len(self._ready):
-                self._speculate()
-            take = min(need, len(self._ready))
-            parts.append(self._ready[:take])
-            self._credits = self._ready_credits[:, take - 1].tolist()
-            self._ready = self._ready[take:]
-            self._ready_credits = self._ready_credits[:, take:]
-            need -= take
-        picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if self._lag_unit > HISTORY_PICKS:
+            picks, self._credits = _recurrence(self._credits, self._shares, count)
+            picks = np.array(picks, dtype=np.int64)
+        else:
+            parts = []
+            while count:
+                if not len(self._ready):
+                    self._speculate()
+                take = min(count, len(self._ready))
+                parts.append(self._ready[:take])
+                self._credits = self._ready_credits[:, take - 1].tolist()
+                self._ready = self._ready[take:]
+                self._ready_credits = self._ready_credits[:, take:]
+                count -= take
+            picks = parts[0] if len(parts) == 1 else np.concatenate(parts)
         requests = self._requests
         for index, n in enumerate(np.bincount(picks, minlength=len(requests))):
             requests[index] += int(n)
@@ -333,50 +352,26 @@ class PolicyShaper:
         """Guess the next ``m`` picks: each one the pick ``lag`` picks earlier.
 
         ``lag`` starts at Σ weights, the period of WRR on exact fractions.
-        Picks with none verified ``lag`` picks before them, and every pick
-        when that period is longer than the history kept, are guessed by
-        the request-by-request recurrence run ahead from zero credits
-        (:meth:`_seed_picks`).  Past the picks verified the guess repeats
+        Picks with none verified ``lag`` picks before them are guessed by
+        the recurrence run ahead from zero credits; ``_seed`` holds what it
+        produced past the picks verified.  (Integer WRR would be a cheaper
+        seed, but float shares part from it early: for 7:3 at the fifth
+        and sixth picks.)  Past the picks verified the guess repeats
         itself with the same lag.
         """
-        recent = self._recent
-        lag = self._lag
-        if lag > HISTORY_PICKS:
-            return self._seed_picks(m)
+        recent, lag, seed = self._recent, self._lag, self._seed
         head = min(lag, m)
         start = len(recent) - lag
         if start >= 0:
             guess = recent[start:start + head]
         else:
             seeded = min(head, -start)
-            guess = np.empty(head, dtype=np.int64)
-            guess[:seeded] = self._seed_picks(seeded)
-            guess[seeded:] = recent[:head - seeded]
+            if len(seed) < seeded:
+                more, self._seed_credits = _recurrence(
+                    self._seed_credits, self._shares, seeded - len(seed))
+                seed.extend(more)
+            guess = np.array(seed[:seeded] + recent[:head - seeded].tolist(), dtype=np.int64)
         return guess.take(np.arange(m) % head) if m > head else guess
-
-    def _seed_picks(self, m: int) -> np.ndarray:
-        """The next ``m`` picks of the per-request WRR recurrence.
-
-        It runs ahead of the picks verified, from zero credits, and
-        ``_seed`` holds what it has produced past them.  Its picks are
-        guesses like any other: only the verified ones are handed out.
-        Integer WRR would be a cheaper-looking seed, but float shares part
-        from it early (for 7:3 at the fifth and sixth picks), and each
-        wrong guess costs a window.
-        """
-        seed = self._seed
-        if len(seed) < m:
-            shares = self._shares
-            credits = self._seed_credits
-            append = seed.append
-            for _ in range(m - len(seed)):
-                credits = list(map(add, credits, shares))
-                top = max(credits)
-                best = credits.index(top)
-                credits[best] = top - 1.0
-                append(best)
-            self._seed_credits = credits
-        return np.array(seed[:m], dtype=np.int64)
 
     def _learn(self, verified: np.ndarray, missed: bool) -> None:
         """Record verified picks; after a miss, re-choose the guess's lag.
@@ -387,8 +382,6 @@ class PolicyShaper:
         """
         del self._seed[:len(verified)]
         unit = self._lag_unit
-        if unit > HISTORY_PICKS:
-            return
         recent = np.concatenate((self._recent, verified))[-HISTORY_PICKS:]
         self._recent = recent
         longest = min(LAG_PERIODS, len(recent) // (2 * unit))

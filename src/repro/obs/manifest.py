@@ -144,11 +144,6 @@ class RunManifest:
         """Serialize to a JSON document."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        """Parse a manifest previously produced by :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
     def write(self, path: Union[str, pathlib.Path]) -> None:
         """Write the manifest as JSON to ``path``."""
         pathlib.Path(path).write_text(self.to_json() + "\n")

@@ -35,7 +35,7 @@ marked" is exactly "equals the segment's latest scheduled instance".
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 import numpy as np
 
@@ -74,18 +74,6 @@ class OnDemandMapProtocol(SlottedModel):
     def n_streams(self) -> int:
         """Streams of the underlying map (the saturation bandwidth)."""
         return self.map.n_streams
-
-    @property
-    def _marked(self) -> Dict[int, Set[int]]:
-        """Marked occurrences as {slot: segments} (audit/compatibility view).
-
-        Derived from the backing schedule on access; tests use it to check
-        marks against the underlying fixed map.
-        """
-        return {
-            slot: set(self._schedule.segments_in(slot))
-            for slot in self._schedule.occupied_slots()
-        }
 
     def occurrences(self, slot: int) -> np.ndarray:
         """Occurrence slot of each segment (entry ``j - 1`` for ``S_j``) that

@@ -95,12 +95,6 @@ class MPEGConfig:
         if not self.act_envelope or any(a <= 0 for a in self.act_envelope):
             raise VideoModelError("act_envelope needs positive multipliers")
 
-    @property
-    def mean_frame_size(self) -> float:
-        """Expected frame size (bytes) at activity 1.0, averaged over the GOP."""
-        sizes = {"I": self.i_mean, "P": self.p_mean, "B": self.b_mean}
-        return sum(sizes[c] for c in self.gop_pattern) / len(self.gop_pattern)
-
 
 def generate_mpeg_trace(
     duration_seconds: int,

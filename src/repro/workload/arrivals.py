@@ -180,7 +180,8 @@ class NonHomogeneousPoisson(ArrivalProcess):
     word at a buffer's end) gets a scalar redraw.  Its tables are derived
     and self-checked against the installed numpy on the first such call;
     any other bit generator, a subclass of ``PCG64`` included, or a failed
-    derivation takes the scalar loop.
+    derivation takes the scalar loop.  The flash and ring families thin on
+    ``np.exp`` rates, exact where it matters (:mod:`repro.workload.recheck`).
 
     Parameters
     ----------
@@ -231,8 +232,23 @@ class NonHomogeneousPoisson(ArrivalProcess):
         kept = [self._thin(times, draws) for times, draws in candidates]
         return np.concatenate(kept) if kept else np.empty(0)
 
+    #: Terms of a family's rate sum when it has ``_np_exp_rates``, its
+    #: formula with ``np.exp`` on times that never decrease; 0 if not.
+    rate_terms = 0
+
     def _thin(self, times: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Keep the candidates whose uniform draw falls under λ(t) / bound."""
+        """Keep the candidates whose uniform draw falls under λ(t) / bound.
+
+        Families with ``rate_terms`` decide on ``np.exp`` rates, exactly
+        within 1e-12 (from numpy's 1-ulp ``exp``) of a threshold or bound,
+        and on ``math_exp`` alone if ``np.exp`` fails its self-check.
+        """
+        if self.rate_terms:
+            from . import recheck
+
+            kept = recheck.thin(self, times, draws)
+            if kept is not None:
+                return kept
         rates = self.rates(times)
         bad = (rates < 0) | (rates > self.max_rate_per_hour * (1 + 1e-9))
         if bad.any():
@@ -249,7 +265,9 @@ def math_exp(values: np.ndarray) -> np.ndarray:
 
     The rate families use it rather than ``np.exp``, whose vectorised
     kernels may differ from the C library's ``exp`` in the last ulp, so
-    that a chunk's rates equal the scalar formula bit for bit.
+    that a chunk's rates equal the scalar formula bit for bit.  Thinning
+    needs it only for the candidates :mod:`repro.workload.recheck` finds
+    within its margin of a threshold or a bound.
     """
     return np.fromiter(map(math.exp, values.tolist()), dtype=float, count=len(values))
 

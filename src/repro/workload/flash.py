@@ -71,13 +71,21 @@ class FlashCrowd(NonHomogeneousPoisson):
             max_rate_per_hour=base_rate_per_hour + peak_rate_per_hour,
         )
 
+    rate_terms = 2
+
     def rates(self, times: np.ndarray) -> np.ndarray:
         """Instantaneous rates (per hour) at ``times`` seconds into the run."""
-        times = np.asarray(times, dtype=float)
+        return self._rates(np.asarray(times, dtype=float), math_exp)
+
+    def _np_exp_rates(self, times: np.ndarray) -> np.ndarray:
+        return self._rates(times, np.exp, ordered=True)
+
+    def _rates(self, times: np.ndarray, exp, ordered: bool = False) -> np.ndarray:
         since_release = times - self.start_hours * 3600.0
         rates = np.full(times.shape, self.base_rate_per_hour)
-        released = ~(since_release < 0)
-        decay = math_exp(-since_release[released] / (self.decay_hours * 3600.0))
+        released = (slice(np.searchsorted(since_release, 0.0), None) if ordered
+                    else ~(since_release < 0))
+        decay = exp(-since_release[released] / (self.decay_hours * 3600.0))
         rates[released] = self.base_rate_per_hour + self.peak_rate_per_hour * decay
         return rates
 

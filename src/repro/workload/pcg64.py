@@ -137,10 +137,11 @@ def _decide(
     :data:`DECISION_MARGIN` of the right side.
     """
     _, we, fe = tables
-    layers = layers.astype(np.intp)
-    x = ri.astype(np.float64) * we[layers]
+    layers = layers.astype(np.intp, copy=False)
+    x = ri.astype(np.float64) * we.take(layers)
     uniforms = (uniform_words >> 11) * _UNIFORM_SCALE
-    lhs = (fe[layers - 1] - fe[layers]) * uniforms + fe[layers]
+    heights = fe.take(layers)
+    lhs = (fe.take(layers - 1) - heights) * uniforms + heights
     rhs = np.exp(-x)
     decided = (layers > 0) & (np.abs(lhs - rhs) > DECISION_MARGIN * rhs)
     return decided, lhs < rhs
@@ -223,6 +224,17 @@ def ziggurat_tables() -> Optional[Tables]:
     return derive_ziggurat()
 
 
+def _slow_above(ke: np.ndarray) -> np.ndarray:
+    """Per layer, the largest fast word: a word is slow iff it is above it.
+
+    ``ri >= ke`` iff ``word >= ke << 11``, so the bound is ``(ke << 11) -
+    1``.  Two layers need care: ``ke = 0`` (every word slow) takes 0, below
+    every word of a layer >= 1; ``ke = 2**53`` (no word slow) wraps to
+    ``2**64 - 1``, above every word.
+    """
+    return np.where(ke > 0, (ke << np.uint64(11)) - np.uint64(1), np.uint64(0))
+
+
 def thinning_candidates(
     horizon: float,
     scale: float,
@@ -250,8 +262,22 @@ def thinning_candidates(
     time, the same sequential adds as ``t += gap``.  At the crossing,
     ``bit_generator`` takes the 128-bit state the scalar loop would have
     left, keeping its buffered 32-bit half.
+
+    Each buffer resolves every slow word's chain at once in array
+    operations: the draw that ends it, how, and the words it reads.  Only
+    the gaps that start on a slow word (about 180 of a buffer's 8,000
+    candidates) are then walked in Python: the gap after one starts on the
+    first slow word at or past its end with the end's parity, since words
+    of the other parity in between are fast gaps' uniforms.  Between two
+    of them the candidates are a plain stride-2 run, so candidate ``i``
+    starts on word ``2 * i`` moved on by the extra words of the slow gaps
+    before it: one ``np.repeat`` of their running sum.  Layers are
+    ``intp``, so that the table gathers need no index conversion.  Callers
+    keep the scalar loop for any bit generator but ``PCG64`` itself and
+    when :func:`derive_ziggurat` fails.
     """
     ke, we, _ = tables
+    above = _slow_above(ke)
     state = bit_generator.state
     inc = state["state"]["inc"]
     # ``walker`` only steps forward, to each redraw and to the start of
@@ -260,79 +286,130 @@ def thinning_candidates(
     walker.state = {"bit_generator": "PCG64", "state": dict(state["state"]),
                     "has_uint32": 0, "uinteger": 0}
     exponential = np.random.Generator(walker).exponential
+    layers = np.empty(size, dtype=np.intp)
+    evens = np.arange(0, size + 2, 2)
+    picked = np.empty(len(evens), dtype=np.intp)
+    word_kinds = np.empty(size, dtype=np.int8)
+    # Slow words are looked up by ``word + parity * block``: even ones
+    # first, then odd ones, each run closed by a sentinel.
+    block = 2 * size + 4
+    sentinels = np.array([block - 1, 2 * block - 1])
     t = 0.0
     while True:
         buffer_state = walker.state
         reader.state = buffer_state
         raw = reader.random_raw(size)
-        ri = raw >> 11
-        layers = (raw >> 3) & 0xFF
-        slow = np.flatnonzero(ri >= ke[layers])
+        np.right_shift(raw.view(np.int64), 3, out=layers)
+        np.bitwise_and(layers, 0xFF, out=layers)
+        slow = np.flatnonzero(raw > above.take(layers))
+        n_slow = len(slow)
+        kinds = np.full(n_slow, _REDRAW, dtype=np.int8)
         # A decided word's test and its gap's uniform lie inside the buffer.
         inside = slow[: int(np.searchsorted(slow, size - 2))]
-        decided, accepted = _decide(ri[inside], layers[inside], raw[inside + 1], tables)
-        kinds = np.full(len(slow), _REDRAW)
-        kinds[: len(inside)] = np.where(decided, np.where(accepted, _ACCEPT, _REJECT), _REDRAW)
-        kind = dict(zip(slow.tolist(), kinds.tolist()))
-        special: List[int] = []  # candidates whose gap starts on a slow word
-        special_ends: List[int] = []  # the word whose ``x`` each gap takes
-        special_widths: List[int] = []  # the words each gap read
-        redrawn: List[int] = []  # the special candidates redrawn
+        if len(inside):
+            decided, accepted = _decide(
+                raw[inside] >> 11, layers[inside], raw[inside + 1], tables)
+            kinds[: len(inside)] = np.where(
+                decided, np.where(accepted, _ACCEPT, _REJECT), _REDRAW)
+        path: List[int] = []  # the slow words gaps start on, in order
+        redrawn: List[int] = []  # positions in ``path`` redrawn
         redrawn_gaps: List[float] = []
         redrawn_uniforms: List[int] = []  # their uniforms' words
-        # The word the next gap starts on, the candidates before it, and
-        # the walker's word.
-        p = count = walked = 0
-        for q, how in kind.items():
-            if q < p or (q - p) & 1:
-                continue  # a uniform's word, or one an earlier gap read
-            count += (q - p) // 2
-            link = q  # the chain's last draw so far, and how it ends
-            while how == _REJECT:
-                link += 2
-                how = kind.get(link, _FAST if link < size - 1 else _REDRAW)
-            if how == _REDRAW:
-                walker.advance(link - walked)
+        walked = 0  # the walker's word
+        if n_slow:
+            # Each slow word's chain, were a gap to start on it: its last draw
+            # (``links``), how that ends, and the words it reads (``widths``;
+            # a redraw's are counted when it is drawn).  A rejection restarts
+            # two words on, where the draw may be slow again, fast, or at the
+            # buffer's last word and so in need of a redraw.
+            word_kinds.fill(_FAST)
+            word_kinds[slow] = kinds
+            word_kinds[size - 1] = _REDRAW
+            links, ends_how = slow.copy(), kinds.copy()
+            chained = np.flatnonzero(kinds == _REJECT)
+            while len(chained):
+                links[chained] += 2
+                ends_how[chained] = how = word_kinds.take(links[chained])
+                chained = chained[how == _REJECT]
+            widths = links - slow + np.where(ends_how == _ACCEPT, 2, 1)
+            after = slow + widths + 1
+            # The gap after a slow word's gap starts on the first slow word at
+            # or past its end with the end's parity (words of the other parity
+            # are fast gaps' uniforms), or none: ``n_slow``.
+            keys = np.concatenate((slow + (slow & 1) * block, sentinels))
+            order = keys.argsort()
+            keys = keys.take(order)
+            np.minimum(order, n_slow, out=order)
+            following = order.take(np.searchsorted(keys, after + (after & 1) * block)).tolist()
+            how_list = ends_how.tolist()
+            k = int(order[0])
+            while k < n_slow:
+                path.append(k)
+                if how_list[k] != _REDRAW:
+                    k = following[k]
+                    continue
+                q = int(slow[k])
+                walker.advance(int(links[k]) - walked)
                 before = walker.state["state"]["state"]
                 redrawn_gaps.append(exponential(scale))
-                after = walker.state["state"]["state"]
-                width = link - q
-                while before != after:
+                after_state = walker.state["state"]["state"]
+                width = int(links[k]) - q
+                while before != after_state:
                     before = (before * PCG64_MULTIPLIER + inc) & _MASK128
                     width += 1
                 redrawn_uniforms.append(int(walker.random_raw()))
-                redrawn.append(count)
+                redrawn.append(len(path) - 1)
+                widths[k] = width
+                links[k] = q  # any word: the redrawn gap replaces its value
                 walked = q + width + 1
-                link = q  # any word: the redrawn gap replaces its value
-            else:
-                width = link - q + (2 if how == _ACCEPT else 1)
-            special.append(count)
-            special_ends.append(link)
-            special_widths.append(width)
-            count += 1
-            p = q + width + 1
-            if p >= size:
-                break
-        rest = max(size - p, 0) // 2
-        count += rest
+                target = walked + (walked & 1) * block
+                k = int(order[np.searchsorted(keys, target)]) if walked < size else n_slow
+        # Candidate ``i`` starts on word ``2 * i`` moved on by the extra
+        # words of the slow gaps before it: ``offsets`` per run of
+        # candidates, each run ending on a slow gap but the last.
+        path = np.array(path, dtype=np.intp)
+        runs = np.empty(len(path) + 1, dtype=np.intp)
+        offsets = np.zeros(len(path) + 1, dtype=np.intp)
+        p = 0
+        if len(path):
+            starts = slow.take(path)
+            wide = widths.take(path)
+            ends = starts + wide + 1
+            p = int(ends[-1])
+            runs[0] = starts[0]
+            np.subtract(starts[1:], ends[:-1], out=runs[1:-1])
+            runs >>= 1
+            runs += 1
+            np.cumsum(wide - 1, out=offsets[1:])
+        runs[-1] = rest = max(size - p, 0) // 2
+        special = np.cumsum(runs[:-1]) - 1  # the candidates on slow words
+        count = int(special[-1]) + 1 + rest if len(path) else rest
         walker.advance(p + 2 * rest - walked)
-        widths = np.ones(count, dtype=np.int64)
-        widths[special] = special_widths
-        start = np.zeros(count, dtype=np.int64)
-        np.cumsum(widths[:-1] + 1, out=start[1:])
-        ends = start.copy()
-        ends[special] = special_ends
-        gaps = scale * (ri[ends].astype(np.float64) * we[layers[ends]])
-        gaps[redrawn] = redrawn_gaps
-        uniform_words = raw[np.minimum(start + widths, size - 1)]
-        uniform_words[redrawn] = np.array(redrawn_uniforms, dtype=np.uint64)
+        start = np.repeat(offsets, runs)
+        start += evens[:count]
+        gap_words = raw.take(start)
+        uniform_words = raw[1:].take(start, mode="clip")
+        if len(path):
+            gap_words[special] = raw.take(links.take(path))
+            uniform_words[special] = raw.take(np.minimum(starts + wide, size - 1))
+        gap_layers = np.right_shift(gap_words.view(np.int64), 3, out=picked[:count])
+        np.bitwise_and(gap_layers, 0xFF, out=gap_layers)
+        gaps = scale * ((gap_words >> 11).astype(np.float64) * we.take(gap_layers))
         uniforms = (uniform_words >> 11) * _UNIFORM_SCALE
+        if redrawn:
+            at_redraws = special.take(redrawn)
+            gaps[at_redraws] = redrawn_gaps
+            uniforms[at_redraws] = (
+                np.array(redrawn_uniforms, dtype=np.uint64) >> 11) * _UNIFORM_SCALE
         gaps[0] += t
         times = np.cumsum(gaps, out=gaps)
         crossing = int(np.searchsorted(times, horizon))
         if crossing < count:
+            at = int(np.searchsorted(special, crossing))
+            read = int(start[crossing]) + (
+                int(wide[at]) if at < len(path) and special[at] == crossing else 1)
             reader.state = buffer_state
-            reader.advance(int(start[crossing] + widths[crossing]))
+            reader.advance(read)
             state["state"] = reader.state["state"]
             bit_generator.state = state
             if crossing:

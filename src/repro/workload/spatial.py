@@ -112,13 +112,22 @@ class EventRings(NonHomogeneousPoisson):
 
     def rates(self, times: np.ndarray) -> np.ndarray:
         """Instantaneous rates (per hour): base plus every ignited ring."""
-        times = np.asarray(times, dtype=float)
+        return self._rates(np.asarray(times, dtype=float), math_exp)
+
+    @property
+    def rate_terms(self) -> int:
+        return self.n_rings + 1
+
+    def _np_exp_rates(self, times: np.ndarray) -> np.ndarray:
+        return self._rates(times, np.exp, ordered=True)
+
+    def _rates(self, times: np.ndarray, exp, ordered: bool = False) -> np.ndarray:
         tau = self.decay_hours * HOUR
         rates = np.full(times.shape, self.base_rate_per_hour)
         amplitude = self.peak_rate_per_hour
         for ignition in self.ignition_seconds():
-            lit = times >= ignition
-            rates[lit] += amplitude * math_exp(-(times[lit] - ignition) / tau)
+            lit = slice(np.searchsorted(times, ignition), None) if ordered else times >= ignition
+            rates[lit] += amplitude * exp(-(times[lit] - ignition) / tau)
             amplitude *= self.attenuation
         return rates
 

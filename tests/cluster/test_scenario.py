@@ -71,7 +71,11 @@ class TestStatisticalMultiplexing:
         of per-title single-server provisioning."""
         result = run_scenario(quick_scenario())
         pooled = result.capacity_for_overflow(1e-3)
-        naive = result.naive_capacity_sum(1e-3)
+        # Σ per-title capacities: what separate single-title servers cost.
+        naive = sum(
+            result.title_capacity_for_overflow(title, 1e-3)
+            for title in range(len(result.per_title))
+        )
         assert pooled < naive
         assert result.rejected == 0
         assert result.deferred_instance_slots == 0

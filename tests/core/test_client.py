@@ -55,7 +55,7 @@ def test_double_assignment_rejected():
 
 def test_new_instance_count():
     plan = make_plan(0, {1: 1, 2: 2, 3: 3}, shared={2: True})
-    assert plan.n_new_instances == 2
+    assert sum(not shared for shared in plan.shared.values()) == 2  # new instances
 
 
 def test_max_concurrent_receptions():

@@ -81,7 +81,7 @@ def test_bandwidth_accounting_consistency(trace, n_segments):
     horizon = max(trace) + n_segments + 2
     summed = sum(protocol.slot_load(s) for s in range(horizon))
     assert summed == protocol.schedule.total_instances
-    new_instances = sum(plan.n_new_instances for plan in protocol.clients)
+    new_instances = sum(not shared for plan in protocol.clients for shared in plan.shared.values())
     assert summed == new_instances
     assert summed <= len(trace) * n_segments
 

@@ -292,3 +292,20 @@ def test_long_runs_match_reference(name, regime):
     share = np.count_nonzero(expected_defers) / len(costs)
     low, high = {"indebted": (0.99, 1.0), "idle": (0.0, 0.0), "alternating": (0.2, 0.8)}[regime]
     assert low <= share <= high
+
+
+def test_weights_past_the_history_hand_out_the_recurrence():
+    # Σ weights 8,000 exceeds the history a lag is looked for in, so the
+    # shaper hands out the per-request recurrence's picks and credits.
+    classes = (TrafficClass("a", weight=5000, uplink_share=0.6),
+               TrafficClass("b", weight=3000, uplink_share=0.4))
+    assert 8000 > shaping.HISTORY_PICKS
+    reference = ReferenceShaper(classes)
+    shaper = PolicyShaper(classes)
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        n = int(rng.integers(1, 2_000))
+        want = [classes.index(reference.classify()) for _ in range(n)]
+        assert shaper._picks(n).tolist() == want
+        assert shaper._credits == reference._credits
+    assert shaper.requests == reference.requests

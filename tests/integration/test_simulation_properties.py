@@ -65,7 +65,7 @@ def test_on_demand_marks_subset_of_map(times):
     for slot in slots:
         protocol.handle_request(slot)
     for slot in range(0, 120):
-        marked = protocol._marked.get(slot, set())
+        marked = set(protocol._schedule.segments_in(slot))
         available = set(protocol.map.segments_in_slot(slot))
         assert marked <= available
 

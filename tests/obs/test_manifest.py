@@ -27,7 +27,7 @@ class TestRunManifest:
 
     def test_round_trip_json(self):
         manifest = RunManifest(experiment="sweep", seed=7)
-        clone = RunManifest.from_json(manifest.to_json())
+        clone = RunManifest.from_dict(json.loads(manifest.to_json()))
         assert clone == manifest
         assert clone.schema == MANIFEST_SCHEMA
 
@@ -53,7 +53,7 @@ class TestManifestRecorder:
     def test_round_trips_after_recording(self):
         with ManifestRecorder("fig7", params={"n_segments": 99}) as recorder:
             pass
-        clone = RunManifest.from_json(recorder.manifest.to_json())
+        clone = RunManifest.from_dict(json.loads(recorder.manifest.to_json()))
         assert clone == recorder.manifest
         assert clone.params == {"n_segments": 99}
 

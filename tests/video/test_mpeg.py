@@ -7,6 +7,12 @@ from repro.errors import VideoModelError
 from repro.video.mpeg import MPEGConfig, generate_mpeg_trace
 
 
+def mean_frame_size(config):
+    """Expected frame size (bytes) at activity 1.0, averaged over the GOP."""
+    sizes = {"I": config.i_mean, "P": config.p_mean, "B": config.b_mean}
+    return sum(sizes[c] for c in config.gop_pattern) / len(config.gop_pattern)
+
+
 def test_trace_has_requested_duration(rng):
     video = generate_mpeg_trace(120, rng)
     assert video.duration == 120.0
@@ -26,7 +32,7 @@ def test_mean_rate_near_configured(rng):
     # modest factor of the nominal GOP rate.
     envelope_mean = sum(config.act_envelope) / len(config.act_envelope)
     assert video.average_bandwidth == pytest.approx(
-        config.mean_frame_size * config.fps * envelope_mean, rel=0.2
+        mean_frame_size(config) * config.fps * envelope_mean, rel=0.2
     )
 
 
@@ -48,7 +54,7 @@ def test_gop_structure_means():
     config = MPEGConfig()
     assert config.i_mean > config.p_mean > config.b_mean
     expected = (config.i_mean + 3 * config.p_mean + 8 * config.b_mean) / 12
-    assert config.mean_frame_size == pytest.approx(expected)
+    assert mean_frame_size(config) == pytest.approx(expected)
 
 
 def test_config_validation(rng):

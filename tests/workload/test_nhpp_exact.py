@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.units import HOUR
-from repro.workload import arrivals, pcg64
+from repro.workload import arrivals, pcg64, recheck
 from repro.workload.arrivals import (
     NonHomogeneousPoisson,
     SuperposedArrivals,
@@ -523,3 +523,89 @@ def test_wrong_tables_fail_the_self_check(monkeypatch, table):
     monkeypatch.setattr(pcg64, "ziggurat_tables", pcg64.derive_ziggurat)
     monkeypatch.setattr(pcg64, "thinning_candidates", forbid)
     assert_matches_reference(*CASES["ring"], 2001)
+
+
+# The ring and flash families take their rates from ``np.exp`` and recheck
+# with ``math_exp`` only the candidates near a threshold or a bound
+# (:mod:`repro.workload.recheck`).
+
+RECHECKED = ["day", "ring", "flash-inside-base0", "flash-inside-base",
+             "flash-past-horizon", "flash-past-base0"]
+
+
+def count_calls(monkeypatch, family, method, sizes):
+    original = getattr(family, method)
+
+    def counted(self, times, *args):
+        sizes[method] += len(times)
+        return original(self, times, *args)
+
+    monkeypatch.setattr(family, method, counted)
+
+
+@pytest.mark.parametrize("name", RECHECKED)
+def test_every_candidate_rechecked_is_still_exact(monkeypatch, name):
+    # A margin of 2 puts every rate within it of the upper bound.
+    monkeypatch.setattr(recheck, "RATE_MARGIN", 2.0)
+    monkeypatch.setattr(recheck, "MIN_CANDIDATES", 1)
+    sizes = {"rates": 0, "_np_exp_rates": 0}
+    for family in (EventRings, FlashCrowd):
+        for method in sizes:
+            count_calls(monkeypatch, family, method, sizes)
+    assert_matches_reference(*CASES[name], 2001)
+    assert sizes["_np_exp_rates"] > 0
+    assert sizes["rates"] == sizes["_np_exp_rates"]
+
+
+def test_np_exp_off_by_ulps_keeps_math_exp(monkeypatch):
+    assert recheck.np_exp_agrees()
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: np.nextafter(np.nextafter(
+        np.nextafter(exp(x), np.inf), np.inf), np.inf))
+    assert not recheck.np_exp_agrees.__wrapped__()
+    monkeypatch.undo()
+    monkeypatch.setattr(recheck, "np_exp_agrees", lambda: False)
+    for family in (EventRings, FlashCrowd):
+        monkeypatch.setattr(family, "_np_exp_rates", forbid)
+    assert_matches_reference(*CASES["day"], 7)
+    assert_matches_reference(*CASES["flash-inside-base"], 7)
+
+
+def test_lowered_ring_bound_names_the_reference_candidate():
+    rings = ring_spec(5.0).process()
+    rings.max_rate_per_hour *= 0.7
+    with pytest.raises(WorkloadError) as expected:
+        reference_thinning(partial(ring_rate, rings), rings.max_rate_per_hour,
+                           24 * HOUR, np.random.default_rng(11))
+    with pytest.raises(WorkloadError) as raised:
+        rings.generate(24 * HOUR, np.random.default_rng(11))
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name", ["flash", "flash-base0", "ring", "ring-base"])
+def test_np_exp_rates_within_the_bound_of_exact(name):
+    process = FAMILIES[name]
+    times = np.sort(rate_probe_times())
+    exact = process.rates(times)
+    assert np.all(np.abs(process._np_exp_rates(times) - exact)
+                  <= recheck.error_bound(process.rate_terms) * exact)
+
+
+@pytest.mark.parametrize("name", ["flash", "ring-base"])
+def test_uniforms_between_the_two_thresholds_are_decided_exactly(name):
+    # Each uniform sits at the lower of the exact and the np.exp threshold,
+    # so wherever the two differ the np.exp rate alone decides wrong.
+    process = FAMILIES[name]
+    times = np.sort(np.random.default_rng(9).uniform(0, 30 * HOUR, 50_000))
+    exact = process.rates(times) / process.max_rate_per_hour
+    approximate = process._np_exp_rates(times) / process.max_rate_per_hour
+    assert np.count_nonzero(exact != approximate) > 100
+    draws = np.minimum(exact, approximate)
+    assert np.array_equal(process._thin(times, draws), times[draws < exact])
+
+
+def test_too_many_terms_keep_the_exact_path():
+    rings = EventRings(600.0, 500, 0.01, 1.0, 1.0)
+    assert 10 * recheck.error_bound(rings.rate_terms) > recheck.RATE_MARGIN
+    times = np.linspace(0.0, HOUR, 100)
+    assert recheck.thin(rings, times, np.full(100, 0.5)) is None
