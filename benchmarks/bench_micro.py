@@ -26,7 +26,8 @@ from repro.runtime.seeds import arrival_trace
 from repro.sim.slotted import SlottedSimulation
 from repro.smoothing.packing import pack_video
 from repro.video.matrix import matrix_like_video
-from repro.workload.arrivals import PoissonArrivals
+from repro.workload import pcg64
+from repro.workload.arrivals import PoissonArrivals, pcg64_buffer_words
 from repro.workload.popularity import ZipfCatalog
 from repro.workload.spec import WorkloadSpec
 
@@ -141,11 +142,11 @@ def test_nhpp_day_generation(benchmark):
     """Thinned diurnal + event-ring day (the adaptive study's, at 1x).
 
     About 14.6k thinning candidates, 2.4k kept, drawn from raw ``PCG64``
-    words in array operations, slow ziggurat words decided from the word
-    after them and only undecidable ones redrawn by a scalar call, with
-    one rate evaluation per chunk.  The ziggurat tables are
-    derived on the first call in a process, so the first round includes
-    that one-off cost.
+    words in array operations: slow ziggurat words are decided, and tail
+    words drawn, from the word after them; only a slow word on a buffer's
+    last two words or a near tie is redrawn by a scalar call.  One rate
+    evaluation per chunk.  The ziggurat tables are derived on the first
+    call in a process, so the first round includes that one-off cost.
     """
     process = default_day_workload().process()
     rng = np.random.default_rng(1)
@@ -165,14 +166,40 @@ def _day_at(scale):
 def test_nhpp_day_generation_100x(benchmark):
     """The same day at 100x, as the ``day`` benchmark workload generates it.
 
-    About 1.46M thinning candidates in ~181 raw-word buffers of 16,384,
-    242k kept: per-buffer decoding and per-chunk thinning decide the time,
-    not the per-call overhead the 1x bench sees.  The ring's rates come
-    from ``np.exp``, rechecked exactly only near a threshold.
+    About 1.46M thinning candidates in 182 raw-word buffers of 16,384,
+    242k kept: per-buffer decoding (:func:`test_nhpp_day_decode_100x`
+    alone) and per-chunk thinning decide the time, not the per-call
+    overhead the 1x bench sees.  As at 1x, only a slow word on a buffer's
+    last two words or a near tie is redrawn by a scalar call.  The ring's
+    rates come from ``np.exp``, rechecked exactly only near a threshold.
     """
     process = _day_at(100.0).process()
     result = benchmark(lambda: process.generate(24 * 3600.0, np.random.default_rng(4242)))
     assert len(result) == 242_225
+
+
+def test_nhpp_day_decode_100x(benchmark):
+    """The decoding half of :func:`test_nhpp_day_generation_100x`.
+
+    ``thinning_candidates`` alone over the 100x day's two components, as
+    ``generate`` calls it, with nothing thinned: all 1.46M candidates of
+    the day, drawn from raw ``PCG64`` words.
+    """
+    parts = _day_at(100.0).process().processes
+    tables = pcg64.ziggurat_tables()
+
+    def decode():
+        bit_generator = np.random.default_rng(4242).bit_generator
+        candidates = 0
+        for part in parts:
+            scale = 1.0 / (part.max_rate_per_hour / 3600.0)
+            for times, _ in pcg64.thinning_candidates(
+                24 * 3600.0, scale, bit_generator, tables, pcg64_buffer_words()
+            ):
+                candidates += len(times)
+        return candidates
+
+    assert benchmark(decode) == 1_456_766
 
 
 def _wrr_loop(shares, m):

@@ -175,10 +175,11 @@ class NonHomogeneousPoisson(ArrivalProcess):
     A generator whose bit generator is exactly ``numpy.random.PCG64`` is
     read in raw words instead (:mod:`repro.workload.pcg64`): the same gaps,
     uniforms and generator end state, bit for bit, from array operations.
-    A slow ziggurat word is accepted or rejected from the word after it;
-    only a word that cannot be decided there (a tail word, a near tie, a
-    word at a buffer's end) gets a scalar redraw.  Its tables are derived
-    and self-checked against the installed numpy on the first such call;
+    A slow ziggurat word is accepted or rejected, and a tail word drawn,
+    from the word after it; only a slow word on a buffer's last two words
+    or a near tie gets a scalar redraw.  Its tables and tail constant are
+    derived and self-checked against the installed numpy on the first such
+    call;
     any other bit generator, a subclass of ``PCG64`` included, or a failed
     derivation takes the scalar loop.  The flash and ring families thin on
     ``np.exp`` rates, exact where it matters (:mod:`repro.workload.recheck`).

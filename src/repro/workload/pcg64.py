@@ -6,19 +6,22 @@ On a ``PCG64`` generator, a uniform is one 64-bit word, and an exponential
 is one word on the ziggurat's fast path and more on its slow path.  This
 module rebuilds that interleaved order from raw words in array
 operations, slow path included: a slow word's accept/reject test is
-decided from the word after it wherever the answer is certain, and only
-the words it cannot decide (tail words, near ties, words at a buffer's
-end) are redrawn by a scalar call.  The generator is left in the state the
-scalar loop would have left, bit for bit.  The ziggurat's tables are
-derived from the installed numpy on first use and checked against scalar
-draws of sampled slow words; when the derivation or the check fails,
-callers keep the scalar loop.
+decided from the word after it wherever the answer is certain, and a tail
+word's draw is computed from the word after it, inside the buffer.  Only a
+slow word on a buffer's last two words (or a rejection chain that reaches
+its last word) and a near tie are redrawn by a scalar call.  The generator
+is left in the state the scalar loop would have left, bit for bit.  The
+ziggurat's tables and its tail constant are derived from the installed
+numpy on first use and checked against scalar draws of sampled slow and
+tail words; when the derivation or the check fails, callers keep the
+scalar loop.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator, List, Optional, Tuple
+import math
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -36,12 +39,24 @@ DECISION_MARGIN = 1e-9
 #: Slow words of each layer the derivation's self-check replays; layer 1,
 #: where every word is slow and ``we[1]`` is probed, gets more.
 _CHECKED_PER_LAYER, _CHECKED_TOP_LAYER = 8, 64
+#: Tail words the self-check replays with uniforms drawn at random, and
+#: with each of the smallest and largest uniforms, where ``log1p(-U)`` is
+#: steepest.
+_CHECKED_TAIL, _CHECKED_TAIL_EDGE = 32, 8
 
-# How a gap's draw ends at a word: on the fast path, on an accepted or a
-# rejected slow word (the draw restarts two words on), or by a scalar redraw.
-_FAST, _ACCEPT, _REJECT, _REDRAW = 0, 1, 2, 3
+# How a slow word's draw ends: accepted, as a tail draw, by a scalar
+# redraw, or rejected and restarted two words on.  A word that is not slow
+# is fast.
+_FAST, _ACCEPT, _TAIL, _REDRAW, _REJECT = 0, 1, 2, 3, 4
 
-Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+class Tables(NamedTuple):
+    """The installed numpy's exponential ziggurat (:func:`derive_ziggurat`)."""
+
+    ke: np.ndarray  #: per layer, the smallest slow ``ri``
+    we: np.ndarray  #: per layer, the width a word's ``ri`` is scaled by
+    fe: np.ndarray  #: per layer, the curve's height at the layer's edge
+    tail: float  #: ``ziggurat_exp_r``: a tail draw is ``tail - log1p(-U)``
 
 
 def _xsl_rr(state: int) -> int:
@@ -67,10 +82,11 @@ class _Probe:
     def step(self, state: int) -> int:
         return (state * PCG64_MULTIPLIER + self.inc) & _MASK128
 
-    def draw_from(self, state: int) -> Tuple[float, int]:
+    def draw_from(self, state: int, inc: Optional[int] = None) -> Tuple[float, int]:
         """A draw's value and the state after it, starting at ``state``."""
+        inc = self.inc if inc is None else inc
         self.bit_generator.state = {"bit_generator": "PCG64",
-                                    "state": {"state": state, "inc": self.inc},
+                                    "state": {"state": state, "inc": inc},
                                     "has_uint32": 0, "uinteger": 0}
         value = self.exponential()
         return value, self.bit_generator.state["state"]["state"]
@@ -79,6 +95,14 @@ class _Probe:
         """A draw whose first word is ``word``: it read only ``word`` iff
         the state after it is ``word``, and one more iff ``step(word)``."""
         return self.draw_from(((word - self.inc) * self.inverse) & _MASK128)
+
+    def draw_pair(self, first: int, second: int) -> Tuple[float, int]:
+        """A draw whose first two words are ``first`` and ``second``: the
+        increment is chosen so that one LCG step takes the state ``first``
+        to the state ``second``, and each outputs itself.  It read both
+        and no more iff the state after it is ``second``."""
+        inc = (second - first * PCG64_MULTIPLIER) & _MASK128
+        return self.draw_from(((first - inc) * self.inverse) & _MASK128, inc)
 
 
 def _probe_tables(probe: _Probe) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -117,6 +141,16 @@ def _probe_tables(probe: _Probe) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return ke, we
 
 
+def _probe_tail(probe: _Probe, ke: np.ndarray) -> Optional[float]:
+    """``ziggurat_exp_r``: the draw of a tail word followed by a word whose
+    uniform is 0, so that ``log1p(-U)`` is ``-0.0``; None if layer 0 has
+    no slow word or that draw does not read exactly the two words."""
+    if int(ke[0]) >= 1 << 53:
+        return None
+    value, after = probe.draw_pair(int(ke[0]) << 11, 0)
+    return value if after == 0 else None
+
+
 def _layer_heights(we: np.ndarray) -> np.ndarray:
     """``fe``, the curve's height at each layer's edge: ``exp(-x)`` at
     ``x = we * 2**53``, and 1 for layer 0."""
@@ -125,26 +159,61 @@ def _layer_heights(we: np.ndarray) -> np.ndarray:
     return fe
 
 
+def _test_sides(fe: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per layer, the slope and base of the left side of numpy's acceptance
+    test, ``(fe[l-1] - fe[l]) * U + fe[l]``; layer 0, the tail, which has
+    no test (:func:`_tail_draw`), gets a base of NaN."""
+    slopes = np.zeros_like(fe)
+    slopes[1:] = fe[:-1] - fe[1:]
+    bases = fe.copy()
+    bases[0] = np.nan
+    return slopes, bases
+
+
+#: :func:`_classify`'s verdict by where the relative difference of the two
+#: sides falls: below ``-DECISION_MARGIN``, within it, above it, or NaN
+#: (which sorts last) for a tail word.
+_BY_SIDE = np.array([_ACCEPT, _REDRAW, _REJECT, _TAIL], dtype=np.int8)
+
+
+def _classify(
+    negative_x: np.ndarray, slopes: np.ndarray, bases: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """``_ACCEPT``, ``_REJECT``, ``_REDRAW`` or ``_TAIL`` per slow word of
+    value ``x``.
+
+    numpy accepts a slow word of layer ``l >= 1`` iff
+    ``(fe[l-1] - fe[l]) * U + fe[l] < exp(-x)``, with ``U`` the next
+    word's uniform (:func:`_test_sides` gives the slope and base).  A word
+    is decided iff the two sides differ by more than
+    :data:`DECISION_MARGIN` of the right side.
+    """
+    lhs = slopes * uniforms + bases
+    rhs = np.exp(negative_x)
+    lhs -= rhs
+    lhs /= rhs
+    sides = np.array((-DECISION_MARGIN, DECISION_MARGIN, np.inf))
+    return _BY_SIDE.take(sides.searchsorted(lhs))
+
+
 def _decide(
     ri: np.ndarray, layers: np.ndarray, uniform_words: np.ndarray, tables: Tables
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(decided, accepted)`` for slow words, given the words after them.
-
-    numpy accepts a slow word of layer ``l >= 1`` iff
-    ``(fe[l-1] - fe[l]) * U + fe[l] < exp(-x)``, with ``x = ri * we[l]``
-    and ``U`` the next word's uniform; layer 0 is the tail.  A word is
-    decided iff its layer is not 0 and the two sides differ by more than
-    :data:`DECISION_MARGIN` of the right side.
-    """
-    _, we, fe = tables
+    """``(decided, accepted)`` for slow words, given the words after them:
+    :func:`_classify` of ``x = float(ri) * we[l]`` and the next word's
+    uniform; a tail word is never decided."""
     layers = layers.astype(np.intp, copy=False)
-    x = ri.astype(np.float64) * we.take(layers)
-    uniforms = (uniform_words >> 11) * _UNIFORM_SCALE
-    heights = fe.take(layers)
-    lhs = (fe.take(layers - 1) - heights) * uniforms + heights
-    rhs = np.exp(-x)
-    decided = (layers > 0) & (np.abs(lhs - rhs) > DECISION_MARGIN * rhs)
-    return decided, lhs < rhs
+    slopes, bases = _test_sides(tables.fe)
+    kinds = _classify(ri.astype(np.float64) * -tables.we.take(layers), slopes.take(layers),
+                      bases.take(layers), (uniform_words >> 11) * _UNIFORM_SCALE)
+    return (kinds != _REDRAW) & (kinds != _TAIL), kinds == _ACCEPT
+
+
+def _tail_draw(tail: float, uniform: float) -> float:
+    """The standard exponential of a tail word, given the next word's
+    uniform: numpy draws ``ziggurat_exp_r - log1p(-U)`` with the C
+    ``log1p`` that :func:`math.log1p` calls."""
+    return tail - math.log1p(-uniform)
 
 
 def _replays_slow_words(probe: _Probe, tables: Tables) -> bool:
@@ -155,7 +224,7 @@ def _replays_slow_words(probe: _Probe, tables: Tables) -> bool:
     a rejected one must draw exactly what a draw starting two words on
     draws, ending in the same state.
     """
-    ke, we, _ = tables
+    ke, we = tables.ke, tables.we
     layers = np.concatenate([np.full(_CHECKED_TOP_LAYER, 1),
                              np.repeat(np.arange(1, 256), _CHECKED_PER_LAYER)])
     layers = layers[ke[layers] < 1 << 53].astype(np.uint64)
@@ -177,8 +246,28 @@ def _replays_slow_words(probe: _Probe, tables: Tables) -> bool:
     return True
 
 
+def _replays_tail_words(probe: _Probe, tables: Tables) -> bool:
+    """Whether :func:`_tail_draw` agrees with scalar draws of sampled tail
+    words: each must read two words and draw ``tail - log1p(-U)``, with
+    ``U`` drawn at random, near 0 and near 1."""
+    rng = np.random.default_rng(1)
+    edge = np.arange(_CHECKED_TAIL_EDGE, dtype=np.uint64)
+    uniform_ri = np.concatenate([rng.integers(0, 1 << 53, size=_CHECKED_TAIL, dtype=np.uint64),
+                                 edge, np.uint64((1 << 53) - 1) - edge])
+    n = len(uniform_ri)
+    ri = rng.integers(int(tables.ke[0]), 1 << 53, size=n, dtype=np.uint64)
+    firsts = ((ri << np.uint64(11)) | rng.integers(0, 8, size=n, dtype=np.uint64)).tolist()
+    seconds = ((uniform_ri << np.uint64(11))
+               | rng.integers(0, 1 << 11, size=n, dtype=np.uint64)).tolist()
+    uniforms = (uniform_ri * _UNIFORM_SCALE).tolist()
+    for first, second, uniform in zip(firsts, seconds, uniforms):
+        if probe.draw_pair(first, second) != (_tail_draw(tables.tail, uniform), second):
+            return False
+    return True
+
+
 def derive_ziggurat() -> Optional[Tables]:
-    """``(ke, we, fe)`` of the installed numpy's exponential ziggurat, or None.
+    """The installed numpy's exponential ziggurat, or None.
 
     ``standard_exponential`` reads one word ``w``; with ``ri = w >> 11`` and
     ``layer = (w >> 3) & 0xFF`` it returns ``x = float(ri) * we[layer]``
@@ -190,13 +279,16 @@ def derive_ziggurat() -> Optional[Tables]:
     and is fast iff the state is then ``w``.  ``ke[layer]`` is bisected
     over ``ri`` in ``[0, 2**53]`` and ``we[layer]`` is the draw at
     ``ri = 1``; a layer with ``ke <= 1`` (layer 1, where every word is
-    slow) takes ``we`` from an accepted slow draw at ``ri = 1``.  ``fe``
-    cannot be probed bit for bit; it is ``exp(-we * 2**53)``, with
-    ``fe[0] = 1``, and is only used where :data:`DECISION_MARGIN` makes
-    the answer certain.  Returns None if the generator's step or output
-    differ from :data:`PCG64_MULTIPLIER` and XSL-RR, if ``ke[0] <= 1``, if
-    a layer's largest fast word does not draw ``float(ri) * we``, or if
-    sampled slow words do not replay (:func:`_replays_slow_words`).
+    slow) takes ``we`` from an accepted slow draw at ``ri = 1``.  The tail
+    constant is the draw of a slow layer-0 word followed by a word whose
+    uniform is 0 (:func:`_probe_tail`).  ``fe`` cannot be probed bit for
+    bit; it is ``exp(-we * 2**53)``, with ``fe[0] = 1``, and is only used
+    where :data:`DECISION_MARGIN` makes the answer certain.  Returns None
+    if the generator's step or output differ from
+    :data:`PCG64_MULTIPLIER` and XSL-RR, if ``ke[0] <= 1``, if a layer's
+    largest fast word does not draw ``float(ri) * we``, if the tail
+    cannot be probed, or if sampled slow or tail words do not replay
+    (:func:`_replays_slow_words`, :func:`_replays_tail_words`).
     """
     bit_generator = np.random.PCG64(0)
     inc = bit_generator.state["state"]["inc"]
@@ -210,10 +302,13 @@ def derive_ziggurat() -> Optional[Tables]:
     if found is None:
         return None
     ke, we = found
-    tables = (ke, we, _layer_heights(we))
-    if not _replays_slow_words(probe, tables):
+    tail = _probe_tail(probe, ke)
+    if tail is None:
         return None
-    for table in tables:
+    tables = Tables(ke, we, _layer_heights(we), tail)
+    if not (_replays_slow_words(probe, tables) and _replays_tail_words(probe, tables)):
+        return None
+    for table in tables[:3]:
         table.flags.writeable = False
     return tables
 
@@ -222,6 +317,25 @@ def derive_ziggurat() -> Optional[Tables]:
 def ziggurat_tables() -> Optional[Tables]:
     """:func:`derive_ziggurat`, once per process, on first use."""
     return derive_ziggurat()
+
+
+def _redraw(generator: np.random.Generator, skip: int) -> Tuple[float, int, float]:
+    """A scalar draw ``skip`` words on from the word ``generator``'s
+    ``PCG64`` is at (``skip`` may be negative: ``advance`` works modulo the
+    period): its standard exponential, the words it read, counted by
+    stepping the LCG between two state reads, and the uniform of the word
+    after them."""
+    bit_generator = generator.bit_generator
+    bit_generator.advance(skip & _MASK128)
+    state = bit_generator.state["state"]
+    before, inc = state["state"], state["inc"]
+    x = generator.standard_exponential()
+    after = bit_generator.state["state"]["state"]
+    width = 0
+    while before != after:
+        before = (before * PCG64_MULTIPLIER + inc) & _MASK128
+        width += 1
+    return x, width, (int(bit_generator.random_raw()) >> 11) * _UNIFORM_SCALE
 
 
 def _slow_above(ke: np.ndarray) -> np.ndarray:
@@ -247,169 +361,141 @@ def thinning_candidates(
     Rebuilds the scalar draw order (per candidate ``exponential(scale)``
     then ``random()``, no uniform after the gap that crosses the horizon)
     on buffers of ``size >= 2`` words, each starting where a gap starts.
-    A fast word is one gap and the next word its uniform.  A slow word is
-    decided from the word after it (:func:`_decide`): an accepted one is
-    the gap, with its uniform two words on; a rejected one restarts the
-    draw two words on, which may be fast or slow again.  Either way the
-    gap is ``scale * x`` of the word that ends the chain, the fast
-    formula.  Only a word the buffer cannot decide (a tail word, a near
-    tie, a chain link whose test or uniform would read past the buffer) is
+    Every word of a buffer gets the value ``x`` of a draw that ends on it
+    and the uniform after that draw.  A fast word is a whole draw, ``x =
+    float(ri) * we``, and the next word its uniform.  A slow word is
+    classified from the word after it (:func:`_classify`): an accepted one
+    is a draw by the same formula, with its uniform two words on; a tail
+    word is one too, ``x`` computed from the next word's uniform
+    (:func:`_tail_draw`); a rejected one restarts the draw two words on,
+    which may be fast or slow again, so a gap that starts on it is the
+    draw of its chain's last word.  Only a slow word on the buffer's last
+    two words, a chain that reaches its last word, or a near tie is
     redrawn, by a private ``PCG64`` moved there, the words it read counted
-    by stepping the LCG, and its uniform the word after them; that walker
-    moves only at a redraw and at a buffer's end.  A buffer ends before a
-    gap that starts past it, or that starts on its last word and needs a
-    uniform from the next.  Times are a cumsum seeded with the running
-    time, the same sequential adds as ``t += gap``.  At the crossing,
-    ``bit_generator`` takes the 128-bit state the scalar loop would have
-    left, keeping its buffered 32-bit half.
+    by stepping the LCG, and its uniform the word after them.  A buffer
+    ends before a gap that starts past it, or that starts on its last word
+    and needs a uniform from the next.  Times are ``scale * x`` (as
+    ``-x * -scale``), cumsummed from the running time, the same
+    sequential adds as ``t += gap``.  At the crossing, ``bit_generator``
+    takes the 128-bit state the scalar loop would have left, keeping its
+    buffered 32-bit half.
 
-    Each buffer resolves every slow word's chain at once in array
-    operations: the draw that ends it, how, and the words it reads.  Only
-    the gaps that start on a slow word (about 180 of a buffer's 8,000
-    candidates) are then walked in Python: the gap after one starts on the
-    first slow word at or past its end with the end's parity, since words
-    of the other parity in between are fast gaps' uniforms.  Between two
-    of them the candidates are a plain stride-2 run, so candidate ``i``
-    starts on word ``2 * i`` moved on by the extra words of the slow gaps
-    before it: one ``np.repeat`` of their running sum.  Layers are
-    ``intp``, so that the table gathers need no index conversion.  Callers
-    keep the scalar loop for any bit generator but ``PCG64`` itself and
-    when :func:`derive_ziggurat` fails.
+    A buffer classifies all its slow words at once; only the gaps that
+    start on a slow word (about 180 of a buffer's 8,000 candidates) are
+    walked in Python, one pass over the slow words.  A gap starts on a
+    slow word iff the word is at or past the end of the last slow gap and
+    has that end's parity, since words of the other parity in between are
+    fast gaps' uniforms.  Between two slow gaps the candidates are a plain
+    stride-2 run, so candidate ``i``'s draw ends on word ``2 * i`` moved
+    on by the extra words of the slow gaps before it: one ``np.repeat`` of
+    their running sum.  A word's low 11 bits index 2,048-entry copies of
+    the layer tables, so that no pass splits out the layer.  Callers keep
+    the scalar loop for any bit generator but ``PCG64`` itself and when
+    :func:`derive_ziggurat` fails.
     """
-    ke, we, _ = tables
-    above = _slow_above(ke)
+    # Per value of a word's low 11 bits (its layer and 3 spare bits).
+    above = np.repeat(_slow_above(tables.ke), 8)
+    negative_widths = np.repeat(-tables.we, 8)
+    slopes, bases = (np.repeat(side, 8) for side in _test_sides(tables.fe))
+    tail = tables.tail
     state = bit_generator.state
-    inc = state["state"]["inc"]
-    # ``walker`` only steps forward, to each redraw and to the start of
-    # each buffer; ``reader`` reads each buffer from the walker's state.
-    walker, reader = np.random.PCG64(0), np.random.PCG64(0)
-    walker.state = {"bit_generator": "PCG64", "state": dict(state["state"]),
+    # A private generator reads each buffer and draws each redraw, moved
+    # there by ``advance`` modulo the period; ``at`` is its word.
+    reader = np.random.PCG64(0)
+    reader.state = {"bit_generator": "PCG64", "state": dict(state["state"]),
                     "has_uint32": 0, "uinteger": 0}
-    exponential = np.random.Generator(walker).exponential
-    layers = np.empty(size, dtype=np.intp)
-    evens = np.arange(0, size + 2, 2)
-    picked = np.empty(len(evens), dtype=np.intp)
+    redraws = np.random.Generator(reader)
+    low = np.empty(size, dtype=np.intp)
+    ri = np.empty(size, dtype=np.uint64)
+    # Per word: ``-x`` of a draw that ends on it, and the uniform after that
+    # draw at ``uniform_of[word + 1]`` (``after_draw``), which is the next
+    # word's own uniform until accepted words are resolved.  The last slot
+    # takes a redraw's uniform at the buffer's last word.
+    negative_x = np.empty(size, dtype=np.float64)
+    uniform_of = np.zeros(size + 1, dtype=np.float64)
+    after_draw = uniform_of[1:]
     word_kinds = np.empty(size, dtype=np.int8)
-    # Slow words are looked up by ``word + parity * block``: even ones
-    # first, then odd ones, each run closed by a sentinel.
-    block = 2 * size + 4
-    sentinels = np.array([block - 1, 2 * block - 1])
+    all_fast = bytes(size)
+    evens = np.arange(0, size + 2, 2)
     t = 0.0
     while True:
-        buffer_state = walker.state
-        reader.state = buffer_state
         raw = reader.random_raw(size)
-        np.right_shift(raw.view(np.int64), 3, out=layers)
-        np.bitwise_and(layers, 0xFF, out=layers)
-        slow = np.flatnonzero(raw > above.take(layers))
-        n_slow = len(slow)
-        kinds = np.full(n_slow, _REDRAW, dtype=np.int8)
-        # A decided word's test and its gap's uniform lie inside the buffer.
-        inside = slow[: int(np.searchsorted(slow, size - 2))]
-        if len(inside):
-            decided, accepted = _decide(
-                raw[inside] >> 11, layers[inside], raw[inside + 1], tables)
-            kinds[: len(inside)] = np.where(
-                decided, np.where(accepted, _ACCEPT, _REJECT), _REDRAW)
-        path: List[int] = []  # the slow words gaps start on, in order
-        redrawn: List[int] = []  # positions in ``path`` redrawn
-        redrawn_gaps: List[float] = []
-        redrawn_uniforms: List[int] = []  # their uniforms' words
-        walked = 0  # the walker's word
-        if n_slow:
-            # Each slow word's chain, were a gap to start on it: its last draw
-            # (``links``), how that ends, and the words it reads (``widths``;
-            # a redraw's are counted when it is drawn).  A rejection restarts
-            # two words on, where the draw may be slow again, fast, or at the
-            # buffer's last word and so in need of a redraw.
+        at = size
+        np.bitwise_and(raw.view(np.int64), 0x7FF, out=low)
+        slow = (raw > above.take(low)).nonzero()[0]
+        np.right_shift(raw, 11, out=ri)
+        ri_float = ri.view(np.int64).astype(np.float64)
+        np.multiply(ri_float, negative_widths.take(low), out=negative_x)
+        np.multiply(ri_float, _UNIFORM_SCALE, out=uniform_of[:size])
+        # ``runs`` of candidates, each ending on a slow gap's draw but the
+        # last, and the ``offsets`` their draws are moved on by.
+        runs: List[int] = []
+        offsets = [0]
+        add_run, add_offset = runs.append, offsets.append
+        p = offset = 0  # the word the next gap starts on
+        kind_of = all_fast  # per word, how a draw starting on it ends
+        redrawn = {}  # the word after each redrawn gap, by its draw's word
+        if len(slow):
+            # A slow word whose test or uniform would lie past the buffer is
+            # redrawn, as is a draw that reaches the buffer's last word.
+            bits = low.take(slow)
+            kinds = _classify(negative_x.take(slow), slopes.take(bits), bases.take(bits),
+                              after_draw.take(slow))
+            kinds[slow.searchsorted(size - 2):] = _REDRAW
             word_kinds.fill(_FAST)
             word_kinds[slow] = kinds
             word_kinds[size - 1] = _REDRAW
-            links, ends_how = slow.copy(), kinds.copy()
-            chained = np.flatnonzero(kinds == _REJECT)
-            while len(chained):
-                links[chained] += 2
-                ends_how[chained] = how = word_kinds.take(links[chained])
-                chained = chained[how == _REJECT]
-            widths = links - slow + np.where(ends_how == _ACCEPT, 2, 1)
-            after = slow + widths + 1
-            # The gap after a slow word's gap starts on the first slow word at
-            # or past its end with the end's parity (words of the other parity
-            # are fast gaps' uniforms), or none: ``n_slow``.
-            keys = np.concatenate((slow + (slow & 1) * block, sentinels))
-            order = keys.argsort()
-            keys = keys.take(order)
-            np.minimum(order, n_slow, out=order)
-            following = order.take(np.searchsorted(keys, after + (after & 1) * block)).tolist()
-            how_list = ends_how.tolist()
-            k = int(order[0])
-            while k < n_slow:
-                path.append(k)
-                if how_list[k] != _REDRAW:
-                    k = following[k]
+            kind_of = word_kinds.tobytes()
+            accepted = slow[kinds <= _TAIL]
+            after_draw[accepted] = uniform_of.take(accepted + 2)
+            for s in slow.tolist():
+                if s < p or (s ^ p) & 1:
                     continue
-                q = int(slow[k])
-                walker.advance(int(links[k]) - walked)
-                before = walker.state["state"]["state"]
-                redrawn_gaps.append(exponential(scale))
-                after_state = walker.state["state"]["state"]
-                width = int(links[k]) - q
-                while before != after_state:
-                    before = (before * PCG64_MULTIPLIER + inc) & _MASK128
-                    width += 1
-                redrawn_uniforms.append(int(walker.random_raw()))
-                redrawn.append(len(path) - 1)
-                widths[k] = width
-                links[k] = q  # any word: the redrawn gap replaces its value
-                walked = q + width + 1
-                target = walked + (walked & 1) * block
-                k = int(order[np.searchsorted(keys, target)]) if walked < size else n_slow
-        # Candidate ``i`` starts on word ``2 * i`` moved on by the extra
-        # words of the slow gaps before it: ``offsets`` per run of
-        # candidates, each run ending on a slow gap but the last.
-        path = np.array(path, dtype=np.intp)
-        runs = np.empty(len(path) + 1, dtype=np.intp)
-        offsets = np.zeros(len(path) + 1, dtype=np.intp)
-        p = 0
-        if len(path):
-            starts = slow.take(path)
-            wide = widths.take(path)
-            ends = starts + wide + 1
-            p = int(ends[-1])
-            runs[0] = starts[0]
-            np.subtract(starts[1:], ends[:-1], out=runs[1:-1])
-            runs >>= 1
-            runs += 1
-            np.cumsum(wide - 1, out=offsets[1:])
-        runs[-1] = rest = max(size - p, 0) // 2
-        special = np.cumsum(runs[:-1]) - 1  # the candidates on slow words
-        count = int(special[-1]) + 1 + rest if len(path) else rest
-        walker.advance(p + 2 * rest - walked)
-        start = np.repeat(offsets, runs)
-        start += evens[:count]
-        gap_words = raw.take(start)
-        uniform_words = raw[1:].take(start, mode="clip")
-        if len(path):
-            gap_words[special] = raw.take(links.take(path))
-            uniform_words[special] = raw.take(np.minimum(starts + wide, size - 1))
-        gap_layers = np.right_shift(gap_words.view(np.int64), 3, out=picked[:count])
-        np.bitwise_and(gap_layers, 0xFF, out=gap_layers)
-        gaps = scale * ((gap_words >> 11).astype(np.float64) * we.take(gap_layers))
-        uniforms = (uniform_words >> 11) * _UNIFORM_SCALE
-        if redrawn:
-            at_redraws = special.take(redrawn)
-            gaps[at_redraws] = redrawn_gaps
-            uniforms[at_redraws] = (
-                np.array(redrawn_uniforms, dtype=np.uint64) >> 11) * _UNIFORM_SCALE
-        gaps[0] += t
-        times = np.cumsum(gaps, out=gaps)
-        crossing = int(np.searchsorted(times, horizon))
+                link, kind = s, kind_of[s]
+                if kind == _REJECT:
+                    while kind == _REJECT:
+                        link += 2
+                        kind = kind_of[link]
+                    add_run((s - p) >> 1)
+                    offset += link - s
+                    add_offset(offset)
+                    p = link
+                    if kind == _FAST:
+                        continue
+                if kind == _ACCEPT:
+                    n = link + 3
+                elif kind == _TAIL:
+                    # ``uniform_of`` no longer holds the next word's uniform.
+                    test = int(raw[link + 1]) >> 11
+                    negative_x[link] = -_tail_draw(tail, test * _UNIFORM_SCALE)
+                    n = link + 3
+                else:
+                    x, width, after_draw[link] = _redraw(redraws, link - at)
+                    negative_x[link] = -x
+                    n = at = redrawn[link] = link + width + 1
+                add_run(((link - p) >> 1) + 1)
+                offset += n - link - 2
+                add_offset(offset)
+                p = n
+        rest = max(size - p, 0) // 2
+        add_run(rest)
+        count = (p - offset) // 2 + rest
+        following = p + 2 * rest  # where the next buffer starts
+        draws = np.array(offsets, dtype=np.intp).repeat(runs)
+        draws += evens[:count]
+        times = negative_x.take(draws)
+        times *= -scale
+        uniforms = after_draw.take(draws)
+        times[0] += t
+        times.cumsum(out=times)
+        crossing = int(times.searchsorted(horizon))
         if crossing < count:
-            at = int(np.searchsorted(special, crossing))
-            read = int(start[crossing]) + (
-                int(wide[at]) if at < len(path) and special[at] == crossing else 1)
-            reader.state = buffer_state
-            reader.advance(read)
+            # The words read up to the end of the crossing gap's draw.
+            word = int(draws[crossing])
+            kind = kind_of[word]
+            read = (word + 1 if kind == _FAST else redrawn[word] - 1 if kind == _REDRAW
+                    else word + 2)
+            reader.advance((read - at) & _MASK128)
             state["state"] = reader.state["state"]
             bit_generator.state = state
             if crossing:
@@ -417,3 +503,5 @@ def thinning_candidates(
             return
         yield times, uniforms
         t = float(times[-1])
+        if following != at:
+            reader.advance((following - at) & _MASK128)

@@ -224,11 +224,12 @@ def test_diurnal_profile_rate_at_is_its_rates():
 
 
 @lru_cache(maxsize=None)
-def walk_reference(seed, scale, count):
+def walk_reference(seed, scale, count, state=None):
     """The first ``count`` candidates of the reference loop on a PCG64 at
-    ``seed``: per candidate its time, its gap's first word and how many
-    words the gap read, counted by stepping the generator's LCG."""
-    bit_generator = np.random.PCG64(seed)
+    ``seed``, or at ``state`` if given: per candidate its time, its gap's
+    first word and how many words the gap read, counted by stepping the
+    generator's LCG."""
+    bit_generator = np.random.PCG64(seed) if state is None else pcg64_at(state)(0)
     rng = np.random.Generator(bit_generator)
     inc = bit_generator.state["state"]["inc"]
     t, word, walked = 0.0, 0, []
@@ -330,11 +331,12 @@ def test_pcg64_takes_the_raw_word_path(monkeypatch):
 def test_ziggurat_tables_from_installed_numpy():
     tables = pcg64.derive_ziggurat()
     assert tables is not None, "the installed numpy's ziggurat did not derive"
-    ke, we, fe = tables
+    ke, we, fe, tail = tables
     assert ke[1] == 0 and ke[0] > 0
-    cached_ke, cached_we, cached_fe = pcg64.ziggurat_tables()
+    cached_ke, cached_we, cached_fe, cached_tail = pcg64.ziggurat_tables()
     assert np.array_equal(ke, cached_ke) and np.array_equal(we, cached_we)
     assert np.array_equal(fe, cached_fe)
+    assert tail == cached_tail and 7.0 < tail < 8.0
 
     # Step-counted truth on 10^5 words: a state whose next word is ``w``
     # is ``w`` stepped back once; a draw is fast iff it reads one word.
@@ -404,19 +406,19 @@ def draw_kind(words, at):
 
 
 #: The kinds of draw a rejection may restart into, by name.
-CHAINED = {"fast": ("fast",), "slow": ("accept", "reject")}
+CHAINED = {"fast": ("fast",), "slow": ("accept", "reject"), "tail": ("tail",)}
 
 
 @lru_cache(maxsize=None)
 def chain_start(then):
     """A ``PCG64`` state whose stream opens with a decided rejected slow
-    word, then, two words on, a draw of kind ``then``: ``fast``, or
-    ``slow`` for a decided slow word, accepted or rejected.  The word two
+    word, then, two words on, a draw of kind ``then``: ``fast``, ``slow``
+    for a decided slow word, accepted or rejected, or ``tail``.  The word two
     on is chosen (a state below ``2**64`` outputs itself) and varied until
     the words before it fit."""
     ke = pcg64.ziggurat_tables()[0]
     for n in range(1 << 20):
-        layer = 1 + n % 255
+        layer = 0 if then == "tail" else 1 + n % 255
         ri = n if then == "fast" else int(ke[layer]) + n
         state = (ri << 11) | (layer << 3) | (n & 7)
         for _ in range(3):
@@ -437,12 +439,69 @@ def test_rejected_slow_word_restarts_the_draw(then):
     assert len(got) > 0
 
 
-def test_tail_word_is_redrawn():
+@lru_cache(maxsize=None)
+def tail_start(at):
+    """A ``PCG64`` state whose stream has a draw start on a tail word at
+    word ``at``.  The tail word is chosen (a state below ``2**64`` outputs
+    itself) and varied until the reference's draws start on it."""
     ke = pcg64.ziggurat_tables()[0]
-    word = (int(ke[0]) + 12345) << 11  # layer 0, slow: the ziggurat's tail
-    state = ((word - INC) * INVERSE) % (1 << 128)
-    assert draw_kind(pcg64_at(state)(0).random_raw(2).tolist(), 0) == "tail"
+    for n in range(1 << 16):
+        state = ((int(ke[0]) + n) << 11) | (n & 7)  # layer 0, slow: the tail
+        for _ in range(at + 1):
+            state = ((state - INC) * INVERSE) % (1 << 128)
+        if any(word == at for _, word, _ in walk_reference(0, 1.0, at + 1, state)):
+            return state
+    raise AssertionError(f"no draw starts on a tail word at word {at}")
+
+
+def record_calls(monkeypatch, module, name):
+    """A list that grows by one entry per call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_mid_buffer_tail_word_is_decoded_without_a_redraw(monkeypatch):
+    state = tail_start(9)
+    assert draw_kind(pcg64_at(state)(0).random_raw(11).tolist(), 9) == "tail"
+    redraws = record_calls(monkeypatch, pcg64, "_redraw")
+    tails = record_calls(monkeypatch, pcg64, "_tail_draw")
     assert_matches_reference(FLAT, 10 * HOUR, 0, bit_generator=pcg64_at(state))
+    assert redraws == [] and len(tails) >= 1
+
+
+#: A draw never starts on a buffer's second word (its first word's draw
+#: reads it), so a tail there cannot open a gap.
+SEAM_CASES = [
+    (case, chunk)
+    for case in ["last-word", "second-to-last", "after-rejection", "first-after-a-half"]
+    for chunk in [2, 3, 4, 7, 64]
+    if (case, chunk) not in {("last-word", 2), ("second-to-last", 3)}
+]
+
+
+@pytest.mark.parametrize("case, chunk", SEAM_CASES)
+def test_tail_words_at_buffer_seams(monkeypatch, case, chunk):
+    # A tail word needs the next two words: on a buffer's last two words it
+    # is redrawn, further in it is decoded in the buffer.
+    monkeypatch.setattr(arrivals, "THINNING_CHUNK", chunk)
+    buffered = case == "first-after-a-half"
+    if case == "last-word":
+        state = tail_start(chunk - 1)
+    elif case == "second-to-last":
+        state = tail_start(chunk - 2)
+    elif case == "after-rejection":
+        state = chain_start("tail")
+    else:  # the stream's first word, after the word a buffered half takes
+        state = ((tail_start(0) - INC) * INVERSE) % (1 << 128)
+    assert_matches_reference(FLAT, 10 * HOUR, 0, bit_generator=pcg64_at(state),
+                             buffered=buffered)
 
 
 @pytest.mark.parametrize("chunk, then", [(3, "fast"), (3, "slow"), (4, "slow")])
@@ -478,7 +537,7 @@ def test_probed_top_layer_we_equals_step_counted_draws():
     """Every layer-1 word is slow, so ``we[1]`` is probed from an accepted
     draw; every accepted layer-1 draw of 200, found by stepping the LCG
     (it reads two words), is ``float(ri) * we[1]``."""
-    ke, we, _ = pcg64.ziggurat_tables()
+    ke, we = pcg64.ziggurat_tables()[:2]
     assert ke[1] == 0 and we[1] > 0
     probe = np.random.PCG64(0)
     draw = np.random.Generator(probe).standard_exponential
@@ -513,12 +572,20 @@ def shift_heights(layer_heights):
     return heights
 
 
-@pytest.mark.parametrize("table", ["fe", "we1"])
+def nudge_tail(probe_tail):
+    def probed(probe, ke):
+        return np.nextafter(probe_tail(probe, ke), np.inf)
+    return probed
+
+
+@pytest.mark.parametrize("table", ["fe", "we1", "tail"])
 def test_wrong_tables_fail_the_self_check(monkeypatch, table):
     if table == "fe":
         monkeypatch.setattr(pcg64, "_layer_heights", shift_heights(pcg64._layer_heights))
-    else:
+    elif table == "we1":
         monkeypatch.setattr(pcg64, "_probe_tables", nudge_top_layer(pcg64._probe_tables))
+    else:  # the tail constant one ulp off
+        monkeypatch.setattr(pcg64, "_probe_tail", nudge_tail(pcg64._probe_tail))
     assert pcg64.derive_ziggurat() is None
     monkeypatch.setattr(pcg64, "ziggurat_tables", pcg64.derive_ziggurat)
     monkeypatch.setattr(pcg64, "thinning_candidates", forbid)
