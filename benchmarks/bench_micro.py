@@ -64,8 +64,8 @@ def test_sparse_slotted_driver(benchmark):
 
     DHB with n = 99 at 15 requests/hour over 750 h: ~37k slots of 72.7 s,
     about one in four occupied.  Admission is cheap here, so this times the
-    driver's own upkeep: the bulk load reads and folds of each run of empty
-    slots, one release per run and the chunked wait fold.
+    driver's own upkeep: the bulk load reads and folds of each block of
+    occupied slots, one release per block and the chunked wait fold.
     """
     d = 7200.0 / 99
     slots = int(750 * 3600.0 / d)
@@ -77,6 +77,29 @@ def test_sparse_slotted_driver(benchmark):
 
     result = benchmark(simulate)
     assert result.columnar and 10_000 < result.n_requests < 12_000
+
+
+def test_saturated_slotted_driver(benchmark):
+    """The slotted driver at saturation (dhb_kernel's saturated leg, cut
+    to 50 h).
+
+    DHB with n = 99 at 5,000 requests/hour: 2,475 slots of 72.7 s, each
+    occupied, ~100 requests per slot.  Every slot costs one fused Figure-6
+    admission (~H(99) placements) and its share of the per-block upkeep.
+    """
+    d = 7200.0 / 99
+    slots = int(50 * 3600.0 / d)
+    trace = arrival_trace(2001, 5000.0, 50.0)
+
+    def simulate():
+        protocol = DHBProtocol(n_segments=99)
+        result = SlottedSimulation(protocol, d, slots, slots // 20).run(trace)
+        return protocol, result
+
+    protocol, result = benchmark(simulate)
+    assert slots == 2475 and result.columnar
+    assert (result.n_requests, protocol.requests_admitted) == (238_420, 250_845)
+    assert protocol.schedule.total_instances == 13_316
 
 
 def test_pagoda_packing(benchmark):

@@ -180,13 +180,13 @@ class DHBProtocol(SlottedModel):
         schedule nothing.  Without sharing, or with per-client plans to
         record, each request takes its own pass.
 
-        The default configuration splits that loop in two: the schedule
-        answers the sharing half for every segment at once
-        (:meth:`SlotSchedule.unshared_segments` — one vectorised compare on
-        the latest-slot index; at saturation only ~H(n) of n segments
-        qualify), then :meth:`SlotSchedule.place_latest_min_many` places
-        the rest in ascending segment order reading loads live —
-        bit-for-bit the loop's schedule.
+        The default configuration makes one schedule call per pass,
+        :meth:`SlotSchedule.admit`, which answers the sharing test (one
+        vectorised compare on the latest-slot index; at saturation only
+        ~H(n) of n segments need an instance) and places the rest in
+        ascending segment order in the same loop, reading loads live:
+        bit-for-bit the loop below.  Per-client plans and custom choosers
+        take that loop, one segment at a time.
         """
         if count <= 0:
             return None
@@ -195,12 +195,11 @@ class DHBProtocol(SlottedModel):
         instances_before = schedule.total_instances if metrics is not None else 0
         fused = self.chooser is latest_min_load_chooser
         plan = None
-        if fused and self.enable_sharing and not self.track_clients:
-            needed = schedule.unshared_segments(first_segment, slot, windows)
-            if needed:
-                schedule.place_latest_min_many(
-                    slot + 1, [slot + windows[segment - 1] for segment in needed], needed
-                )
+        if fused and not self.track_clients:
+            share = self.enable_sharing
+            needs = windows[first_segment - 1 :] if first_segment > 1 else windows
+            for _ in range(1 if share else count):
+                schedule.admit(slot, first_segment, needs, share)
         else:
             share = schedule.shareable if self.enable_sharing else None
             passes = count if self.track_clients or share is None else 1

@@ -34,10 +34,12 @@ Load storage is an array keyed by slot offset, not a per-slot dict: the
 active slot span of a window-sharing protocol is bounded by the largest
 period, so a flat ``array('q')`` indexed by ``slot - base`` gives O(1)
 scalar reads/writes at CPython-attribute speed *and* a zero-copy numpy view
-for vectorised window minima.  :meth:`place_latest_min_many` fuses the DHB
-heuristic (least-loaded slot, ties broken to the latest) with that store in
-one scan over a batch of windows; :meth:`place_latest_min` is its
-one-window case and :meth:`add` the one write at a given slot.
+for vectorised window minima.  :meth:`admit` is a whole Figure-6
+admission in one call: the sharing test, then the DHB heuristic
+(least-loaded slot, ties broken to the latest) fused with that store, for
+every segment a request needs.  It holds the one window scan;
+:meth:`place_latest_min` is its one-window case and :meth:`add` the one
+write at a given slot.
 :meth:`release_before` advances the logical floor in O(1) amortised time
 and periodically compacts the backing array, keeping memory flat over
 arbitrarily long runs.  The schedule still keeps full per-slot instance
@@ -304,36 +306,6 @@ class SlotSchedule:
         end = bisect_right(instances, window_end)
         return instances[end - 1] if end else None
 
-    def unshared_segments(
-        self, first_segment: int, slot: int, windows: Sequence[int]
-    ) -> List[int]:
-        """Segments ``first_segment .. n`` with nothing to share, ascending.
-
-        ``S_j`` qualifies when no instance lies in
-        ``(slot, slot + windows[j-1]]`` — the sharing half of a whole
-        Figure-6 admission, answered before any placement (placing ``S_j``
-        changes no other segment's answer).  Latest-slot mode is one
-        vectorised compare against :attr:`next_transmissions`, taking the
-        window ends on trust from the invariant; sorted mode prunes and
-        checks each segment's list.
-        """
-        future = self._future
-        if future is None:
-            indices = (self._next_tx_np <= slot).nonzero()[0]
-            if first_segment > 1:
-                indices = indices[indices >= first_segment - 1]
-            return [index + 1 for index in indices.tolist()]
-        needed = []
-        start = first_segment - 1
-        for segment, instances, window in zip(
-            range(first_segment, self.n_segments + 1), future[start:], windows[start:]
-        ):
-            if instances and instances[0] <= slot:
-                del instances[: bisect_right(instances, slot)]
-            if not instances or instances[0] > slot + window:
-                needed.append(segment)
-        return needed
-
     def future_instances(self, from_slot: int) -> List[Tuple[int, int]]:
         """Every ``(segment, slot)`` instance at ``slot >= from_slot``, sorted.
 
@@ -351,96 +323,114 @@ class SlotSchedule:
     def place_latest_min(self, first_slot: int, last_slot: int, segment: int) -> int:
         """Schedule ``segment`` in the least-loaded slot of ``[first_slot, last_slot]``.
 
-        The one-window case of :meth:`place_latest_min_many`.  Returns the
-        chosen slot.
+        Ties go to the latest slot.  The one-window, no-sharing case of
+        :meth:`admit`, with the checks that :meth:`add` makes: the segment
+        and a non-empty window are checked before anything is placed.
+        Returns the chosen slot.
         """
-        return self.place_latest_min_many(first_slot, (last_slot,), (segment,))
+        if not 1 <= segment <= self.n_segments:
+            self._check_segment(segment)
+        if last_slot < first_slot:
+            raise SchedulingError(f"empty slot window [{first_slot}, {last_slot}]")
+        return self.admit(first_slot - 1, segment, (last_slot - first_slot + 1,), False)
 
-    def place_latest_min_many(
-        self, first_slot: int, last_slots: Sequence[int], segments: Sequence[int]
+    def admit(
+        self, slot: int, first_segment: int, windows: Sequence[int], share: bool = True
     ) -> Optional[int]:
-        """Place ``segments[k]`` at the least-loaded slot of
-        ``[first_slot, last_slots[k]]``, in order; returns the last chosen slot.
+        """Figure 6 for one request of ``slot``; returns the last slot placed in.
 
-        Ties go to the latest slot: the fused form of the paper's heuristic
+        The request needs ``S_j`` within ``(slot, slot + windows[k]]`` for
+        ``j = first_segment + k``.  In ascending order, each segment shares
+        an instance already in its window or is placed in the window's
+        least-loaded slot, ties going to the latest — the paper's heuristic
         (:func:`repro.core.heuristic.latest_min_load_chooser`) plus
-        :meth:`add`, window by window, each reading the loads the previous
-        placements left — bit-for-bit the same choices.  The segments are
-        checked, and one ``_ensure_capacity`` for the farthest window covers
-        every placement, before the first is made; an empty window raises
-        when the scan reaches it, and the windows placed before it stay
-        placed and counted in :attr:`total_instances`.  Each window is scanned
-        from its end (a Python loop for small windows, a reversed argmin
-        otherwise), so the first minimum found is the latest among equals.
-        Builtin ``min``/``max`` cost more per call than these short loops,
-        so each window is checked for emptiness as the scan reaches it.
+        :meth:`add`, reading the loads earlier placements left.
+        ``share=False`` places every segment (the no-sharing ablation).
+        Returns ``None`` when nothing was placed.
 
-        This is the admission kernel of the batched protocols: a whole
-        slot's worth of requests reduces (via the sharing invariant) to one
-        pass over the segments that lack a shareable future instance.
-        Returns ``None`` when there is no window.
+        Latest-slot mode answers the sharing test with one compare on the
+        suffix of :attr:`next_transmissions`, trusting the window ends (the
+        invariant), and overwrites the index (a needed segment's old
+        instance is at or before ``slot``); sorted mode prunes and tests
+        each segment's list as the loop reaches it.  A window whose last
+        slot is idle takes it (no load is below 0); any other is scanned
+        from its end, in Python when small and by a reversed argmin
+        otherwise.  Only the released floor is checked: windows of width
+        ``>= 1`` are the caller's contract.
         """
-        if len(last_slots) != len(segments):
+        if slot + 1 < self._released_before:
             raise SchedulingError(
-                f"{len(last_slots)} windows for {len(segments)} segments"
-            )
-        if not segments:
-            return None
-        for segment in segments:
-            if not 1 <= segment <= self.n_segments:
-                self._check_segment(segment)
-        if first_slot < self._released_before:
-            raise SchedulingError(
-                f"window start {first_slot} below released floor "
+                f"window start {slot + 1} below released floor "
                 f"{self._released_before}"
             )
-        farthest = max(last_slots)
-        if farthest - self._base >= len(self._loads):
-            self._ensure_capacity(farthest)
+        start = first_segment - 1
+        future = self._future
+        trusted = share and future is None
+        if trusted:
+            needed = (
+                (self._next_tx_np[start : start + len(windows)] <= slot).nonzero()[0].tolist()
+            )
+        else:
+            needed = range(len(windows))
         loads = self._loads
         loads_np = self._loads_np
         weight_loads = self._weight_loads
         weights = self._weights
         occupied = self._slots
         next_tx = self._next_tx
-        future = self._future
         log = self.placement_log
         base = self._base
-        low = first_slot - base
-        for last_slot, segment in zip(last_slots, segments):
-            if last_slot < first_slot:
-                self._total_instances += next(
-                    k for k, last in enumerate(last_slots) if last < first_slot
-                )
-                raise SchedulingError(
-                    f"empty slot window [{first_slot}, {last_slot}]"
-                )
-            high = last_slot - base
-            if high - low < _SMALL_WINDOW:
+        limit = base + len(loads)
+        chosen = None
+        shared = 0
+        for offset in needed:
+            index = start + offset
+            window_end = slot + windows[offset]
+            if future is not None and share:
+                instances = future[index]
+                if instances and instances[0] <= slot:
+                    del instances[: bisect_right(instances, slot)]
+                if instances and instances[0] <= window_end:
+                    shared += 1
+                    continue
+            if window_end >= limit:
+                self._ensure_capacity(window_end)
+                loads, loads_np = self._loads, self._loads_np
+                weight_loads, base = self._weight_loads, self._base
+                limit = base + len(loads)
+            high = window_end - base
+            if not loads[high]:
                 chosen_index = high
-                best_load = loads[high]
-                for index in range(high - 1, low - 1, -1):
-                    load = loads[index]
-                    if load < best_load:
-                        chosen_index, best_load = index, load
             else:
-                chosen_index = high - int(loads_np[low : high + 1][::-1].argmin())
+                low = slot + 1 - base
+                if high - low < _SMALL_WINDOW:
+                    chosen_index = high
+                    best_load = loads[high]
+                    for cell in range(high - 1, low - 1, -1):
+                        load = loads[cell]
+                        if load < best_load:
+                            chosen_index, best_load = cell, load
+                else:
+                    chosen_index = high - int(loads_np[low : high + 1][::-1].argmin())
             chosen = base + chosen_index
             loads[chosen_index] += 1
             if weight_loads is not None:
-                weight_loads[chosen_index] += weights[segment - 1]
+                weight_loads[chosen_index] += weights[index]
             bucket = occupied.get(chosen)
             if bucket is None:
-                occupied[chosen] = [segment]
+                occupied[chosen] = [index + 1]
             else:
-                bucket.append(segment)
-            if chosen > next_tx[segment - 1]:
-                next_tx[segment - 1] = chosen
+                bucket.append(index + 1)
             if log is not None:
                 log.append(chosen)
-            if future is not None:
-                insort(future[segment - 1], chosen)
-        self._total_instances += len(segments)
+            if trusted:
+                next_tx[index] = chosen
+            else:
+                if chosen > next_tx[index]:
+                    next_tx[index] = chosen
+                if future is not None:
+                    insort(future[index], chosen)
+        self._total_instances += len(needed) - shared
         return chosen
 
     def release_before(self, slot: int) -> None:

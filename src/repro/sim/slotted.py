@@ -8,22 +8,19 @@ the maximum customer waiting time.
 
 :class:`SlottedSimulation` feeds arrival times to a protocol slot by slot and
 measures per-slot bandwidth.  A slot's load is final once every request from
-earlier slots has been processed (no protocol may schedule into the current
-or a past slot), so the driver records slot ``s`` before delivering the
-arrivals of slot ``s``.
+earlier slots has been processed: no protocol may schedule into the current
+or a past slot.
 
 The driver has one loop, and it walks only the *occupied* slots (plus the
 horizon).  It pre-buckets the whole arrival trace into slots with one
-``np.searchsorted`` against the slot boundaries.  Once the batch of
-occupied slot ``a`` is admitted, the loads of every slot up to and
-including the next occupied slot ``b`` are final, so the run ``(a, b]`` is
-read with one :meth:`SlottedModel.slot_loads` call and folded into the
-statistics at once; then slot ``b``'s batch goes to
-:meth:`SlottedModel.handle_batch` — one protocol call per occupied slot
-instead of one per request — and the protocol releases everything below
-``b``.  Sparse traces, where most slots are empty, thus cost per occupied
-slot rather than per slot.  Per-slot trace records are emitted from the
-same loop, one per slot, after the run's batch and before its release.
+``np.searchsorted`` against the slot boundaries and hands each occupied
+slot's batch to :meth:`SlottedModel.handle_batch` — one protocol call per
+occupied slot, not per request.  The rest runs once per block of
+``_BLOCK`` occupied slots: once a block's last batch (slot ``b``) is in,
+every slot up to ``b`` is final (see :meth:`SlottedModel.handle_batch`),
+so the block's loads and weights are read with one slice each, folded,
+traced, and released below ``b``.  Sparse traces thus cost per occupied
+slot rather than per slot, traced or not.
 
 Waiting times depend only on the trace and ``d``, so they are folded
 outside the slot loop, in bounded chunks of requests: a running sum/max
@@ -101,6 +98,11 @@ class SlottedModel(abc.ABC):
     def handle_batch(self, slot: int, count: int) -> None:
         """Admit ``count`` requests that all arrived during ``slot``.
 
+        A batch at slot ``a`` reads and writes only the state of slots
+        after ``a`` (like :meth:`handle_request`, it schedules into slots
+        ``>= a + 1`` only): the driver relies on this to read, fold and
+        release a whole block of slots after the block's last batch.
+
         The default loops over :meth:`handle_request`, so every existing
         protocol keeps working under the columnar driver.  Protocols whose
         same-slot admissions are idempotent (DHB with sharing, the
@@ -139,8 +141,8 @@ class SlottedModel(abc.ABC):
         Optional; the default keeps everything (fine for short runs).
         Implementations must be monotone: ``release_before(b)`` has the
         same effect as ``release_before(a + 1) ... release_before(b)``, so
-        the driver calls it once per occupied slot (with non-decreasing
-        arguments) rather than once per slot.
+        the driver calls it once per block of occupied slots (with
+        non-decreasing arguments) rather than once per slot.
         """
 
     def slot_weight(self, slot: int) -> float:
@@ -195,6 +197,10 @@ WAIT_SKETCH_BINS = 2048
 
 #: Requests per chunk of the wait fold (bounds its array temporaries).
 _WAIT_CHUNK = 65536
+
+#: Occupied slots per block: a block's slots are read, folded, traced and
+#: released once, after its last batch.
+_BLOCK = 64
 
 
 class SlottedSimulation:
@@ -271,13 +277,14 @@ class SlottedSimulation:
         copies the runtime's (read-only, shared) float64 traces.
 
         The whole trace is bucketed into slots with a single
-        ``np.searchsorted`` against the slot boundaries; the loop visits
-        each occupied slot once, reading the loads of the run of slots
-        that ends there in one call and admitting the slot's batch with one
-        call (see ``columnar``).  Waiting times are folded in chunks of
-        requests with a running-sum continuation (``cumsum`` seeded with
-        the running total is the same left-to-right fold a per-request
-        loop performs, so the mean is bit-for-bit identical).  Memory stays
+        ``np.searchsorted`` against the slot boundaries; the loop admits
+        each occupied slot's batch with one call (see ``columnar``) and,
+        once per block of occupied slots, reads the loads of the run of
+        slots that ends at the block's last one in one call.  Waiting
+        times are folded in chunks of requests with a running-sum
+        continuation (``cumsum`` seeded with the running total is the same
+        left-to-right fold a per-request loop performs, so the mean is
+        bit-for-bit identical).  Memory stays
         bounded: no per-request Python objects, a fixed-size wait sketch,
         and the protocol releases slots as the loop advances.
 
@@ -322,27 +329,25 @@ class SlottedSimulation:
             handle_batch = protocol.handle_batch
         else:
             handle_batch = MethodType(SlottedModel.handle_batch, protocol)
-        record_many = recorder.record_many
-        add_weights = weight_stats.add_many
-        slot_loads = protocol.slot_loads
-        slot_weights = protocol.slot_weights
-        release_before = protocol.release_before
+        # The horizon closes the last block: no batch, nothing past it.
+        slots = occupied.tolist() + [horizon]
+        counts = delivered[occupied].tolist() + [0]
         first = 0
-        # The horizon closes the last run: no batch, nothing past it.
-        for slot, count in zip(
-            occupied.tolist() + [horizon], delivered[occupied].tolist() + [0]
-        ):
-            stop = min(slot + 1, horizon)
-            # Every batch before `slot` is admitted and batches only
-            # schedule into later slots, so the loads of [first, stop) are
-            # final.
-            record_many(first, slot_loads(first, stop))
+        for begin in range(0, len(slots), _BLOCK):
+            block = slots[begin : begin + _BLOCK]
+            block_counts = counts[begin : begin + _BLOCK]
+            for slot, count in zip(block, block_counts):
+                if count:
+                    handle_batch(slot, count)
+            # A batch only schedules into later slots, so once the block's
+            # last batch is admitted the loads of [first, stop) are final.
+            stop = min(block[-1] + 1, horizon)
+            recorder.record_many(first, protocol.slot_loads(first, stop))
             if stop > warmup:
-                add_weights(slot_weights(max(first, warmup), stop))
-            if count:
-                handle_batch(slot, count)
+                weight_stats.add_many(protocol.slot_weights(max(first, warmup), stop))
             if trace is not None:
-                # Read after the run's batch, before its release.
+                # Read after the block's batches, before its release.
+                arrivals_in = dict(zip(block, block_counts))
                 for traced in range(first, stop):
                     trace_record = dict(self.trace_context)
                     trace_record.update(
@@ -351,13 +356,13 @@ class SlottedSimulation:
                         streams=protocol.slot_load(traced),
                         weight=protocol.slot_weight(traced),
                         instances=protocol.slot_instances(traced),
-                        arrivals=count if traced == slot else 0,
+                        arrivals=arrivals_in.get(traced, 0),
                         measured=traced >= warmup,
                     )
                     trace.emit(trace_record)
-            # One release per run: releases are monotone, so this equals
-            # releasing after every slot of the run.
-            release_before(stop - 1)
+            # One release per block: releases are monotone, so this equals
+            # releasing after every slot of the block.
+            protocol.release_before(stop - 1)
             first = stop
 
         # Waits depend only on the trace and d: fold the measured requests

@@ -3,7 +3,8 @@
 Every DHB variant in :mod:`repro.core` runs one shared admission kernel;
 the equivalence tests check that kernel against this loop rather than
 against itself.  The oracle keeps an explicit list of every scheduled
-instance and nothing else — no index, no load array, no batching::
+instance, a per-slot count and each segment's instance slots — no load
+array, no index modes, no batching — and handles one segment at a time::
 
     for j := 1 to n do
         search slots i+1 to i+T[j] for an already scheduled instance of S_j
@@ -13,7 +14,32 @@ instance and nothing else — no index, no load array, no batching::
             schedule one instance of S_j in slot k_max
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
+
+
+class Figure6:
+    """The instances Figure 6 schedules, one segment at a time."""
+
+    def __init__(self):
+        #: ``(slot, segment)`` of every instance, in the order scheduled.
+        self.instances = []
+        self.loads = Counter()
+        self.slots_of = defaultdict(list)
+
+    def add(self, slot, segment):
+        self.instances.append((slot, segment))
+        self.loads[slot] += 1
+        self.slots_of[segment].append(slot)
+
+    def share_or_place(self, i, j, width, share=True):
+        """``S_j`` for a request of slot ``i``, due within ``width`` slots:
+        share an instance in ``(i, i + width]``, else place one in the
+        window's latest least-loaded slot.  ``share=False`` always places."""
+        window = range(i + 1, i + width + 1)
+        if share and any(k in window for k in self.slots_of[j]):
+            return
+        m_min = min(self.loads[k] for k in window)
+        self.add(max(k for k in window if self.loads[k] == m_min), j)
 
 
 def figure6(requests):
@@ -24,17 +50,11 @@ def figure6(requests):
     ``windows[j]`` slots — ``T[j]`` for a fresh request, fewer or more for
     the variants.  Returns ``(slot, segment)`` pairs.
     """
-    instances = []
+    oracle = Figure6()
     for i, windows in requests:
         for j in sorted(windows):
-            window = range(i + 1, i + windows[j] + 1)
-            if any(k in window for k, segment in instances if segment == j):
-                continue
-            m = Counter(k for k, _ in instances)
-            m_min = min(m[k] for k in window)
-            k_max = max(k for k in window if m[k] == m_min)
-            instances.append((k_max, j))
-    return instances
+            oracle.share_or_place(i, j, windows[j])
+    return oracle.instances
 
 
 def assert_schedule_matches(schedule, instances):

@@ -45,21 +45,46 @@ def test_shareable_latest_slot_mode():
     assert schedule.shareable(2, 4, 9) is None  # transmitting now, not future
     assert schedule.shareable(2, 1, 3) is None  # beyond the window
     assert schedule.shareable(3, 0, 100) is None
-    # Admission windows are taken on trust: only S2 is already covered.
-    assert schedule.unshared_segments(1, 1, [1] * 5) == [1, 3, 4, 5]
-    assert schedule.unshared_segments(3, 1, [1] * 5) == [3, 4, 5]
 
 
-def test_shareable_sorted_mode_sees_every_future_instance():
+@pytest.mark.parametrize("first_segment, placed", [(1, [1, 3, 4, 5]), (3, [3, 4, 5])])
+def test_admit_takes_latest_slot_windows_on_trust(first_segment, placed):
+    schedule = SlotSchedule(n_segments=5)
+    schedule.add(4, 2)
+    # Only S2 is already covered: its instance past the window is trusted.
+    windows = [1] * (6 - first_segment)
+    assert schedule.admit(1, first_segment, windows) == 2
+    assert schedule.segments_in(2) == placed
+    assert schedule.total_instances == 1 + len(placed)
+
+
+def sorted_schedule():
+    """S1 at slots 2, 4, 5 and 9 on a sorted-mode schedule of 3 segments."""
     schedule = SlotSchedule(n_segments=3, sorted_future=True)
     for slot in (9, 2, 5):
         schedule.add(slot, 1)
     schedule.place_latest_min(3, 4, 1)  # idle window: latest slot, 4
+    return schedule
+
+
+def test_admit_in_sorted_mode_checks_each_window():
+    # S1's instance in slot 2 lies in its window (1, 3]: only S2, S3 placed.
+    schedule = sorted_schedule()
+    assert schedule.admit(1, 1, [2, 1, 1]) == 2
+    assert schedule.segments_in(2) == [1, 2, 3]
+    assert schedule.total_instances == 6
+    # A window (2, 3] ending before S1's later instances places S1 again.
+    schedule = sorted_schedule()
+    assert schedule.admit(2, 1, [1, 1, 1]) == 3
+    assert schedule.segments_in(3) == [1, 2, 3]
+    assert schedule.future_instances(3) == [(1, 3), (1, 4), (1, 5), (1, 9), (2, 3), (3, 3)]
+
+
+def test_shareable_sorted_mode_sees_every_future_instance():
+    schedule = sorted_schedule()
     # Shrunk windows still find the latest instance inside them.
     assert [schedule.shareable(1, 1, end) for end in (8, 4, 3)] == [5, 4, 2]
     assert schedule.shareable(1, 1, 100) == 9
-    assert schedule.unshared_segments(1, 1, [2, 1, 1]) == [2, 3]
-    assert schedule.unshared_segments(1, 1, [0, 1, 1]) == [1, 2, 3]
     # Queries prune what they have moved past.
     assert schedule.shareable(1, 5, 8) is None
     assert schedule.shareable(1, 5, 9) == 9
@@ -202,8 +227,9 @@ class TestPlaceLatestMin:
 
     def test_empty_window_keeps_the_placements_before_it_counted(self):
         schedule = SlotSchedule(n_segments=2)
+        schedule.place_latest_min(5, 8, 1)
         with pytest.raises(SchedulingError):
-            schedule.place_latest_min_many(5, [8, 3], [1, 2])
+            schedule.place_latest_min(5, 3, 2)
         assert schedule.load(8) == 1
         assert schedule.segments_in(8) == [1]
         assert schedule.total_instances == 1
@@ -246,7 +272,8 @@ def test_release_keeps_loads_consistent(instances, floor):
 ORACLE_SEGMENTS = 6
 
 #: One admission: a release floor step, the window start's offset past the
-#: floor, whether to place one window at a time, and (width, segment) per
+#: floor, whether to place through the checked one-window entry or the
+#: kernel's own, and (width, segment) per
 #: window.  Widths mix the reverse-scan and argmin paths; offsets and widths
 #: push slots well past the initial load capacity.
 oracle_admissions = st.lists(
@@ -281,7 +308,7 @@ oracle_admissions = st.lists(
     admissions=oracle_admissions,
 )
 def test_placements_match_chooser_plus_add(sorted_future, prior, weights, admissions):
-    """Property: every placement, one window or a batch, leaves the schedule
+    """Property: every placement, through either entry, leaves the schedule
     exactly as the paper's chooser followed by :meth:`add` on a twin."""
     fused = SlotSchedule(ORACLE_SEGMENTS, weights, sorted_future=sorted_future)
     twin = SlotSchedule(ORACLE_SEGMENTS, weights, sorted_future=sorted_future)
@@ -310,8 +337,10 @@ def test_placements_match_chooser_plus_add(sorted_future, prior, weights, admiss
             ]
             assert chosen == expected
         else:
-            last = fused.place_latest_min_many(first, last_slots, segments)
-            assert last == expected[-1]
+            # The kernel entry itself, which checks only the released floor.
+            for last, segment in zip(last_slots, segments):
+                chosen = fused.admit(first - 1, segment, (last - first + 1,), False)
+            assert chosen == expected[-1]
     assert fused.loads(0, end) == twin.loads(0, end)
     assert fused.weights(0, end) == twin.weights(0, end)
     for slot in range(end):

@@ -1,7 +1,8 @@
 """The occupied-slot driver against the per-request reference, on edge cases.
 
-``SlottedSimulation.run`` visits only the occupied slots: it reads each run
-of empty slots with one bulk load read, releases once per run and folds
+``SlottedSimulation.run`` visits only the occupied slots, admitting each
+one's batch; once per block of occupied slots it reads the block's loads
+and weights with one bulk read each, traces and releases, and it folds
 waits in request chunks outside the slot loop.  Each case here runs every
 feed (array, list, traced, per-request admission) through
 :func:`tests.sim.test_columnar.run_against_reference`, which demands the
@@ -92,6 +93,23 @@ def test_wait_chunk_seams(monkeypatch, chunk, trace):
         run_against_reference(PROTOCOLS["dhb"], arrivals, feed, D, HORIZON, WARMUP)
 
 
+@pytest.mark.parametrize("block", [1, 2, 7, slotted._BLOCK])
+@pytest.mark.parametrize("trace", sorted(TRACES) + ["poisson"])
+def test_block_seams(monkeypatch, block, trace):
+    """Upkeep per block of occupied slots equals the per-slot reference at
+    any block size: seams between blocks, a block ending on the horizon, a
+    block of one slot."""
+    monkeypatch.setattr(slotted, "_BLOCK", block)
+    if trace == "poisson":
+        arrivals = arrival_trace(4, workload=1800.0, horizon_hours=1.0)
+        arrivals = arrivals[arrivals < 600.0]
+    else:
+        arrivals = np.array(TRACES[trace])
+    for name in sorted(PROTOCOLS):
+        for feed in FEEDS:
+            run_against_reference(PROTOCOLS[name], arrivals, feed, D, HORIZON, WARMUP)
+
+
 class ReleaseSpy(DHBProtocol):
     """DHB that logs every release and every admitted batch."""
 
@@ -110,12 +128,18 @@ class ReleaseSpy(DHBProtocol):
 
 
 @pytest.mark.parametrize("trace", sorted(TRACES))
-def test_release_once_per_run_and_monotone(trace):
-    protocol = ReleaseSpy()
-    SlottedSimulation(protocol, D, HORIZON, WARMUP).run(np.array(TRACES[trace]))
-    releases = protocol.releases
-    assert releases == sorted(releases)
-    assert len(releases) <= len(protocol.batches) + 1
-    assert protocol.batches == sorted(set(protocol.batches))  # one per slot
-    # The run ends where the per-slot loop ends: released below the last slot.
-    assert releases[-1] == HORIZON - 1
+def test_release_once_per_run_and_monotone(monkeypatch, trace):
+    for block in (1, 2, 3, slotted._BLOCK):
+        monkeypatch.setattr(slotted, "_BLOCK", block)
+        protocol = ReleaseSpy()
+        SlottedSimulation(protocol, D, HORIZON, WARMUP).run(np.array(TRACES[trace]))
+        releases = protocol.releases
+        assert releases == sorted(releases)
+        assert protocol.batches == sorted(set(protocol.batches))  # one per slot
+        # One release per block of occupied slots (the horizon closes the
+        # last), below the block's last slot.
+        ends = protocol.batches + [HORIZON]
+        blocks = [ends[begin : begin + block] for begin in range(0, len(ends), block)]
+        assert releases == [min(slots[-1], HORIZON - 1) for slots in blocks]
+        # The run ends where the per-slot loop ends: released below the last slot.
+        assert releases[-1] == HORIZON - 1
