@@ -13,7 +13,7 @@ test:
 # AST linter, which enforces the same rule set (see pyproject [tool.ruff]).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks tools; \
+		ruff check src tests benchmarks tools examples; \
 	else \
 		echo "ruff not found; using tools/lint.py fallback"; \
 		python tools/lint.py; \

@@ -13,7 +13,7 @@ future-work item) and what its receive cap costs the server.
 Run:  python examples/capacity_planning.py
 """
 
-from repro import BandwidthLimitedDHB, DHBProtocol, RandomStreams, StreamTappingProtocol
+from repro import BandwidthLimitedDHB, DHBProtocol
 from repro.analysis.tables import format_simple_table
 from repro.analysis.theory import patching_cost_rate
 from repro.experiments.config import SweepConfig

@@ -20,8 +20,6 @@ visible directly.
 
 from typing import List
 
-import numpy as np
-
 from repro import DHBProtocol, RandomStreams, StreamTappingProtocol
 from repro.analysis.tables import format_simple_table
 from repro.protocols.npb import pagoda_streams_for_segments

@@ -360,7 +360,7 @@ def run_hierarchy(
         class_totals=tier.class_counters(),
         theory_bound=bound,
     )
-    if observation is not None and observation.metrics is not None:
+    if observation is not None:
         metrics = observation.metrics
         metrics.gauge("edge.nodes").set(len(nodes))
         metrics.gauge("edge.cache.hit_ratio").set(result.hit_ratio)

@@ -9,17 +9,16 @@ sees the *same* arrival trace (common random numbers).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..analysis.metrics import BandwidthPoint, ProtocolSeries
 from ..errors import ConfigurationError
-from ..obs.manifest import RunManifest
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Observation, TraceSink
-from ..runtime import Engine, RunSpec, observed_run
+from ..runtime import Engine, ObservedRun, RunSpec, observed_run
 from ..runtime.cache import clear_cache
 from ..runtime.seeds import arrival_trace, replication_seed
 from ..sim.continuous import ContinuousSimulation, ReactiveModel
@@ -393,25 +392,15 @@ def sweep_protocols(
 
 
 @dataclass
-class SweepRun:
-    """A sweep's series plus the run record the observability layer kept.
+class SweepRun(ObservedRun):
+    """A sweep's series plus the observed run that measured it.
 
     Every observed sweep carries its own :class:`~repro.obs.manifest.RunManifest`
     (what ran, under which software, at what cost) and the merged
     :class:`~repro.obs.registry.MetricsRegistry` of all workers.
     """
 
-    series: List[ProtocolSeries] = field(default_factory=list)
-    manifest: Optional[RunManifest] = None
-    metrics: Optional[MetricsRegistry] = None
-
-    def metrics_document(self) -> Dict:
-        """The JSON document written by ``--metrics-out``: manifest + metrics."""
-        return {
-            "schema": 1,
-            "manifest": self.manifest.to_dict() if self.manifest else None,
-            "metrics": self.metrics.to_dict() if self.metrics else {},
-        }
+    series: List[ProtocolSeries]
 
 
 def observed_sweep(
@@ -448,6 +437,4 @@ def observed_sweep(
         series = sweep_protocols(
             names, config, labels, n_jobs=n_jobs, observation=observed.observation
         )
-    return SweepRun(
-        series=series, manifest=observed.manifest, metrics=observed.metrics
-    )
+    return SweepRun(observed.observation, observed.recorder, series)

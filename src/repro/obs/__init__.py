@@ -28,12 +28,10 @@ from .manifest import (
     source_repo_root,
 )
 from .registry import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     Timer,
 )
 from .trace import JsonlTraceSink, MemoryTraceSink, Observation, TraceSink
@@ -46,8 +44,6 @@ __all__ = [
     "ManifestRecorder",
     "MemoryTraceSink",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullMetricsRegistry",
     "Observation",
     "RunManifest",
     "Timer",

@@ -2,11 +2,10 @@
 
 Design goals, in order:
 
-1. **Cheap when off.**  Instrumented code holds an ``Optional`` registry
-   and guards every emission with ``is not None``; the null registry
-   (:data:`NULL_REGISTRY`) exists for call sites that prefer unconditional
-   calls — all of its instruments are process-wide singletons whose
-   methods do nothing, so the disabled path allocates nothing per event.
+1. **Cheap when off.**  ``None`` is the only way metrics are off:
+   instrumented code holds an ``Optional`` registry and guards every
+   emission with ``is not None``, so a run without a registry builds no
+   registry or instrument and allocates nothing per event.
 2. **Mergeable.**  Sweeps fan out across worker processes; each worker
    accumulates into its own registry and ships :meth:`MetricsRegistry.to_dict`
    back, which the parent folds in with :meth:`MetricsRegistry.merge_dict`.
@@ -125,9 +124,6 @@ class MetricsRegistry:
     ['sim.slot_load', 'sim.slots']
     """
 
-    #: Whether emissions are recorded; ``False`` only on the null registry.
-    enabled = True
-
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
@@ -225,85 +221,3 @@ class MetricsRegistry:
             timer.stats = OnlineStats.from_dict(payload)
             registry._timers[name] = timer
         return registry
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def time(self) -> _NullSpan:  # type: ignore[override]
-        return _NULL_SPAN
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-class NullMetricsRegistry(MetricsRegistry):
-    """A registry whose instruments are shared do-nothing singletons.
-
-    For call sites that prefer an unconditional ``registry.counter(...)``
-    over an ``if registry is not None`` guard: every accessor returns the
-    same pre-built instrument regardless of name, every mutator is a
-    no-op, and nothing is allocated per event.
-    """
-
-    enabled = False
-
-    def __init__(self):
-        super().__init__()
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
-        self._null_timer = _NullTimer("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(self, name: str) -> Histogram:
-        return self._null_histogram
-
-    def timer(self, name: str) -> Timer:
-        return self._null_timer
-
-    def merge(self, other: MetricsRegistry) -> None:
-        pass
-
-
-#: Process-wide disabled registry (all instruments are no-op singletons).
-NULL_REGISTRY = NullMetricsRegistry()

@@ -242,6 +242,3 @@ class StaticBroadcastProtocol(SlottedModel):
     def slot_instances(self, slot: int) -> List[int]:
         """The map's segments for ``slot`` (fixed protocols always transmit)."""
         return self.map.segments_in_slot(slot)
-
-    def release_before(self, slot: int) -> None:
-        """Stateless; nothing to release."""

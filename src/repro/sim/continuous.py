@@ -42,22 +42,9 @@ BusyInterval = Tuple[float, float]
 class ReactiveModel(abc.ABC):
     """Interface the continuous-time driver requires of a reactive protocol.
 
-    Observability mirrors :class:`~repro.sim.slotted.SlottedModel`: the
-    driver binds a registry via :meth:`bind_metrics`, and protocols may
-    emit admission/stream counters through :meth:`emit_metric`.
+    Observability stays in the driver: it counts requests and streams
+    (``sim.*``) itself, and a reactive protocol never sees the registry.
     """
-
-    #: Bound metrics registry, or ``None`` (observability off).
-    metrics: Optional["MetricsRegistry"] = None
-
-    def bind_metrics(self, registry: Optional["MetricsRegistry"]) -> None:
-        """Attach (or detach, with ``None``) a metrics registry."""
-        self.metrics = registry
-
-    def emit_metric(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` on the bound registry, if any."""
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     @abc.abstractmethod
     def handle_request(self, time: float) -> List[BusyInterval]:
@@ -116,8 +103,7 @@ class ContinuousSimulation:
         Initial seconds excluded from the measurement window.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; the driver
-        counts requests and server streams, times the run, and binds the
-        registry to the protocol.
+        counts requests and server streams and times the run.
     """
 
     def __init__(
@@ -158,7 +144,6 @@ class ContinuousSimulation:
         wait_max = 0.0
         n_streams = 0
         if metrics is not None:
-            protocol.bind_metrics(metrics)
             run_span = metrics.timer("sim.run_seconds").time()
             run_span.__enter__()
         handle = protocol.handle_request

@@ -60,10 +60,9 @@ class SlotLoadRecorder:
         self.keep_series = keep_series
         self.series: List[int] = []
         self._stats = OnlineStats()
-        if registry is not None and registry.enabled:
-            self._registry_stats = registry.histogram(metric).stats
-        else:
-            self._registry_stats = None
+        self._registry_stats = (
+            registry.histogram(metric).stats if registry is not None else None
+        )
 
     def record(self, slot: int, load: int) -> None:
         """Record that ``load`` segment instances were transmitted in ``slot``."""

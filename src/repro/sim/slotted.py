@@ -55,12 +55,11 @@ class SlottedModel(abc.ABC):
     Implementations live in :mod:`repro.core` (DHB) and
     :mod:`repro.protocols` (FB, NPB, SB, UD, dynamic NPB).
 
-    Observability: protocols may emit admission/stream metrics through the
-    shared hook — :meth:`bind_metrics` stores a registry on the instance,
-    and :meth:`emit_metric` increments a counter when one is bound (and
-    costs one attribute read otherwise).  The driver additionally asks
-    :meth:`slot_instances` for the segment numbers behind a slot's load
-    when a trace sink is attached.
+    Observability: the driver hands its registry to the protocol through
+    :meth:`bind_metrics`; a protocol that counts its admissions
+    (``protocol.*``) guards each emission on ``self.metrics is not None``.
+    The driver also asks :meth:`slot_instances` for the segment numbers
+    behind a slot's load when a trace sink is attached.
     """
 
     #: Bound metrics registry, or ``None`` (class default: observability off).
@@ -69,11 +68,6 @@ class SlottedModel(abc.ABC):
     def bind_metrics(self, registry: Optional["MetricsRegistry"]) -> None:
         """Attach (or detach, with ``None``) a metrics registry."""
         self.metrics = registry
-
-    def emit_metric(self, name: str, amount: int = 1) -> None:
-        """Increment counter ``name`` on the bound registry, if any."""
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     def bind_placements(self, log: List[int]) -> None:
         """Append the slot of every instance scheduled from now on to ``log``.
@@ -371,8 +365,17 @@ class SlottedSimulation:
         wait_sum = 0.0
         wait_max = 0.0
         for begin in range(measured_from, n_within, _WAIT_CHUNK):
-            times = arrivals[begin : min(begin + _WAIT_CHUNK, n_within)]
-            waits = boundaries[np.searchsorted(boundaries, times, side="right")] - times
+            end = min(begin + _WAIT_CHUNK, n_within)
+            times = arrivals[begin:end]
+            # Request i ends its wait at the first boundary with cuts > i:
+            # two scalar searches find the chunk's slots, and each slot's
+            # boundary repeats once per request of the chunk in it.
+            first_slot = int(np.searchsorted(cuts, begin, side="right"))
+            last_slot = int(np.searchsorted(cuts, end - 1, side="right"))
+            per_slot = np.diff(
+                np.clip(cuts[first_slot : last_slot + 1], begin, end), prepend=begin
+            )
+            waits = np.repeat(boundaries[first_slot : last_slot + 1], per_slot) - times
             wait_sketch.add_array(waits)
             wait_max = max(wait_max, float(waits.max()))
             # cumsum seeded with the running total IS the per-request

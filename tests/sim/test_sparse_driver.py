@@ -89,8 +89,11 @@ def test_wait_chunk_seams(monkeypatch, chunk, trace):
         arrivals = arrivals[arrivals < 600.0]
     else:
         arrivals = np.array(TRACES[trace])
-    for feed in FEEDS:
-        run_against_reference(PROTOCOLS["dhb"], arrivals, feed, D, HORIZON, WARMUP)
+    # A warmup of 0 starts the first chunk at the first request in slot 0's
+    # bucket, after the arrivals before the epoch (on-boundaries: -20.0).
+    for warmup in (WARMUP, 0):
+        for feed in FEEDS:
+            run_against_reference(PROTOCOLS["dhb"], arrivals, feed, D, HORIZON, warmup)
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, slotted._BLOCK])

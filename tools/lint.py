@@ -34,7 +34,7 @@ from typing import Dict, List, Set, Tuple
 MAX_LINE = 100
 
 #: Directories scanned relative to the repository root.
-SCAN_DIRS = ("src", "tests", "benchmarks", "tools")
+SCAN_DIRS = ("src", "tests", "benchmarks", "tools", "examples")
 
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 
