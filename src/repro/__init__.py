@@ -57,7 +57,6 @@ from .protocols import (
     StreamTappingProtocol,
     UniversalDistributionProtocol,
 )
-from .server import ChannelPool, UnicastVODServer
 from .sim import (
     ContinuousSimulation,
     RandomStreams,
@@ -73,7 +72,6 @@ __all__ = [
     "BandwidthLimitedDHB",
     "BatchingProtocol",
     "CBRVideo",
-    "ChannelPool",
     "ClientPlan",
     "ConfigurationError",
     "ContinuousSimulation",
@@ -99,7 +97,6 @@ __all__ = [
     "SlottedSimulation",
     "SmoothingError",
     "StreamTappingProtocol",
-    "UnicastVODServer",
     "UniversalDistributionProtocol",
     "VBRVideo",
     "VideoModelError",

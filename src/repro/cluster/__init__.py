@@ -19,7 +19,6 @@ from .faults import (
     LostInstance,
     fail_over,
     lost_instances,
-    random_fault_schedule,
     reschedule_instance,
     supports_rescheduling,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "make_router",
     "popularity_placement",
     "preset_scenarios",
-    "random_fault_schedule",
     "replicated_placement",
     "reschedule_instance",
     "run_scenario",

@@ -4,9 +4,7 @@ Faults are declared up front as a :class:`FaultSchedule` — crash windows
 (server down for a slot range, its whole transmission schedule lost) and
 channel-loss windows (a fraction of a server's per-slot capacity gone, e.g.
 a failed NIC in a bond) — so a faulted run is exactly as reproducible as a
-clean one.  :func:`random_fault_schedule` derives a schedule from a named
-RNG stream for randomized experiments; the schedule itself stays explicit
-and inspectable.
+clean one.
 
 Degraded mode is where the paper's protocol earns its "dynamic": a crashed
 server's clients still hold playout deadlines, and every segment instance
@@ -33,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Tuple
-
-import numpy as np
 
 from ..core.schedule import SlotSchedule
 from ..errors import ClusterError
@@ -164,43 +160,6 @@ class FaultSchedule:
 
 #: A schedule that injects nothing — the default for clean scenarios.
 NO_FAULTS = FaultSchedule()
-
-
-def random_fault_schedule(
-    topology: ClusterTopology,
-    horizon_slots: int,
-    rng: np.random.Generator,
-    n_crashes: int = 1,
-    down_slots: int = 40,
-) -> FaultSchedule:
-    """Draw ``n_crashes`` non-overlapping single-server crash windows.
-
-    Victims are distinct servers; windows start uniformly in the middle
-    half of the horizon (so warmup and drain stay clean) and last
-    ``down_slots`` slots, clipped to the horizon.  Deterministic given the
-    generator state — use a named :class:`~repro.sim.rng.RandomStreams`
-    stream to keep the rest of the workload unperturbed.
-    """
-    if n_crashes < 0:
-        raise ClusterError(f"n_crashes must be >= 0, got {n_crashes}")
-    if n_crashes > topology.n_servers:
-        raise ClusterError(
-            f"cannot crash {n_crashes} of {topology.n_servers} servers"
-        )
-    if down_slots < 1:
-        raise ClusterError(f"down_slots must be >= 1, got {down_slots}")
-    ids = [spec.server_id for spec in topology.servers]
-    victims = rng.choice(len(ids), size=n_crashes, replace=False)
-    low = horizon_slots // 4
-    high = max(low + 1, (3 * horizon_slots) // 4)
-    crashes = []
-    for victim in sorted(int(v) for v in victims):
-        start = int(rng.integers(low, high))
-        end = min(start + down_slots, horizon_slots)
-        crashes.append(
-            CrashWindow(server_id=ids[victim], start_slot=start, end_slot=end)
-        )
-    return FaultSchedule(crashes=tuple(crashes))
 
 
 # -- degraded-mode failover ----------------------------------------------------

@@ -4,8 +4,7 @@ A :class:`Router` sees one request at a time — ``(title, slot)`` plus the
 title's preference-ordered replica list — and returns the chosen server or
 ``None`` for a rejection.  Only servers that report headroom (alive, backlog
 under the admission limit) are candidates; a request whose every replica is
-saturated or down is rejected at the door, which is the cluster-level
-analogue of Erlang blocking in :mod:`repro.server.channels`.
+saturated or down is rejected at the door: the cluster's blocking.
 
 Three policies, mirroring the usual trade-off triangle:
 

@@ -9,8 +9,7 @@ sees the *same* arrival trace (common random numbers).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -18,16 +17,15 @@ from ..analysis.metrics import BandwidthPoint, ProtocolSeries
 from ..errors import ConfigurationError
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Observation, TraceSink
-from ..runtime import Engine, ObservedRun, RunSpec, observed_run
+from ..runtime import Engine, RunSpec
 from ..runtime.cache import clear_cache
-from ..runtime.seeds import arrival_trace, replication_seed
+from ..runtime.seeds import arrival_trace
 from ..sim.continuous import ContinuousSimulation, ReactiveModel
 from ..sim.slotted import SlottedModel, SlottedSimulation
 from ..workload.spec import WorkloadSpec
 from .config import SweepConfig
 
 AnyProtocol = Union[SlottedModel, ReactiveModel]
-ProtocolFactory = Callable[[float], AnyProtocol]
 
 #: One cell of a sweep grid: a stationary rate or a workload spec.
 SweepPoint = Union[float, WorkloadSpec]
@@ -36,8 +34,8 @@ SweepPoint = Union[float, WorkloadSpec]
 def clear_trace_cache() -> None:
     """Drop every memoised arrival trace (tests and memory-sensitive callers).
 
-    Alias of :func:`repro.runtime.clear_cache`, kept for the pre-runtime
-    call sites.
+    Alias of :func:`repro.runtime.clear_cache`, kept because the benchmark
+    harness under ``perfbench/`` imports it by this name.
     """
     clear_cache()
 
@@ -224,81 +222,6 @@ def measure_sweep_point(
     )
 
 
-@dataclass(frozen=True)
-class ReplicatedPoint:
-    """A bandwidth measurement replicated over independent seeds.
-
-    Attributes
-    ----------
-    rate_per_hour:
-        The operating point.
-    mean:
-        Grand mean of the replications' mean bandwidths.
-    half_width:
-        Normal-theory 95 % confidence half-width across replications.
-    replications:
-        The individual replication means.
-    """
-
-    rate_per_hour: float
-    mean: float
-    half_width: float
-    replications: Tuple[float, ...]
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        """The (low, high) confidence interval."""
-        return (self.mean - self.half_width, self.mean + self.half_width)
-
-
-def replicate_measurement(
-    factory: ProtocolFactory,
-    config: SweepConfig,
-    rate_per_hour: float,
-    n_replications: int = 5,
-) -> ReplicatedPoint:
-    """Replicate one measurement over independent seeds.
-
-    Every replication gets a fresh protocol from ``factory`` and an arrival
-    trace from a distinct derived seed; the result carries a confidence
-    interval so sweep-level ordering claims can be checked against noise.
-
-    >>> from ..core.dhb import DHBProtocol
-    >>> cfg = SweepConfig().quick(rates_per_hour=(30.0,), base_hours=3.0,
-    ...                           min_requests=20)
-    >>> point = replicate_measurement(
-    ...     lambda rate: DHBProtocol(n_segments=cfg.n_segments), cfg, 30.0,
-    ...     n_replications=3)
-    >>> len(point.replications)
-    3
-    >>> point.half_width >= 0.0
-    True
-    """
-    if n_replications < 2:
-        raise ConfigurationError("need >= 2 replications for an interval")
-    means: List[float] = []
-    for replication in range(n_replications):
-        replication_config = config.replace(
-            seed=replication_seed(config.seed, replication)
-        )
-        point = measure_protocol(
-            factory(rate_per_hour),
-            replication_config,
-            rate_per_hour,
-            arrival_times=arrivals_for_rate(replication_config, rate_per_hour),
-        )
-        means.append(point.mean_bandwidth)
-    grand = sum(means) / n_replications
-    variance = sum((m - grand) ** 2 for m in means) / (n_replications - 1)
-    half_width = 1.96 * (variance / n_replications) ** 0.5
-    return ReplicatedPoint(
-        rate_per_hour=rate_per_hour,
-        mean=grand,
-        half_width=half_width,
-        replications=tuple(means),
-    )
-
-
 def sweep_grid(
     names: Sequence[str],
     config: SweepConfig,
@@ -389,52 +312,3 @@ def sweep_protocols(
     specs = sweep_grid(names, config, labels)
     measured = engine.run_values(specs, observation=observation)
     return assemble_series(labels, config.sweep_points(), measured)
-
-
-@dataclass
-class SweepRun(ObservedRun):
-    """A sweep's series plus the observed run that measured it.
-
-    Every observed sweep carries its own :class:`~repro.obs.manifest.RunManifest`
-    (what ran, under which software, at what cost) and the merged
-    :class:`~repro.obs.registry.MetricsRegistry` of all workers.
-    """
-
-    series: List[ProtocolSeries]
-
-
-def observed_sweep(
-    names: Sequence[str],
-    config: SweepConfig,
-    labels: Optional[Sequence[str]] = None,
-    n_jobs: Optional[int] = None,
-    trace: Optional[TraceSink] = None,
-    experiment: str = "sweep",
-) -> SweepRun:
-    """Run :func:`sweep_protocols` under full observability.
-
-    Opens the runtime's standard observability session
-    (:func:`repro.runtime.observed_run`): a fresh registry plus the
-    optional trace sink threaded through every measured point, and a
-    completed manifest attached to the result.
-
-    >>> run = observed_sweep(["npb"], SweepConfig().quick(
-    ...     rates_per_hour=(30.0,), base_hours=2.0, min_requests=10))
-    >>> run.manifest.experiment
-    'sweep'
-    >>> run.metrics.counter("measure.points").value
-    1
-    """
-    if labels is None:
-        labels = list(names)
-    with observed_run(
-        experiment,
-        protocols=labels,
-        params=asdict(config),
-        seed=config.seed,
-        trace=trace,
-    ) as observed:
-        series = sweep_protocols(
-            names, config, labels, n_jobs=n_jobs, observation=observed.observation
-        )
-    return SweepRun(observed.observation, observed.recorder, series)

@@ -36,8 +36,6 @@ from .cache import (
     LRUCache,
     cache_info,
     clear_cache,
-    configure_cache,
-    record_cache_metrics,
 )
 from .checkpoint import CheckpointStore, spec_digest
 from .config import (
@@ -45,13 +43,12 @@ from .config import (
     DEFAULT_CONFIG,
     DEFAULT_SEED,
     N_JOBS_ENV,
-    TRACE_CACHE_ENV,
     RuntimeConfig,
     resolve_n_jobs,
 )
 from .engine import Engine
 from .observing import ObservedRun, observed_run
-from .seeds import arrival_trace, derive_stream, replication_seed
+from .seeds import arrival_trace, derive_stream
 from .spec import RunResult, RunSpec
 from .tasks import (
     BUILTIN_KINDS,
@@ -82,18 +79,14 @@ __all__ = [
     "RuntimeConfig",
     "SerialBackend",
     "SocketWorkerBackend",
-    "TRACE_CACHE_ENV",
     "arrival_trace",
     "cache_info",
     "clear_cache",
-    "configure_cache",
     "derive_stream",
     "execute_spec",
     "execution_count",
     "observed_run",
-    "record_cache_metrics",
     "register_kind",
-    "replication_seed",
     "reset_execution_count",
     "resolve_backend",
     "resolve_kind",

@@ -1,26 +1,23 @@
 """The bounded shared result/trace cache (LRU, introspectable).
 
 One process-wide :class:`LRUCache` memoises the seeded arrival traces every
-entry point shares (see :mod:`repro.runtime.seeds`).  Unlike the unbounded
-dict it replaces, the cache evicts least-recently-used entries beyond a
-configurable bound (``REPRO_TRACE_CACHE_SIZE`` / ``RuntimeConfig``), so
-long multi-figure sweeps hold a flat amount of trace memory.
+entry point shares (see :mod:`repro.runtime.seeds`).  It evicts
+least-recently-used entries beyond :data:`DEFAULT_TRACE_CACHE_SIZE` (64)
+entries, so long multi-figure sweeps hold a flat amount of trace memory.
 
 :func:`cache_info` exposes hit/miss/size counters in the style of
-``functools.lru_cache``; :func:`record_cache_metrics` copies them into a
-:class:`~repro.obs.registry.MetricsRegistry` as gauges for callers that
-want cache behaviour in their metrics documents.  The Engine does **not**
-attach them automatically: cache hits differ between serial runs (one
-process, warm cache) and pooled runs (cold per-worker caches), and the
-merged observability state must stay bit-for-bit identical across the two.
+``functools.lru_cache``.  The Engine does **not** copy them into metrics
+documents: cache hits differ between serial runs (one process, warm cache)
+and pooled runs (cold per-worker caches), and the merged observability
+state must stay bit-for-bit identical across the two.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, NamedTuple, Optional
+from typing import Any, Callable, Hashable, NamedTuple
 
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_TRACE_CACHE_SIZE
 
 
 class CacheInfo(NamedTuple):
@@ -73,14 +70,6 @@ class LRUCache:
         """Drop every entry (statistics are kept)."""
         self._entries.clear()
 
-    def resize(self, max_entries: int) -> None:
-        """Change the bound, evicting oldest entries if now over it."""
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -97,8 +86,8 @@ class LRUCache:
         )
 
 
-#: The process-wide arrival-trace cache, bounded per the runtime config.
-ARRIVAL_CACHE = LRUCache(DEFAULT_CONFIG.resolve_trace_cache_size())
+#: The process-wide arrival-trace cache.
+ARRIVAL_CACHE = LRUCache(DEFAULT_TRACE_CACHE_SIZE)
 
 
 def cache_info() -> CacheInfo:
@@ -109,21 +98,3 @@ def cache_info() -> CacheInfo:
 def clear_cache() -> None:
     """Drop every memoised arrival trace (tests, memory-sensitive callers)."""
     ARRIVAL_CACHE.clear()
-
-
-def configure_cache(max_entries: Optional[int] = None) -> None:
-    """Re-bound the shared cache (``None`` re-reads config/environment)."""
-    ARRIVAL_CACHE.resize(DEFAULT_CONFIG.resolve_trace_cache_size(max_entries))
-
-
-def record_cache_metrics(metrics) -> None:
-    """Publish :func:`cache_info` as ``runtime.cache.*`` gauges.
-
-    Opt-in: see the module docstring for why the Engine never calls this
-    on the observation it merges worker state into.
-    """
-    info = cache_info()
-    metrics.gauge("runtime.cache.hits").set(info.hits)
-    metrics.gauge("runtime.cache.misses").set(info.misses)
-    metrics.gauge("runtime.cache.size").set(info.size)
-    metrics.gauge("runtime.cache.max_entries").set(info.max_entries)

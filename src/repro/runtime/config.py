@@ -1,8 +1,7 @@
 """Runtime knobs, consolidated: one place reads the environment.
 
-Every execution-layer setting — worker counts, the arrival-trace cache
-bound, the default sweep horizons — lives here, with one documented
-precedence chain::
+Every execution-layer setting — worker counts, the backend, the default
+sweep horizons — lives here, with one documented precedence chain::
 
     environment variable  <  RuntimeConfig field  <  explicit argument
 
@@ -20,9 +19,6 @@ Environment variables
 ``REPRO_BACKEND``
     Default execution backend name (``serial`` or ``process``; ``socket``
     needs addresses, so it is CLI/constructor-only).
-``REPRO_TRACE_CACHE_SIZE``
-    Maximum entries kept by the shared arrival-trace cache
-    (:mod:`repro.runtime.cache`); default 64.
 
 The environment is *advisory*: a malformed value (``REPRO_SWEEP_JOBS=4x``,
 an unknown backend name) must never blow up deep inside an experiment the
@@ -47,9 +43,6 @@ N_JOBS_ENV = "REPRO_SWEEP_JOBS"
 #: Environment variable naming the default execution backend.
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: Environment variable bounding the shared arrival-trace cache.
-TRACE_CACHE_ENV = "REPRO_TRACE_CACHE_SIZE"
-
 #: Environment variable bounding each serving session's send queue (frames).
 SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE_FRAMES"
 
@@ -60,7 +53,7 @@ ENV_BACKEND_NAMES = ("serial", "process", "process-pool")
 #: Serial execution when neither argument, config, nor environment say more.
 DEFAULT_N_JOBS = 1
 
-#: Default bound on the shared (seed, rate, horizon) arrival-trace cache.
+#: Bound on the shared (seed, rate, horizon) arrival-trace cache.
 DEFAULT_TRACE_CACHE_SIZE = 64
 
 # -- default sweep horizons (shared by SweepConfig and the CLI) ------------
@@ -125,7 +118,6 @@ class RuntimeConfig:
     """
 
     n_jobs: Optional[int] = None
-    trace_cache_size: Optional[int] = None
     backend: Optional[str] = None
 
     def resolve_n_jobs(self, explicit: Optional[int] = None) -> int:
@@ -181,22 +173,6 @@ class RuntimeConfig:
             )
             return None
         return raw
-
-    def resolve_trace_cache_size(self, explicit: Optional[int] = None) -> int:
-        """The effective arrival-trace cache bound (>= 1)."""
-        value = explicit
-        if value is None:
-            value = self.trace_cache_size
-        if value is None:
-            value = _env_int(TRACE_CACHE_ENV)
-        if value is None:
-            return DEFAULT_TRACE_CACHE_SIZE
-        value = int(value)
-        if value < 1:
-            raise ConfigurationError(
-                f"trace cache size must be >= 1, got {value}"
-            )
-        return value
 
 
 #: The process-wide default configuration (all fields deferred to env).

@@ -44,9 +44,6 @@ WORKLOAD_STREAM = "arrivals@wl:{digest12}"
 CLUSTER_ARRIVALS_STREAM = "cluster-arrivals"
 CLUSTER_TITLES_STREAM = "cluster-titles"
 
-#: Prime stride separating replication seeds (see :func:`replication_seed`).
-REPLICATION_STRIDE = 7919
-
 #: What :func:`arrival_trace` accepts where a float rate used to be.
 WorkloadLike = Union[float, int, str, WorkloadSpec, ArrivalProcess]
 
@@ -65,18 +62,6 @@ def workload_stream(seed: int, spec: WorkloadSpec) -> np.random.Generator:
     """The arrival-trace generator for a digest-keyed workload spec."""
     name = WORKLOAD_STREAM.format(digest12=spec.digest()[:12])
     return derive_stream(seed, name)
-
-
-def replication_seed(seed: int, replication: int) -> int:
-    """The derived seed of replication ``replication`` (0-based).
-
-    A fixed prime stride keeps replication seeds disjoint from each other
-    and from the base seed for any realistic replication count.
-
-    >>> replication_seed(2001, 0)
-    9920
-    """
-    return seed + REPLICATION_STRIDE * (replication + 1)
 
 
 def arrival_trace(

@@ -1,24 +1,15 @@
-"""VOD server resource model: channel pools, admission, blocking.
+"""VOD server resource model: catalog-level capacity provisioning.
 
 The protocols in :mod:`repro.protocols` measure how much bandwidth a policy
-*wants*; a real server has a finite channel pool and must block or queue
-what does not fit.  This subpackage supplies that substrate:
-
-* :mod:`repro.server.channels` — a channel pool with allocation accounting,
-  plus a plain unicast VOD protocol (one dedicated stream per customer, no
-  sharing — the cost baseline the paper's introduction laments) with
-  blocking, validated against the Erlang-B formula.
-* :mod:`repro.server.provisioning` — catalog-level capacity planning:
-  aggregate per-slot load across many titles, overflow-probability
-  quantiles, statistical-multiplexing gains.
+*wants*; an operator provisions a server for a whole catalog.
+:mod:`repro.server.provisioning` aggregates per-slot load across many
+titles and reduces it to overflow-probability quantiles and
+statistical-multiplexing gains.
 """
 
-from .channels import ChannelPool, UnicastVODServer
 from .provisioning import ProvisioningResult, provision_catalog
 
 __all__ = [
-    "ChannelPool",
     "ProvisioningResult",
-    "UnicastVODServer",
     "provision_catalog",
 ]

@@ -38,13 +38,11 @@ class SlotLoadRecorder:
     registry:
         Optional :class:`~repro.obs.registry.MetricsRegistry`.  The
         recorder always summarises into its own private
-        :class:`~repro.sim.stats.OnlineStats` — the registry's ``metric``
-        histogram is cumulative across every run that shares the registry,
+        :class:`~repro.sim.stats.OnlineStats` — the registry's
+        ``sim.slot_load`` histogram is cumulative across every run that shares the registry,
         so aliasing it would corrupt the per-run statistics — and
         :meth:`finish` folds that summary into the histogram once the run
         is over.
-    metric:
-        Histogram name used with ``registry``.
     """
 
     def __init__(
@@ -52,7 +50,6 @@ class SlotLoadRecorder:
         warmup_slots: int = 0,
         keep_series: bool = False,
         registry: Optional["MetricsRegistry"] = None,
-        metric: str = "sim.slot_load",
     ):
         if warmup_slots < 0:
             raise SimulationError(f"warmup_slots must be >= 0, got {warmup_slots}")
@@ -61,7 +58,7 @@ class SlotLoadRecorder:
         self.series: List[int] = []
         self._stats = OnlineStats()
         self._registry_stats = (
-            registry.histogram(metric).stats if registry is not None else None
+            registry.histogram("sim.slot_load").stats if registry is not None else None
         )
 
     def record(self, slot: int, load: int) -> None:

@@ -65,17 +65,6 @@ def maximum_periods(packed: PackedSegments) -> List[int]:
     return chunk_deadline_slots(packed)
 
 
-def uniform_periods(n_segments: int) -> List[int]:
-    """The base DHB periods ``T[j] = j`` (CBR, no smoothing).
-
-    >>> uniform_periods(4)
-    [1, 2, 3, 4]
-    """
-    if n_segments < 1:
-        raise SmoothingError(f"need >= 1 segment, got {n_segments}")
-    return list(range(1, n_segments + 1))
-
-
 def delay_gained(packed: PackedSegments) -> List[int]:
     """Slots of slack DHB-d gains over the naive ``T[j] = j`` window.
 

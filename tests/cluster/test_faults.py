@@ -9,7 +9,6 @@ from repro.cluster.faults import (
     FaultSchedule,
     fail_over,
     lost_instances,
-    random_fault_schedule,
     reschedule_instance,
     supports_rescheduling,
 )
@@ -19,7 +18,6 @@ from repro.core.dhb import DHBProtocol
 from repro.core.interactive import InteractiveDHB
 from repro.errors import ClusterError
 from repro.protocols.ud import UniversalDistributionProtocol
-from repro.sim.rng import RandomStreams
 
 
 def hosting(protocol):
@@ -77,22 +75,6 @@ class TestFaultSchedule:
         assert schedule.effective_capacity(0, 16, 15) == 12
         assert schedule.effective_capacity(0, 16, 25) == 8  # overlap: max fraction
         assert schedule.effective_capacity(1, 16, 25) == 16
-
-    def test_random_schedule_is_deterministic(self):
-        topology = uniform_topology(4, capacity=8, n_titles=4)
-        first = random_fault_schedule(
-            topology, 400, RandomStreams(7).get("faults"), n_crashes=2
-        )
-        second = random_fault_schedule(
-            topology, 400, RandomStreams(7).get("faults"), n_crashes=2
-        )
-        assert first == second
-        assert len(first.crashes) == 2
-        victims = {crash.server_id for crash in first.crashes}
-        assert len(victims) == 2
-        for crash in first.crashes:
-            assert 100 <= crash.start_slot < 300
-            assert crash.end_slot <= 400
 
 
 class TestDegradedMode:

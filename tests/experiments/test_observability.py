@@ -5,14 +5,16 @@ the same trace-record stream whether it ran serially or fanned out across
 worker processes (timers excepted — wall clock is not deterministic).
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.experiments.config import SweepConfig
 from repro.experiments.fig9 import run_fig9
-from repro.experiments.runner import observed_sweep, sweep_protocols
+from repro.experiments.runner import sweep_protocols
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import MemoryTraceSink, Observation
-from repro.runtime import Engine, RunSpec
+from repro.runtime import Engine, RunSpec, observed_run
 
 QUICK = SweepConfig().quick(
     rates_per_hour=(10.0, 100.0), base_hours=2.0, min_requests=10
@@ -91,9 +93,20 @@ class TestRegistryMergeAcrossWorkers:
         assert registry.counter("sim.slots").value > 0
 
 
+def _sweep_in_run(names, experiment="sweep", n_jobs=None):
+    """A QUICK sweep of ``names`` inside one ``observed_run`` session."""
+    with observed_run(
+        experiment, protocols=names, params=asdict(QUICK), seed=QUICK.seed
+    ) as run:
+        series = sweep_protocols(
+            names, QUICK, n_jobs=n_jobs, observation=run.observation
+        )
+    return run, series
+
+
 class TestObservedSweep:
     def test_manifest_attached_and_complete(self):
-        run = observed_sweep(["npb"], QUICK, experiment="fig7")
+        run, _ = _sweep_in_run(["npb"], experiment="fig7")
         assert run.manifest.experiment == "fig7"
         assert run.manifest.protocols == ["npb"]
         assert run.manifest.seed == QUICK.seed
@@ -102,7 +115,7 @@ class TestObservedSweep:
         assert run.manifest.python_version
 
     def test_metrics_document_schema(self):
-        run = observed_sweep(["npb"], QUICK)
+        run, _ = _sweep_in_run(["npb"])
         document = run.metrics_document()
         assert document["schema"] == 1
         assert document["manifest"]["experiment"] == "sweep"
@@ -111,7 +124,7 @@ class TestObservedSweep:
         )
 
     def test_sweep_counts_every_grid_cell(self):
-        run = observed_sweep(["dhb", "npb"], QUICK, n_jobs=2)
+        run, _ = _sweep_in_run(["dhb", "npb"], n_jobs=2)
         expected_points = 2 * len(QUICK.rates_per_hour)
         assert run.metrics.counter("measure.points").value == expected_points
         histogram = run.metrics.histogram("sim.slot_load").stats
@@ -119,8 +132,8 @@ class TestObservedSweep:
         assert run.metrics.timer("sim.run_seconds").stats.count == expected_points
 
     def test_slot_load_histogram_consistent_with_series(self):
-        run = observed_sweep(["npb"], QUICK)
-        points = run.series[0].points
+        run, series = _sweep_in_run(["npb"])
+        points = series[0].points
         stats = run.metrics.histogram("sim.slot_load").stats
         # The pooled histogram covers exactly the measured slots, so its
         # extremes and mean must bracket the per-point summaries.

@@ -100,48 +100,3 @@ def test_sweep_protocols_label_mismatch():
 def test_invalid_rate():
     with pytest.raises(ConfigurationError):
         measure_protocol(DHBProtocol(n_segments=5), CONFIG, 0.0)
-
-
-class TestReplication:
-    def test_interval_covers_replications(self):
-        from repro.experiments.runner import replicate_measurement
-
-        point = replicate_measurement(
-            lambda rate: DHBProtocol(n_segments=CONFIG.n_segments),
-            CONFIG,
-            20.0,
-            n_replications=3,
-        )
-        assert len(point.replications) == 3
-        assert min(point.replications) <= point.mean <= max(point.replications)
-        low, high = point.interval
-        assert low <= point.mean <= high
-
-    def test_replications_use_distinct_seeds(self):
-        from repro.experiments.runner import replicate_measurement
-
-        point = replicate_measurement(
-            lambda rate: DHBProtocol(n_segments=CONFIG.n_segments),
-            CONFIG,
-            20.0,
-            n_replications=3,
-        )
-        assert len(set(point.replications)) > 1
-        assert point.half_width > 0.0
-
-    def test_deterministic(self):
-        from repro.experiments.runner import replicate_measurement
-
-        factory = lambda rate: DHBProtocol(n_segments=CONFIG.n_segments)
-        a = replicate_measurement(factory, CONFIG, 20.0, n_replications=2)
-        b = replicate_measurement(factory, CONFIG, 20.0, n_replications=2)
-        assert a == b
-
-    def test_too_few_replications(self):
-        from repro.experiments.runner import replicate_measurement
-
-        with pytest.raises(ConfigurationError):
-            replicate_measurement(
-                lambda rate: DHBProtocol(n_segments=9), CONFIG, 20.0,
-                n_replications=1,
-            )

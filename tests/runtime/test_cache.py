@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.obs.registry import MetricsRegistry
-from repro.runtime.cache import (
-    ARRIVAL_CACHE,
-    LRUCache,
-    cache_info,
-    clear_cache,
-    configure_cache,
-    record_cache_metrics,
-)
+from repro.runtime.cache import LRUCache, cache_info, clear_cache
+from repro.runtime.config import DEFAULT_TRACE_CACHE_SIZE
 from repro.runtime.seeds import arrival_trace
 
 
@@ -21,7 +14,6 @@ def _reset_shared_cache():
     clear_cache()
     yield
     clear_cache()
-    configure_cache(None)
 
 
 class TestLRUCache:
@@ -41,19 +33,9 @@ class TestLRUCache:
         assert "a" in cache and "c" in cache and "b" not in cache
         assert len(cache) == 2
 
-    def test_resize_evicts_down(self):
-        cache = LRUCache(max_entries=4)
-        for key in "abcd":
-            cache.get_or_create(key, lambda: key)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert "c" in cache and "d" in cache
-
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
-        with pytest.raises(ValueError):
-            LRUCache(max_entries=2).resize(0)
 
     def test_clear_keeps_statistics(self):
         cache = LRUCache(max_entries=2)
@@ -78,21 +60,7 @@ class TestSharedArrivalCache:
         b = arrival_trace(2002, 50.0, 6.0)
         assert not np.array_equal(a, b)
 
-    def test_configure_cache_bounds_entries(self):
-        configure_cache(2)
-        for rate in (1.0, 2.0, 3.0, 4.0):
-            arrival_trace(2001, rate, 1.0)
-        assert cache_info().size == 2
-        assert cache_info().max_entries == 2
-
-    def test_record_cache_metrics_gauges(self):
-        arrival_trace(2001, 5.0, 1.0)
-        registry = MetricsRegistry()
-        record_cache_metrics(registry)
-        gauges = registry.to_dict()["gauges"]
-        assert gauges["runtime.cache.size"]["value"] == len(ARRIVAL_CACHE)
-        assert set(gauges) >= {
-            "runtime.cache.hits",
-            "runtime.cache.misses",
-            "runtime.cache.max_entries",
-        }
+    def test_shared_cache_evicts_beyond_its_bound(self):
+        for rate in range(1, DEFAULT_TRACE_CACHE_SIZE + 2):
+            arrival_trace(2001, float(rate), 0.01)
+        assert cache_info().size == DEFAULT_TRACE_CACHE_SIZE

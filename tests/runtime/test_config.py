@@ -6,17 +6,19 @@ Explicit arguments and config fields are code and still raise.
 """
 
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runtime.cache import ARRIVAL_CACHE
 from repro.runtime.config import (
     BACKEND_ENV,
     DEFAULT_N_JOBS,
     DEFAULT_TRACE_CACHE_SIZE,
     N_JOBS_ENV,
-    TRACE_CACHE_ENV,
     RuntimeConfig,
     resolve_n_jobs,
 )
@@ -87,12 +89,6 @@ class TestAdvisoryEnvironment:
         assert engine.n_jobs == 1
         assert engine.run_values([RunSpec("figure-render", (1,))])
 
-    def test_malformed_trace_cache_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(TRACE_CACHE_ENV, "lots")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            size = RuntimeConfig().resolve_trace_cache_size()
-        assert size == DEFAULT_TRACE_CACHE_SIZE
-
     def test_unknown_backend_env_falls_back(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "quantum")
         with pytest.warns(RuntimeWarning, match="quantum"):
@@ -111,22 +107,19 @@ class TestAdvisoryEnvironment:
 
 
 class TestTraceCacheSize:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
-        size = RuntimeConfig().resolve_trace_cache_size()
-        assert size == DEFAULT_TRACE_CACHE_SIZE
+    """The shared trace cache has one fixed bound; nothing configures it."""
 
-    def test_environment(self, monkeypatch):
-        monkeypatch.setenv(TRACE_CACHE_ENV, "7")
-        assert RuntimeConfig().resolve_trace_cache_size() == 7
+    def test_default(self):
+        assert ARRIVAL_CACHE.max_entries == DEFAULT_TRACE_CACHE_SIZE == 64
 
-    def test_config_field_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(TRACE_CACHE_ENV, "7")
-        assert RuntimeConfig(trace_cache_size=9).resolve_trace_cache_size() == 9
-
-    def test_explicit_overrides_config(self):
-        assert RuntimeConfig(trace_cache_size=9).resolve_trace_cache_size(4) == 4
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig().resolve_trace_cache_size(0)
+    def test_environment(self):
+        # A fresh interpreter, so the variable is set before the cache is built.
+        env = dict(
+            os.environ, REPRO_TRACE_CACHE_SIZE="3", PYTHONPATH=os.pathsep.join(sys.path)
+        )
+        probe = "from repro.runtime.cache import cache_info; print(cache_info().max_entries)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "64"

@@ -17,7 +17,6 @@ from repro.protocols.hmsm import HMSMProtocol
 from repro.protocols.patching import PatchingProtocol
 from repro.protocols.stream_tapping import StreamTappingProtocol
 from repro.runtime.seeds import arrival_trace
-from repro.server.channels import UnicastVODServer
 from repro.sim import continuous
 from repro.sim.continuous import ContinuousSimulation, ReactiveModel
 
@@ -148,7 +147,6 @@ REACTIVE_FACTORIES = {
         DURATION, expected_rate_per_hour=rate
     ),
     "hmsm": lambda rate: HMSMProtocol(DURATION),
-    "unicast": lambda rate: UnicastVODServer(n_channels=12, duration=DURATION),
 }
 
 

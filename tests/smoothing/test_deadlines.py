@@ -1,22 +1,19 @@
 """Tests for repro.smoothing.deadlines."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import SmoothingError
 from repro.smoothing.deadlines import (
     chunk_deadline_slots,
     delay_gained,
     maximum_periods,
-    uniform_periods,
 )
 from repro.smoothing.packing import pack_video
 from repro.video.model import CBRVideo
 from repro.video.vbr import VBRVideo
 
 
-def test_cbr_without_workahead_gives_uniform_periods():
+def test_cbr_without_workahead_gives_periods_one_to_n():
     video = CBRVideo(duration=100.0, rate=1.0)
     packed = pack_video(video, slot_duration=10.0, rate=1.0)
     assert maximum_periods(packed) == list(range(1, packed.n_segments + 1))
@@ -56,12 +53,6 @@ def test_delay_gained(tiny_vbr):
     gains = delay_gained(packed)
     periods = maximum_periods(packed)
     assert gains == [t - (j + 1) for j, t in enumerate(periods)]
-
-
-def test_uniform_periods_helper():
-    assert uniform_periods(5) == [1, 2, 3, 4, 5]
-    with pytest.raises(SmoothingError):
-        uniform_periods(0)
 
 
 @given(
