@@ -102,7 +102,7 @@ from .experiments.ablations import (
     slack_dial_ablation,
 )
 from .experiments.catalog import run_catalog
-from .experiments.config import SweepConfig
+from .experiments.config import DEFAULT_SEED, SweepConfig
 from .experiments.fig7 import FIG7_PROTOCOLS, report_fig7, run_fig7
 from .experiments.fig8 import FIG8_PROTOCOLS, report_fig8, run_fig8
 from .experiments.fig9 import FIG9_MAX_WAIT, FIG9_SERIES, report_fig9, run_fig9
@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick", action="store_true", help="short horizons / few rates"
     )
-    parser.add_argument("--seed", type=int, default=2001, help="workload seed")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="workload seed")
     parser.add_argument(
         "--workload",
         action="append",

@@ -50,6 +50,11 @@ from ..analysis.tables import format_simple_table
 from ..errors import ClusterError
 from ..obs.trace import Observation
 from ..protocols.registry import SLOTTED_NAMES, ProtocolContext, build_protocol
+from ..runtime.seeds import (
+    CLUSTER_ARRIVALS_STREAM,
+    CLUSTER_TITLES_STREAM,
+    CLUSTER_WORKLOAD_STREAM,
+)
 from ..server.provisioning import ProvisioningResult
 from ..sim.rng import RandomStreams
 from ..workload.arrivals import PoissonArrivals
@@ -333,10 +338,12 @@ def run_scenario(
     warmup = scenario.warmup_slots
     if scenario.workload is None:
         times = PoissonArrivals(scenario.total_rate_per_hour).generate(
-            horizon * d, streams.get("cluster-arrivals")
+            horizon * d, streams.get(CLUSTER_ARRIVALS_STREAM)
         )
     else:
-        stream_name = f"cluster-arrivals@wl:{scenario.workload.digest()[:12]}"
+        stream_name = CLUSTER_WORKLOAD_STREAM.format(
+            digest12=scenario.workload.digest()[:12]
+        )
         times = scenario.workload.process().generate(
             horizon * d, streams.get(stream_name)
         )
@@ -344,7 +351,7 @@ def run_scenario(
     # loop only slices and indexes it, and the memory pays for the hits'
     # deferrals kept below.
     titles = ZipfCatalog(topology.n_titles, scenario.zipf_theta).assign(
-        len(times), streams.get("cluster-titles")
+        len(times), streams.get(CLUSTER_TITLES_STREAM)
     ).astype(np.min_scalar_type(topology.n_titles - 1))
     # Slot s's arrivals are times[starts[s]:starts[s + 1]], those before
     # its end (arrivals at or past the horizon are never offered).

@@ -13,20 +13,28 @@ from typing import Tuple, Union
 
 from ..errors import ConfigurationError
 from ..workload.spec import WorkloadSpec, as_workload
-from ..runtime.config import (
-    DEFAULT_BASE_HOURS,
-    DEFAULT_MIN_REQUESTS,
-    DEFAULT_SEED,
-    DEFAULT_WARMUP_FRACTION,
-    QUICK_BASE_HOURS,
-    QUICK_MIN_REQUESTS,
-    QUICK_RATES_PER_HOUR,
-)
 from ..units import TWO_HOURS
 
 #: The paper's Figures 7–9 sweep request rates from 1 to 1000 per hour on a
 #: logarithmic axis; these points cover the same span.
 PAPER_RATES: Tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
+
+#: Minimum simulated hours per sweep point (paper-scale runs).
+DEFAULT_BASE_HOURS = 40.0
+
+#: Minimum simulated requests per sweep point (horizons stretch at low rates).
+DEFAULT_MIN_REQUESTS = 400
+
+#: Leading fraction of every horizon discarded as warmup.
+DEFAULT_WARMUP_FRACTION = 0.1
+
+#: The repository-wide default workload seed (the paper's publication year).
+DEFAULT_SEED = 2001
+
+#: ``SweepConfig.quick()`` horizons: rates, base hours, minimum requests.
+QUICK_RATES_PER_HOUR = (2.0, 50.0, 500.0)
+QUICK_BASE_HOURS = 6.0
+QUICK_MIN_REQUESTS = 40
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ One pipeline under every entry point::
       |        process pool ·
       |        socket workers)
       seeds (deterministic derivation) · cache (bounded shared LRU)
+      config (argument > environment > default)
 
 Figure sweeps, cluster scenario batches, ablations, the catalog study, the
 CLI, and the benches all describe their work as :class:`RunSpec` batches
@@ -38,14 +39,7 @@ from .cache import (
     clear_cache,
 )
 from .checkpoint import CheckpointStore, spec_digest
-from .config import (
-    BACKEND_ENV,
-    DEFAULT_CONFIG,
-    DEFAULT_SEED,
-    N_JOBS_ENV,
-    RuntimeConfig,
-    resolve_n_jobs,
-)
+from .config import BACKEND_ENV, N_JOBS_ENV, resolve_n_jobs
 from .engine import Engine
 from .observing import ObservedRun, observed_run
 from .seeds import arrival_trace, derive_stream
@@ -65,8 +59,6 @@ __all__ = [
     "BUILTIN_KINDS",
     "CacheInfo",
     "CheckpointStore",
-    "DEFAULT_CONFIG",
-    "DEFAULT_SEED",
     "Engine",
     "ExecutionBackend",
     "LRUCache",
@@ -76,7 +68,6 @@ __all__ = [
     "RemoteTaskError",
     "RunResult",
     "RunSpec",
-    "RuntimeConfig",
     "SerialBackend",
     "SocketWorkerBackend",
     "arrival_trace",

@@ -42,7 +42,7 @@ from typing import Any, List, Optional, Sequence
 from ..obs.trace import Observation
 from .backends import ExecutionBackend, resolve_backend
 from .checkpoint import CheckpointStore, spec_digest
-from .config import DEFAULT_CONFIG, RuntimeConfig
+from .config import resolve_backend_name, resolve_n_jobs
 from .spec import RunResult, RunSpec
 from .tasks import execute_spec
 
@@ -53,19 +53,14 @@ class Engine:
     Parameters
     ----------
     n_jobs:
-        Worker count.  ``None`` defers to ``config`` and then the
-        ``REPRO_SWEEP_JOBS`` environment variable (serial by default);
-        negative means "all cores".  See
-        :meth:`~repro.runtime.config.RuntimeConfig.resolve_n_jobs`.
-    config:
-        Runtime knobs; defaults to the process-wide
-        :data:`~repro.runtime.config.DEFAULT_CONFIG`.
+        Worker count.  ``None`` defers to the ``REPRO_SWEEP_JOBS``
+        environment variable (serial by default); negative means "all
+        cores".  See :func:`~repro.runtime.config.resolve_n_jobs`.
     backend:
         An :class:`~repro.runtime.backends.base.ExecutionBackend`
         instance or name (``"serial"``, ``"process"``, ``"socket"``).
-        ``None`` defers to ``config``/``REPRO_BACKEND``, then to the
-        worker-count default: serial for one worker, the local process
-        pool otherwise.
+        ``None`` defers to ``REPRO_BACKEND``, then to the worker-count
+        default: serial for one worker, the local process pool otherwise.
     checkpoint:
         Optional :class:`~repro.runtime.checkpoint.CheckpointStore`
         journaling every completed result (and replaying completed specs
@@ -85,15 +80,13 @@ class Engine:
     def __init__(
         self,
         n_jobs: Optional[int] = None,
-        config: Optional[RuntimeConfig] = None,
         backend: Any = None,
         checkpoint: Optional[CheckpointStore] = None,
     ):
-        self.config = config if config is not None else DEFAULT_CONFIG
-        self.n_jobs = self.config.resolve_n_jobs(n_jobs)
-        if backend is None:
-            backend = self.config.resolve_backend()
-        self.backend: ExecutionBackend = resolve_backend(backend, self.n_jobs)
+        self.n_jobs = resolve_n_jobs(n_jobs)
+        self.backend: ExecutionBackend = resolve_backend(
+            resolve_backend_name(backend), self.n_jobs
+        )
         self.checkpoint = checkpoint
 
     def run(

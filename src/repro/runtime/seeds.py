@@ -40,8 +40,11 @@ ARRIVALS_STREAM = "arrivals@{rate:g}"
 #: Stream name for non-Poisson workloads, keyed by canonical spec digest.
 WORKLOAD_STREAM = "arrivals@wl:{digest12}"
 
-#: Stream names of the cluster scenario workload.
+#: Stream names of the cluster scenario workload: Poisson arrivals at the
+#: scenario's total rate, a workload spec's arrivals keyed by its digest,
+#: and the titles the arrivals ask for.
 CLUSTER_ARRIVALS_STREAM = "cluster-arrivals"
+CLUSTER_WORKLOAD_STREAM = "cluster-arrivals@wl:{digest12}"
 CLUSTER_TITLES_STREAM = "cluster-titles"
 
 #: What :func:`arrival_trace` accepts where a float rate used to be.

@@ -36,7 +36,6 @@ from .spec import (
     WorkloadSpec,
     as_workload,
     parse_workload,
-    workload_or_none,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "as_workload",
     "child_daytime_profile",
     "parse_workload",
-    "workload_or_none",
 ]

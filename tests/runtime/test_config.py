@@ -1,8 +1,8 @@
-"""Runtime config: one precedence chain (env < config field < argument).
+"""Runtime config: one precedence chain (default < environment < argument).
 
 The environment is *advisory*: a typo'd shell export (``REPRO_SWEEP_JOBS=4x``)
 must warn and fall back to serial, never abort an experiment mid-sweep.
-Explicit arguments and config fields are code and still raise.
+Explicit arguments are code and still raise.
 """
 
 import os
@@ -19,9 +19,10 @@ from repro.runtime.config import (
     DEFAULT_N_JOBS,
     DEFAULT_TRACE_CACHE_SIZE,
     N_JOBS_ENV,
-    RuntimeConfig,
+    resolve_backend_name,
     resolve_n_jobs,
 )
+from repro.runtime import Engine, RunSpec, SerialBackend
 
 ALL_CORES = os.cpu_count() or 1
 
@@ -35,13 +36,11 @@ class TestNJobsPrecedence:
         monkeypatch.setenv(N_JOBS_ENV, "3")
         assert resolve_n_jobs() == 3
 
-    def test_config_field_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(N_JOBS_ENV, "3")
-        assert RuntimeConfig(n_jobs=2).resolve_n_jobs() == 2
-
     def test_explicit_argument_overrides_config(self, monkeypatch):
+        """An argument overrides the environment's configuration."""
         monkeypatch.setenv(N_JOBS_ENV, "3")
-        assert RuntimeConfig(n_jobs=2).resolve_n_jobs(5) == 5
+        assert resolve_n_jobs(5) == 5
+        assert Engine(n_jobs=5, backend="serial").n_jobs == 5
 
     def test_negative_means_all_cores(self, monkeypatch):
         monkeypatch.delenv(N_JOBS_ENV, raising=False)
@@ -50,10 +49,8 @@ class TestNJobsPrecedence:
     def test_zero_argument_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_n_jobs(0)
-
-    def test_zero_config_field_rejected(self):
         with pytest.raises(ConfigurationError):
-            RuntimeConfig(n_jobs=0).resolve_n_jobs()
+            Engine(n_jobs=0)
 
 
 class TestAdvisoryEnvironment:
@@ -81,8 +78,6 @@ class TestAdvisoryEnvironment:
         assert bool([w for w in caught if w.category is RuntimeWarning]) == warns
 
     def test_malformed_env_does_not_break_an_engine(self, monkeypatch):
-        from repro.runtime import Engine, RunSpec
-
         monkeypatch.setenv(N_JOBS_ENV, "4x")
         with pytest.warns(RuntimeWarning, match="not an integer"):
             engine = Engine()
@@ -92,18 +87,18 @@ class TestAdvisoryEnvironment:
     def test_unknown_backend_env_falls_back(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "quantum")
         with pytest.warns(RuntimeWarning, match="quantum"):
-            assert RuntimeConfig().resolve_backend() is None
+            assert resolve_backend_name() is None
 
     def test_backend_env_honoured(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "serial")
-        assert RuntimeConfig().resolve_backend() == "serial"
+        assert resolve_backend_name() == "serial"
+        # Serial although four workers would otherwise pick the process pool.
+        assert isinstance(Engine(n_jobs=4).backend, SerialBackend)
 
-    def test_backend_config_field_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        assert RuntimeConfig(backend="process").resolve_backend() == "process"
-
-    def test_backend_explicit_overrides_config(self):
-        assert RuntimeConfig(backend="process").resolve_backend("serial") == "serial"
+    def test_backend_argument_overrides_env(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "process")
+        assert resolve_backend_name("serial") == "serial"
+        assert isinstance(Engine(n_jobs=4, backend="serial").backend, SerialBackend)
 
 
 class TestTraceCacheSize:

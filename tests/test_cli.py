@@ -366,8 +366,11 @@ def test_serve_loadgen_loopback_pair(capsys, tmp_path):
             str(metrics_path),
         ]
     )
-    assert rc == 0
-    out = capsys.readouterr().out
+    # On a failed gate, loadgen has printed its JSON summary and the CLI the
+    # gate's error: show both, so the failure says which gate fired.
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out + captured.err
+    out = captured.out
     summary = json.loads(out[out.index("{") : out.rindex("}") + 1])
     assert summary["dropped"] == 0
     assert summary["completed"] == 30
