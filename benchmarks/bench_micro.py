@@ -282,7 +282,7 @@ def _edge_tier(scenario, catalog):
         )
         for spec in scenario.topology.edges
     ]
-    return EdgeTier(nodes, scenario.prefix_policy, catalog)
+    return EdgeTier(nodes)
 
 
 def _decide_in_chunks(tier, counts, titles, chunk=64):

@@ -146,10 +146,6 @@ class PrefixAwareRouter(Router):
     def __init__(self, prefixes: Optional[Dict[int, int]] = None):
         self._prefixes: Dict[int, int] = dict(prefixes) if prefixes else {}
 
-    def set_prefixes(self, prefixes: Dict[int, int]) -> None:
-        """Replace the title → cached-prefix-length map (re-allocation hook)."""
-        self._prefixes = dict(prefixes)
-
     def choose(
         self,
         title: int,

@@ -307,9 +307,8 @@ def run_scenario(
 
     * ``edge_tier`` decides every arrival before routing, a chunk of at
       most :data:`DECISION_CHUNK_SLOTS` slots at a time: at the top of a
-      chunk's first slot, ``chunk_stop(slot, stop)`` bounds the chunk (it
-      ends at the next popularity re-allocation) and ``decide(slot,
-      counts, titles)`` returns the chunk's ``(prefix, defer)`` arrays.
+      chunk's first slot, ``decide(slot, counts, titles)`` returns the
+      chunk's ``(prefix, defer)`` arrays.
       A zero prefix is a *miss* and takes the unmodified delivery path; a
       hit either joins the origin in its own slot for the suffix
       (``admit_suffix`` from segment ``prefix + 1``), joins ``defer``
@@ -320,7 +319,7 @@ def run_scenario(
       default) every arrival is a miss.
     * ``router_override`` substitutes a pre-configured
       :class:`~repro.cluster.routing.Router` instance (the hierarchy's
-      prefix-aware router carries the live allocation).
+      prefix-aware router carries the edge tier's allocation).
 
     A deferred join whose slot lands at or past the horizon is dropped
     unmeasured when it is decided, like an arrival past the horizon: the
@@ -468,8 +467,6 @@ def run_scenario(
             chunk_stop = faults.chunk_stop(
                 slot, min(slot + DECISION_CHUNK_SLOTS, horizon)
             )
-            if edge_tier is not None:
-                chunk_stop = edge_tier.chunk_stop(slot, chunk_stop)
             deliveries, slot_counts = plan(slot, chunk_stop)
         # 1. Fault transitions (recoveries first: a server whose window ends
         # here is back up for the whole slot).

@@ -21,7 +21,7 @@ Layout
 :mod:`~repro.edge.node`
     :class:`~repro.edge.node.EdgeNode` (one cache + shaper) and
     :class:`~repro.edge.node.EdgeTier` (the fleet the cluster loop talks
-    to, including dynamic re-allocation as the catalog drifts).
+    to; each node keeps one prefix allocation for the whole run).
 :mod:`~repro.edge.scenario`
     :class:`~repro.edge.scenario.HierarchyScenario` — one frozen
     origin+edge experiment — and :func:`~repro.edge.scenario.run_hierarchy`.

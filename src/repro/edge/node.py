@@ -1,18 +1,16 @@
 """Edge nodes: one prefix cache + shaper each, and the tier the loop drives.
 
 The cluster slot loop (:func:`repro.cluster.scenario.run_scenario`) knows
-the edge tier through two calls: ``chunk_stop(slot, stop)``, which bounds a
-chunk of slots at the next popularity re-allocation, and
-``decide(slot, counts, titles)``, which decides every arrival of that chunk
-at once and returns ``(prefix, defer)`` arrays the loop acts on.  The edge
-reads no cluster state, so deciding a chunk ahead of its delivery changes
-nothing.  Everything hierarchical — which node an arrival lands on, how
-caches re-allocate under popularity drift, how shaping defers a join —
-stays behind that seam, which is what keeps a zero-budget hierarchy
+the edge tier through one call, ``decide(slot, counts, titles)``, which
+decides every arrival of a chunk of slots at once and returns ``(prefix,
+defer)`` arrays the loop acts on.  The edge reads no cluster state, so
+deciding a chunk ahead of its delivery changes nothing.  Every node keeps
+the prefix allocation it is built with for the whole run.  Everything
+hierarchical — which node an arrival lands on, how shaping defers a join —
+stays behind that call, which is what keeps a zero-budget hierarchy
 bit-for-bit identical to the pure cluster: every decision degenerates to a
-*miss* and the loop's delivery path is untouched.  ``begin_slot(slot)`` and
-``admit(title, t, slot, slot_end)`` are the same kernel for one slot start
-or one arrival.
+*miss* and the loop's delivery path is untouched.
+``admit(title, t, slot, slot_end)`` is the same kernel for one arrival.
 
 Inside a chunk each node looks up its arrivals' prefixes in one table and
 hands its hits to :meth:`PolicyShaper.shape` as arrays: the class picks
@@ -35,15 +33,13 @@ unshaped case, the "near-zero wait" the hierarchy buys.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from ..cluster.routing import PrefixAwareRouter
 from ..cluster.topology import EdgeSpec
 from ..errors import ConfigurationError
-from ..workload.popularity import ZipfCatalog
-from .cache import CacheAllocation, allocate_prefixes
+from .cache import CacheAllocation
 from .shaping import PolicyShaper
 
 
@@ -102,7 +98,6 @@ class EdgeNode:
         self.misses = 0
         self.bypassed = 0
         self.segments_served = 0
-        self.reallocations = 0
         # Title -> cached prefix, the table every decision reads.
         self._prefixes = np.array(allocation.prefixes, dtype=np.int64)
 
@@ -110,18 +105,6 @@ class EdgeNode:
     def edge_id(self) -> int:
         """The node's id (mirrors the spec)."""
         return self.spec.edge_id
-
-    def reallocate(self, allocation: CacheAllocation) -> None:
-        """Swap in a fresh prefix allocation (popularity-drift response)."""
-        if allocation.total_segments > self.spec.cache_segments:
-            raise ConfigurationError(
-                f"edge {self.edge_id}: re-allocation uses "
-                f"{allocation.total_segments} segments, budget is "
-                f"{self.spec.cache_segments}"
-            )
-        self.allocation = allocation
-        self._prefixes = np.array(allocation.prefixes, dtype=np.int64)
-        self.reallocations += 1
 
     def decide(
         self, titles: Sequence[int], epochs: Sequence[int], n_epochs: int
@@ -158,51 +141,17 @@ class EdgeNode:
 
 
 class EdgeTier:
-    """The edge fleet the cluster loop drives, plus dynamic re-allocation.
+    """The edge fleet the cluster loop drives.
 
     Arrivals are dealt round-robin across nodes in arrival order — a
-    deterministic stand-in for geographic client↔edge attachment.  When
-    ``drift > 0`` the tier resamples the catalog every
-    ``reallocate_every`` slots (a geometric random walk on the popularity
-    simplex, drawn from its own named RNG stream so the cluster's seeded
-    arrival streams are untouched), recomputes every node's allocation,
-    and pushes the union prefix map into the prefix-aware router.
+    deterministic stand-in for geographic client↔edge attachment.
     """
 
-    def __init__(
-        self,
-        nodes: Sequence[EdgeNode],
-        policy: str,
-        catalog: ZipfCatalog,
-        router: Optional[PrefixAwareRouter] = None,
-        drift: float = 0.0,
-        reallocate_every: int = 0,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, nodes: Sequence[EdgeNode]):
         if not nodes:
             raise ConfigurationError("edge tier needs >= 1 node")
-        if drift < 0:
-            raise ConfigurationError(f"drift must be >= 0, got {drift}")
-        if reallocate_every < 0:
-            raise ConfigurationError(
-                f"reallocate_every must be >= 0, got {reallocate_every}"
-            )
-        if drift > 0 and reallocate_every == 0:
-            raise ConfigurationError(
-                "drift > 0 needs reallocate_every >= 1 slot"
-            )
-        if drift > 0 and rng is None:
-            raise ConfigurationError("drift > 0 needs a seeded generator")
         self.nodes = list(nodes)
-        self.policy = policy
-        self.catalog = catalog
-        self.router = router
-        self.drift = float(drift)
-        self.reallocate_every = int(reallocate_every)
-        self._rng = rng
         self._turn = 0
-        if router is not None:
-            router.set_prefixes(self.prefix_map())
 
     def prefix_map(self) -> Dict[int, int]:
         """Title → longest cached prefix across the tier (the router's map)."""
@@ -213,18 +162,6 @@ class EdgeTier:
                     prefixes[title] = k
         return prefixes
 
-    def chunk_stop(self, slot: int, stop: int) -> int:
-        """Where a decision chunk starting at ``slot`` must end, at most ``stop``.
-
-        A chunk never runs past the next re-allocation slot: the router's
-        prefix map changes there, so the slots before it are decided and
-        delivered under the old allocation first.
-        """
-        if self.drift > 0:
-            every = self.reallocate_every
-            stop = min(stop, (slot // every + 1) * every)
-        return stop
-
     def decide(
         self, slot: int, counts: Sequence[int], titles: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -232,19 +169,11 @@ class EdgeTier:
 
         ``counts[i]`` arrivals land in slot ``slot + i`` and ``titles``
         lists them in arrival order.  Each slot's upkeep (a refill of every
-        bucket and, at ``slot``, a due re-allocation) runs before its
-        arrivals, exactly as slot-by-slot :meth:`begin_slot` and
-        :meth:`admit` calls would.  Returns ``(prefix, defer)`` arrays: the
-        prefix each arrival takes from its edge (0 = miss or shaped out,
-        ``n_segments`` = served fully) and its deferral in slots.
+        bucket) runs before its arrivals, exactly as one call per slot
+        would.  Returns ``(prefix, defer)`` arrays: the prefix each arrival
+        takes from its edge (0 = miss or shaped out, ``n_segments`` =
+        served fully) and its deferral in slots.
         """
-        stop = slot + len(counts)
-        if self.chunk_stop(slot, stop) < stop:
-            raise ConfigurationError(
-                f"slots {slot}..{stop - 1} cross a re-allocation slot"
-            )
-        if self.drift > 0 and slot > 0 and slot % self.reallocate_every == 0:
-            self._reallocate()
         epochs = np.repeat(np.arange(1, len(counts) + 1), counts)
         # Deal the arrivals round-robin from the current turn; each node
         # decides its share (a strided slice) in one call.
@@ -260,25 +189,6 @@ class EdgeTier:
                 titles[mine], epochs[mine], len(counts) + 1
             )
         return prefix, defer
-
-    def _reallocate(self) -> None:
-        self.catalog = self.catalog.resample(self.drift, self._rng)
-        shares = self.catalog.probabilities
-        for node in self.nodes:
-            node.reallocate(
-                allocate_prefixes(
-                    self.policy,
-                    shares,
-                    node.spec.cache_segments,
-                    node.allocation.n_segments,
-                )
-            )
-        if self.router is not None:
-            self.router.set_prefixes(self.prefix_map())
-
-    def begin_slot(self, slot: int) -> None:
-        """Slot upkeep: bucket refills, then any scheduled re-allocation."""
-        self.decide(slot, (0,), ())
 
     def admit(self, title: int, t: float, slot: int, slot_end: float) -> EdgeDecision:
         """Deal one arrival to its node and return that node's decision.

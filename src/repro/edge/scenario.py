@@ -1,7 +1,7 @@
 """Hierarchy scenarios: origin DHB broadcast composed with edge prefixes.
 
 A :class:`HierarchyScenario` freezes one origin+edge experiment — tiered
-topology, prefix policy, traffic classes, drift plan, plus every knob the
+topology, prefix policy, traffic classes, plus every knob the
 underlying :class:`~repro.cluster.scenario.ClusterScenario` takes — so the
 same value always reproduces the same :class:`HierarchyResult` on any
 runtime backend (the ``"edge-scenario"`` task kind).
@@ -28,7 +28,6 @@ from ..cluster.scenario import ClusterResult, ClusterScenario, run_scenario
 from ..cluster.topology import TieredTopology, tiered_topology
 from ..errors import ConfigurationError
 from ..obs.trace import Observation
-from ..sim.rng import RandomStreams
 from ..workload.popularity import ZipfCatalog
 from ..workload.spec import WorkloadSpec, as_workload
 from .cache import PREFIX_POLICY_NAMES, allocate_prefixes
@@ -44,8 +43,6 @@ class HierarchyScenario:
     topology: TieredTopology
     prefix_policy: str = "popularity"
     classes: Tuple[TrafficClass, ...] = DEFAULT_CLASSES
-    drift: float = 0.0
-    reallocate_every: int = 0
     protocol: str = "dhb"
     n_segments: int = 60
     slot_duration: float = 20.0
@@ -68,14 +65,6 @@ class HierarchyScenario:
                 f"choose from {list(PREFIX_POLICY_NAMES)}"
             )
         validate_classes(self.classes)
-        if self.drift < 0:
-            raise ConfigurationError(f"drift must be >= 0, got {self.drift}")
-        if self.reallocate_every < 0:
-            raise ConfigurationError(
-                f"reallocate_every must be >= 0, got {self.reallocate_every}"
-            )
-        if self.drift > 0 and self.reallocate_every == 0:
-            raise ConfigurationError("drift > 0 needs reallocate_every >= 1")
         if self.topology.total_cache_segments > 0 and self.protocol != "dhb":
             raise ConfigurationError(
                 f"protocol {self.protocol!r} cannot admit suffix joins; "
@@ -130,7 +119,6 @@ class EdgeSummary:
     misses: int
     bypassed: int
     segments_served: int
-    reallocations: int
 
 
 @dataclass
@@ -248,7 +236,6 @@ class HierarchyResult:
                 edge.misses,
                 edge.bypassed,
                 edge.segments_served,
-                edge.reallocations,
             ]
             for edge in self.edges
         ]
@@ -260,7 +247,6 @@ class HierarchyResult:
                 "misses",
                 "bypassed",
                 "segments",
-                "reallocs",
             ],
             rows,
         )
@@ -295,9 +281,7 @@ def run_hierarchy(
 ) -> HierarchyResult:
     """Run one hierarchy scenario and collect both tiers' measurements."""
     topology = scenario.topology
-    catalog = ZipfCatalog(topology.n_titles, scenario.zipf_theta)
-    shares = catalog.probabilities
-    router = PrefixAwareRouter()
+    shares = ZipfCatalog(topology.n_titles, scenario.zipf_theta).probabilities
     nodes = [
         EdgeNode(
             spec,
@@ -312,29 +296,14 @@ def run_hierarchy(
         )
         for spec in topology.edges
     ]
-    # The drift stream is named, so drawing from it can never perturb the
-    # cluster's "cluster-arrivals" / "cluster-titles" draws.
-    rng = (
-        RandomStreams(scenario.seed).get("edge-drift")
-        if scenario.drift > 0
-        else None
-    )
-    tier = EdgeTier(
-        nodes,
-        policy=scenario.prefix_policy,
-        catalog=catalog,
-        router=router,
-        drift=scenario.drift,
-        reallocate_every=scenario.reallocate_every,
-        rng=rng,
-    )
+    tier = EdgeTier(nodes)
+    prefix_map = tier.prefix_map()
     cluster_result = run_scenario(
         scenario.cluster(),
         observation,
         edge_tier=tier,
-        router_override=router,
+        router_override=PrefixAwareRouter(prefix_map),
     )
-    prefix_map = tier.prefix_map()
     bound = edge_backbone_savings_bound(
         shares,
         [prefix_map.get(title, 0) for title in range(topology.n_titles)],
@@ -349,7 +318,6 @@ def run_hierarchy(
             misses=node.misses,
             bypassed=node.bypassed,
             segments_served=node.segments_served,
-            reallocations=node.reallocations,
         )
         for node in nodes
     ]
@@ -370,9 +338,6 @@ def run_hierarchy(
         metrics.counter("edge.segments_served").inc(result.edge_segments_served)
         metrics.counter("edge.origin_segments").inc(
             result.origin_segments_transmitted
-        )
-        metrics.counter("edge.reallocations").inc(
-            sum(edge.reallocations for edge in summaries)
         )
         for name, totals in result.class_totals.items():
             prefix = f"edge.class.{name}"

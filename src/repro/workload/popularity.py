@@ -67,27 +67,3 @@ class ZipfCatalog:
         if n_requests < 0:
             raise WorkloadError("n_requests must be >= 0")
         return rng.choice(self.n_videos, size=n_requests, p=self._probabilities)
-
-    def resample(self, drift: float, rng: np.random.Generator) -> "ZipfCatalog":
-        """A drifted copy of this catalog: popularity wanders, seeded.
-
-        Each title's current share is multiplied by ``exp(drift * z)`` with
-        ``z ~ N(0, 1)`` drawn from ``rng``, then renormalised — a geometric
-        random walk on the popularity simplex.  ``drift = 0`` reproduces the
-        current shares exactly (one batch of ``n_videos`` normals is still
-        consumed, so phase-wise drift plans stay stream-aligned).  The
-        returned catalog keeps ``n_videos`` and the base ``theta`` but its
-        :attr:`probabilities` are the drifted shares; chaining ``resample``
-        calls models a catalog whose demand mix moves over time, which is
-        what edge buffer re-allocation reacts to.
-
-        Determinism: same current shares, same ``drift``, same seeded
-        generator state ⇒ identical drifted shares.
-        """
-        if drift < 0:
-            raise WorkloadError(f"drift must be >= 0, got {drift}")
-        noise = rng.standard_normal(self.n_videos)
-        weights = self._probabilities * np.exp(drift * noise)
-        drifted = ZipfCatalog(self.n_videos, self.theta)
-        drifted._probabilities = weights / weights.sum()
-        return drifted

@@ -151,10 +151,3 @@ class TestPrefixAwareRouter:
         assert router.choose(0, 4, [heavy, light]) is light
         # Other titles keep affinity: the slack is per-title.
         assert router.choose(1, 4, [heavy, light]) is heavy
-
-    def test_set_prefixes_retargets_decisions(self):
-        heavy, light = pressured_server(0), make_server(1)
-        router = PrefixAwareRouter()
-        assert router.choose(0, 4, [heavy, light]) is heavy
-        router.set_prefixes({0: 2})
-        assert router.choose(0, 4, [heavy, light]) is light

@@ -21,8 +21,6 @@ from repro.cluster.topology import EdgeSpec
 from repro.edge.cache import allocate_prefixes
 from repro.edge.node import EdgeNode, EdgeTier
 from repro.edge.shaping import PolicyShaper, TrafficClass
-from repro.errors import ConfigurationError
-from repro.sim.rng import RandomStreams
 from repro.workload.popularity import ZipfCatalog
 
 from .shaping_reference import ReferenceShaper
@@ -45,8 +43,6 @@ class Case:
     cache_segments: int = 20
     n_nodes: int = 2
     rate: float = 1.5  # mean arrivals per slot
-    drift: float = 0.0
-    reallocate_every: int = 0
 
 
 CASES = {
@@ -77,8 +73,6 @@ CASES = {
     "indebted": Case(TWO, 0.7, rate=4.0),
     # Full-video prefixes: some titles are served fully at the edge.
     "full-titles": Case(TWO, 30.0, cache_segments=3 * N_SEGMENTS),
-    "drift": Case(TWO, 4.0, drift=0.5, reallocate_every=9),
-    "drift-every-slot": Case(TWO, 4.0, drift=0.3, reallocate_every=1),
 }
 
 
@@ -94,44 +88,31 @@ def workload(case, seed=11):
     return counts, titles
 
 
-def drift_rng(case):
-    return RandomStreams(3).get("edge-drift") if case.drift > 0 else None
+def allocation(case):
+    return allocate_prefixes(
+        "popularity",
+        ZipfCatalog(N_TITLES, 1.0).probabilities,
+        case.cache_segments,
+        N_SEGMENTS,
+    )
 
 
 def make_tier(case):
-    catalog = ZipfCatalog(N_TITLES, 1.0)
     nodes = [
         EdgeNode(
             EdgeSpec(edge_id=i, cache_segments=case.cache_segments, uplink_streams=case.uplink),
-            allocate_prefixes(
-                "popularity", catalog.probabilities, case.cache_segments, N_SEGMENTS
-            ),
+            allocation(case),
             PolicyShaper(case.classes, case.uplink),
             slot_duration=20.0,
         )
         for i in range(case.n_nodes)
     ]
-    return EdgeTier(
-        nodes,
-        policy="popularity",
-        catalog=catalog,
-        drift=case.drift,
-        reallocate_every=case.reallocate_every,
-        rng=drift_rng(case),
-    )
+    return EdgeTier(nodes)
 
 
 def oracle(case, counts, titles):
     """Decide arrival by arrival: decisions, end state and clamped refills."""
-    catalog = ZipfCatalog(N_TITLES, 1.0)
-    rng = drift_rng(case)
-
-    def allocation():
-        return allocate_prefixes(
-            "popularity", catalog.probabilities, case.cache_segments, N_SEGMENTS
-        ).prefixes
-
-    prefixes = [allocation() for _ in range(case.n_nodes)]
+    prefixes = [allocation(case).prefixes for _ in range(case.n_nodes)]
     shapers = [ReferenceShaper(case.classes, case.uplink) for _ in range(case.n_nodes)]
     nodes = [dict(hits=0, misses=0, bypassed=0, segments_served=0) for _ in shapers]
     decisions = []
@@ -144,9 +125,6 @@ def oracle(case, counts, titles):
                 for bucket in shaper._buckets.values()
             )
             shaper.begin_slot()
-        if case.drift > 0 and slot > 0 and slot % case.reallocate_every == 0:
-            catalog = catalog.resample(case.drift, rng)
-            prefixes = [allocation() for _ in range(case.n_nodes)]
         for _ in range(count):
             title = next(arrivals)
             index = turn % case.n_nodes
@@ -220,7 +198,7 @@ def decide_in_chunks(case, counts, titles, chunk):
     prefix, defer = [], []
     slot = 0
     while slot < HORIZON:
-        stop = tier.chunk_stop(slot, min(slot + chunk, HORIZON))
+        stop = min(slot + chunk, HORIZON)
         got = tier.decide(slot, counts[slot:stop], titles[starts[slot]:starts[stop]])
         prefix.extend(got[0].tolist())
         defer.extend(got[1].tolist())
@@ -256,20 +234,13 @@ def test_the_cases_reach_what_they_are_named_for():
     assert clamps >= 0.9 * HORIZON * case.n_nodes * len(case.classes)
     decisions, _ = run("full-titles")
     assert any(prefix == N_SEGMENTS for prefix, _ in decisions)
-    _, state = run("drift")
-    assert state["turn"] == int(workload(CASES["drift"])[0].sum())
-
-
-def test_a_chunk_may_not_cross_a_reallocation():
-    tier = make_tier(CASES["drift"])
-    assert tier.chunk_stop(0, 64) == 9
-    assert tier.chunk_stop(9, 64) == 18
-    with pytest.raises(ConfigurationError, match="re-allocation"):
-        tier.decide(5, np.zeros(10, dtype=np.int64), ())
+    _, state = run("three-classes")
+    assert state["turn"] == int(workload(CASES["three-classes"])[0].sum())
 
 
 def test_one_arrival_calls_are_the_kernel():
-    # begin_slot / admit per arrival and one decide per slot agree.
+    # An empty decide per slot start plus admit per arrival, and one
+    # decide per slot, agree.
     case = CASES["two-classes"]
     counts, titles = workload(case)
     expected, expected_state = decide_in_chunks(case, counts, titles, 1)
@@ -277,7 +248,7 @@ def test_one_arrival_calls_are_the_kernel():
     arrivals = iter(titles.tolist())
     got = []
     for slot, count in enumerate(counts.tolist()):
-        tier.begin_slot(slot)
+        tier.decide(slot, (0,), ())
         for _ in range(count):
             decision = tier.admit(next(arrivals), 0.0, slot, 0.0)
             prefix = decision.edge_segments if decision.hit else 0

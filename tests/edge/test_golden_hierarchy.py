@@ -1,4 +1,4 @@
-"""Bit-for-bit hierarchy goldens: results and metrics of six edge runs.
+"""Bit-for-bit hierarchy goldens: results and metrics of five edge runs.
 
 ``golden_hierarchy.json`` was generated before the per-arrival edge path
 lost its allocations (frozen-dataclass decisions, per-class dict lookups,
@@ -85,7 +85,6 @@ def configurations():
     quick = preset_hierarchy(quick=True)
     return {
         "quick": quick,
-        "quick_drift": dataclasses.replace(quick, drift=0.4, reallocate_every=40),
         "shaped_out": dataclasses.replace(
             quick,
             classes=(

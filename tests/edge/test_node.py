@@ -1,15 +1,16 @@
-"""Tests for repro.edge.node — decisions, dealing, and re-allocation."""
+"""Tests for repro.edge.node — decisions, dealing, and the router's map."""
+
+import dataclasses
 
 import pytest
 
-from repro.cluster.routing import PrefixAwareRouter
+import repro.edge.scenario as edge_scenario
 from repro.cluster.topology import EdgeSpec
 from repro.edge.cache import allocate_prefixes
 from repro.edge.node import EdgeNode, EdgeTier
+from repro.edge.scenario import preset_hierarchy, run_hierarchy
 from repro.edge.shaping import DEFAULT_CLASSES, PolicyShaper, TrafficClass
 from repro.errors import ConfigurationError
-from repro.sim.rng import RandomStreams
-from repro.workload.popularity import ZipfCatalog
 
 N_SEGMENTS = 10
 
@@ -34,10 +35,7 @@ def make_node(
 
 def admit(node, title, slot):
     """One arrival on ``node`` alone, through the tier's one-arrival call."""
-    tier = EdgeTier(
-        [node], policy="popularity", catalog=ZipfCatalog(len(node.allocation.prefixes), 1.0)
-    )
-    return tier.admit(title, slot * 20.0, slot, (slot + 1) * 20.0)
+    return EdgeTier([node]).admit(title, slot * 20.0, slot, (slot + 1) * 20.0)
 
 
 class TestEdgeNode:
@@ -109,7 +107,7 @@ class TestEdgeNode:
 
 
 class TestEdgeTier:
-    def make_tier(self, n_nodes=2, **tier_kwargs):
+    def make_tier(self, n_nodes=2):
         nodes = [
             EdgeNode(
                 EdgeSpec(edge_id=i, cache_segments=4, uplink_streams=20.0),
@@ -121,8 +119,7 @@ class TestEdgeTier:
             )
             for i in range(n_nodes)
         ]
-        catalog = ZipfCatalog(n_videos=3, theta=1.0)
-        return EdgeTier(nodes, policy="popularity", catalog=catalog, **tier_kwargs)
+        return EdgeTier(nodes)
 
     def test_round_robin_dealing(self):
         tier = self.make_tier()
@@ -130,34 +127,29 @@ class TestEdgeTier:
             tier.admit(0, 0.0, 0, 20.0)
         assert [node.hits for node in tier.nodes] == [2, 2]
 
-    def test_prefix_map_feeds_the_router(self):
-        router = PrefixAwareRouter()
-        tier = self.make_tier(router=router)
+    def test_prefix_map_feeds_the_router(self, monkeypatch):
+        tier = self.make_tier()
         assert tier.prefix_map() == {
             title: k
             for title, k in enumerate(tier.nodes[0].allocation.prefixes)
             if k > 0
         }
-        assert router._prefixes == tier.prefix_map()
+        # run_hierarchy hands the cluster loop a router holding its tier's map.
+        seen = []
+        run_scenario = edge_scenario.run_scenario
 
-    def test_drift_reallocates_deterministically(self):
-        results = []
-        for _ in range(2):
-            rng = RandomStreams(7).get("edge-drift")
-            tier = self.make_tier(drift=0.5, reallocate_every=10, rng=rng)
-            for slot in range(31):
-                tier.begin_slot(slot)
-            results.append(
-                tuple(node.allocation.prefixes for node in tier.nodes)
+        def spy(scenario, observation=None, *, edge_tier, router_override):
+            seen.append((edge_tier.prefix_map(), router_override._prefixes))
+            return run_scenario(
+                scenario, observation, edge_tier=edge_tier,
+                router_override=router_override,
             )
-        assert results[0] == results[1]
-        assert all(node.reallocations == 3 for node in tier.nodes)
 
-    def test_drift_needs_interval_and_rng(self):
-        with pytest.raises(ConfigurationError, match="reallocate_every"):
-            self.make_tier(drift=0.5)
-        with pytest.raises(ConfigurationError, match="generator"):
-            self.make_tier(drift=0.5, reallocate_every=10)
+        monkeypatch.setattr(edge_scenario, "run_scenario", spy)
+        scenario = dataclasses.replace(preset_hierarchy(quick=True), horizon_slots=60)
+        run_hierarchy(scenario)
+        [(prefix_map, routed)] = seen
+        assert prefix_map and routed == prefix_map
 
     def test_aggregates(self):
         tier = self.make_tier()

@@ -110,33 +110,11 @@ def test_serial_and_process_backends_agree():
     assert serial.to_dict() == pooled.to_dict()
 
 
-def test_drift_reallocation_is_reproducible():
-    scenario = quick_hierarchy(drift=0.4, reallocate_every=40)
-    first = run_hierarchy(scenario)
-    second = run_hierarchy(scenario)
-    assert first.to_dict() == second.to_dict()
-    assert sum(edge.reallocations for edge in first.edges) > 0
-
-
-def test_drift_does_not_perturb_the_arrival_streams():
-    # The drift RNG is a named stream: switching drift on must not change
-    # which requests arrive, only how caches re-allocate.  Every in-horizon
-    # arrival passes through the edge tier exactly once, so the decision
-    # total is the arrival count — identical with and without drift.
-    still = run_hierarchy(quick_hierarchy())
-    drifting = run_hierarchy(quick_hierarchy(drift=0.4, reallocate_every=40))
-    assert still.hits + still.misses + still.bypassed == (
-        drifting.hits + drifting.misses + drifting.bypassed
-    )
-
-
 def test_validation():
     from dataclasses import replace
 
     with pytest.raises(ConfigurationError, match="prefix policy"):
         quick_hierarchy(prefix_policy="lru")
-    with pytest.raises(ConfigurationError, match="reallocate_every"):
-        quick_hierarchy(drift=0.5)
     with pytest.raises(ConfigurationError, match="require DHB"):
         quick_hierarchy(protocol="npb")
     with pytest.raises(ConfigurationError, match="cache_fraction"):
@@ -176,9 +154,6 @@ class _JoinAtTier:
     def __init__(self, join_slots):
         self.join_slots = list(join_slots)
         self.seen = 0
-
-    def chunk_stop(self, slot, stop):
-        return stop
 
     def decide(self, slot, counts, titles):
         slots = np.repeat(np.arange(slot, slot + len(counts)), counts)

@@ -54,40 +54,3 @@ def test_invalid_catalog():
         ZipfCatalog(n_videos=0)
     with pytest.raises(WorkloadError):
         ZipfCatalog(n_videos=3, theta=-0.1)
-
-
-class TestResample:
-    def test_deterministic_under_a_fixed_seed(self):
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(11)
-            drifted = ZipfCatalog(n_videos=6, theta=1.0).resample(0.4, rng)
-            runs.append(drifted.probabilities)
-        assert runs[0] == runs[1]
-        assert sum(runs[0]) == pytest.approx(1.0)
-
-    def test_zero_drift_reproduces_shares_but_consumes_the_stream(self):
-        catalog = ZipfCatalog(n_videos=5, theta=0.8)
-        rng = np.random.default_rng(3)
-        still = catalog.resample(0.0, rng)
-        assert still.probabilities == pytest.approx(catalog.probabilities)
-        # The batch of normals is consumed even at drift 0, so a staged
-        # drift plan (0, 0, 0.4, ...) stays aligned with an always-on one.
-        consumed = np.random.default_rng(3)
-        consumed.standard_normal(5)
-        follow_up = catalog.resample(0.4, rng)
-        aligned = catalog.resample(0.4, consumed)
-        assert follow_up.probabilities == pytest.approx(aligned.probabilities)
-
-    def test_chained_resamples_walk_the_simplex(self):
-        catalog = ZipfCatalog(n_videos=4, theta=1.0)
-        rng = np.random.default_rng(5)
-        for _ in range(3):
-            catalog = catalog.resample(0.5, rng)
-            assert sum(catalog.probabilities) == pytest.approx(1.0)
-            assert all(p > 0 for p in catalog.probabilities)
-
-    def test_negative_drift_rejected(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(WorkloadError):
-            ZipfCatalog(n_videos=3).resample(-0.1, rng)
