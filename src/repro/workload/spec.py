@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, NamedTuple, Sequence, Tuple, Union
 
@@ -90,17 +91,26 @@ def _diurnal(profile: str, peak_rate_per_hour: float) -> DiurnalArrivals:
     return DiurnalArrivals(_DIURNAL_PROFILES[profile](peak_rate_per_hour))
 
 
+def _finite(value: Any) -> float:
+    """A float parameter; ``nan`` and ``inf`` parse as floats but describe
+    no arrival process, so a spec rejects them."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{value!r} is not a finite number")
+    return number
+
+
 def _positive_rate(value: Any) -> float:
     """A Poisson rate; unlike :class:`PoissonArrivals`, a spec rejects 0,
     which has no mean rate to size a horizon by."""
-    rate = float(value)
+    rate = _finite(value)
     if rate <= 0:
         raise ConfigurationError(f"rate must be > 0, got {rate}")
     return rate
 
 
 def _floats(values: Sequence[Any]) -> Tuple[float, ...]:
-    return tuple(float(value) for value in values)
+    return tuple(_finite(value) for value in values)
 
 
 class _Param(NamedTuple):
@@ -128,22 +138,25 @@ _KIND_TABLE: Dict[str, Tuple[Callable[..., ArrivalProcess], Tuple[_Param, ...]]]
     "poisson": (PoissonArrivals, (_Param("rate_per_hour", "RATE", _positive_rate),)),
     "deterministic": (
         DeterministicArrivals,
-        (_Param("interval", "interval", float), _Param("offset", "offset", float, 0.0)),
+        (
+            _Param("interval", "interval", _finite),
+            _Param("offset", "offset", _finite, 0.0),
+        ),
     ),
     "diurnal": (
         _diurnal,
         (
             _Param("profile", "PROFILE", str.lower),
-            _Param("peak_rate_per_hour", "peak", float),
+            _Param("peak_rate_per_hour", "peak", _finite),
         ),
     ),
     "flash": (
         FlashCrowd,
         (
-            _Param("peak_rate_per_hour", "peak", float),
-            _Param("decay_hours", "decay", float),
-            _Param("base_rate_per_hour", "base", float, 0.0),
-            _Param("start_hours", "start", float, 0.0),
+            _Param("peak_rate_per_hour", "peak", _finite),
+            _Param("decay_hours", "decay", _finite),
+            _Param("base_rate_per_hour", "base", _finite, 0.0),
+            _Param("start_hours", "start", _finite, 0.0),
         ),
     ),
     "mmpp": (
@@ -156,13 +169,13 @@ _KIND_TABLE: Dict[str, Tuple[Callable[..., ArrivalProcess], Tuple[_Param, ...]]]
     "ring": (
         EventRings,
         (
-            _Param("peak_rate_per_hour", "peak", float),
+            _Param("peak_rate_per_hour", "peak", _finite),
             _Param("n_rings", "rings", int),
-            _Param("ring_delay_hours", "delay", float),
-            _Param("attenuation", "atten", float),
-            _Param("decay_hours", "decay", float),
-            _Param("base_rate_per_hour", "base", float, 0.0),
-            _Param("start_hours", "start", float, 0.0),
+            _Param("ring_delay_hours", "delay", _finite),
+            _Param("attenuation", "atten", _finite),
+            _Param("decay_hours", "decay", _finite),
+            _Param("base_rate_per_hour", "base", _finite, 0.0),
+            _Param("start_hours", "start", _finite, 0.0),
         ),
     ),
 }
@@ -318,7 +331,7 @@ class WorkloadSpec:
         process = TraceArrivals(times)
         if not len(process.times):
             raise ConfigurationError("trace workload must contain at least one arrival")
-        return cls("trace", (("times", tuple(float(t) for t in process.times)),))
+        return cls("trace", (("times", tuple(_finite(t) for t in process.times)),))
 
     @classmethod
     def superpose(cls, parts: Sequence["WorkloadSpec"]) -> "WorkloadSpec":
@@ -440,9 +453,11 @@ def _parse_single(text: str) -> WorkloadSpec:
         kind = kind.strip().lower()
     else:
         try:
-            float(spec_text)
-        except ValueError:
-            raise _bad_spec(spec_text, "expected a number or kind:params") from None
+            _finite(spec_text)
+        except (ValueError, ConfigurationError):
+            raise _bad_spec(
+                spec_text, "expected a finite number or kind:params"
+            ) from None
         kind, body = "poisson", spec_text
     body = body.strip()
     if kind == "trace":
@@ -496,12 +511,12 @@ def _load_trace(path: str, source: str) -> WorkloadSpec:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            times.append(float(stripped))
-        except ValueError:
+            times.append(_finite(stripped))
+        except (ValueError, ConfigurationError):
             raise _bad_spec(
                 source,
-                f"trace file {path}:{lineno}: expected one arrival time "
-                f"(seconds) per line, got {stripped!r}",
+                f"trace file {path}:{lineno}: expected one finite arrival "
+                f"time (seconds) per line, got {stripped!r}",
             ) from None
     if not times:
         raise _bad_spec(source, f"trace file {path} contains no arrival times")

@@ -463,6 +463,14 @@ def test_malformed_workload_on_fig7_also_clean(capsys):
     assert "workload spec grammar" in err and "Traceback" not in err
 
 
+def test_non_finite_workload_on_fig7_exits_2(capsys):
+    rc = main(["fig7", "--quick", "--workload", "poisson:nan"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "workload spec grammar" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -151,6 +151,46 @@ def test_trace_file_with_garbage_line(tmp_path):
         parse_workload(f"trace:{path}")
 
 
+#: Every float a spec string carries parses through ``float``, which also
+#: reads ``nan`` and ``inf``; none of them describes an arrival process.
+NON_FINITE_SPECS = [
+    "poisson:nan",
+    "poisson:inf",
+    "nan",
+    "inf",
+    "-inf",
+    "deterministic:interval=nan",
+    "deterministic:interval=90,offset=inf",
+    "diurnal:child,peak=nan",
+    "flash:peak=inf,decay=1.5",
+    "flash:peak=400,decay=1.5,base=nan",
+    "mmpp:rates=nan|1,sojourn=1|1",
+    "mmpp:rates=20|200,sojourn=inf|60",
+    "ring:peak=300,rings=3,delay=nan,atten=0.5,decay=1.0",
+    "ring:peak=300,rings=3,delay=0.5,atten=0.5,decay=1.0,start=inf",
+]
+
+
+@pytest.mark.parametrize("text", NON_FINITE_SPECS)
+def test_non_finite_parameters_are_rejected(text):
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_workload(text)
+    assert "workload spec grammar" in str(excinfo.value)
+    assert "finite" in str(excinfo.value)
+
+
+def test_non_finite_trace_line_and_rate_are_rejected(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("1.0\nnan\n3.0\n")
+    with pytest.raises(ConfigurationError, match=r"nan\.txt:2"):
+        parse_workload(f"trace:{path}")
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="finite"):
+            as_workload(value)
+    with pytest.raises(ConfigurationError, match="finite"):
+        WorkloadSpec.trace([1.0, float("nan")])
+
+
 # ---------------------------------------------------------------------------
 # Labels round-trip (except trace, whose label is a summary)
 # ---------------------------------------------------------------------------
