@@ -56,7 +56,7 @@ from ..runtime.seeds import (
     CLUSTER_WORKLOAD_STREAM,
 )
 from ..server.provisioning import ProvisioningResult
-from ..sim.rng import RandomStreams
+from ..sim.rng import DEFAULT_SEED, RandomStreams
 from ..workload.arrivals import PoissonArrivals
 from ..workload.popularity import ZipfCatalog
 from ..workload.spec import WorkloadSpec, as_workload
@@ -97,7 +97,7 @@ class ClusterScenario:
     warmup_slots: int = 120
     total_rate_per_hour: float = 300.0
     zipf_theta: float = 1.0
-    seed: int = 2001
+    seed: int = DEFAULT_SEED
     faults: FaultSchedule = NO_FAULTS
     backlog_limit: Optional[int] = None
     #: Optional nonstationary aggregate arrival process.  ``None`` keeps the
@@ -680,7 +680,7 @@ def run_scenarios(
     return engine.run_values(scenario_specs(scenarios), observation=observation)
 
 
-def preset_scenarios(seed: int = 2001, quick: bool = False) -> List[ClusterScenario]:
+def preset_scenarios(seed: int = DEFAULT_SEED, quick: bool = False) -> List[ClusterScenario]:
     """The CLI's named scenarios: ``baseline``, ``skewed``, ``crash``.
 
     * ``baseline`` — replicated catalog, affinity routing, no faults: the

@@ -28,6 +28,7 @@ from ..cluster.scenario import ClusterResult, ClusterScenario, run_scenario
 from ..cluster.topology import TieredTopology, tiered_topology
 from ..errors import ConfigurationError
 from ..obs.trace import Observation
+from ..sim.rng import DEFAULT_SEED
 from ..workload.popularity import ZipfCatalog
 from ..workload.spec import WorkloadSpec, as_workload
 from .cache import PREFIX_POLICY_NAMES, allocate_prefixes
@@ -50,7 +51,7 @@ class HierarchyScenario:
     warmup_slots: int = 120
     total_rate_per_hour: float = 300.0
     zipf_theta: float = 1.0
-    seed: int = 2001
+    seed: int = DEFAULT_SEED
     #: Optional nonstationary aggregate arrivals for the whole hierarchy;
     #: forwarded to the origin :class:`ClusterScenario` (``None`` keeps the
     #: seeded Poisson at ``total_rate_per_hour`` bit-for-bit).
@@ -351,7 +352,7 @@ def run_hierarchy(
 
 
 def preset_hierarchy(
-    seed: int = 2001,
+    seed: int = DEFAULT_SEED,
     quick: bool = False,
     cache_fraction: float = 0.25,
     prefix_policy: str = "popularity",

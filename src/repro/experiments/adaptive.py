@@ -40,6 +40,7 @@ from ..errors import ConfigurationError
 from ..obs.trace import Observation
 from ..runtime import Engine, RunSpec
 from ..runtime.seeds import arrival_trace
+from ..sim.rng import DEFAULT_SEED
 from ..sim.slotted import SlottedSimulation
 from ..units import HOUR, TWO_HOURS
 from ..workload.spec import WorkloadSpec, as_workload
@@ -103,7 +104,7 @@ class AdaptiveStudyConfig:
     n_segments: int = 99
     duration: float = TWO_HOURS
     horizon_hours: float = 24.0
-    seed: int = 2001
+    seed: int = DEFAULT_SEED
     epoch_slots: int = 16
     alpha: float = 0.2
     slack_ladder: Optional[SlackLadder] = None

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from ..errors import ConfigurationError
+from ..sim.rng import DEFAULT_SEED
 from ..workload.spec import WorkloadSpec, as_workload
 from ..units import TWO_HOURS
 
@@ -27,9 +28,6 @@ DEFAULT_MIN_REQUESTS = 400
 
 #: Leading fraction of every horizon discarded as warmup.
 DEFAULT_WARMUP_FRACTION = 0.1
-
-#: The repository-wide default workload seed (the paper's publication year).
-DEFAULT_SEED = 2001
 
 #: ``SweepConfig.quick()`` horizons: rates, base hours, minimum requests.
 QUICK_RATES_PER_HOUR = (2.0, 50.0, 500.0)

@@ -36,6 +36,7 @@ from ..core.dhb import DHBProtocol
 from ..errors import ServeError, WorkloadError
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceSink
+from ..sim.rng import DEFAULT_SEED
 from ..sim.slotted import SlottedResult, SlottedSimulation
 from ..workload.arrivals import DeterministicArrivals, PoissonArrivals
 from ..workload.spec import parse_workload
@@ -79,7 +80,7 @@ class LoadgenConfig:
     arrivals: str = "poisson"
     #: Workload seed (same seed, same offsets — and the same offsets feed
     #: :func:`compare_with_simulation`).
-    seed: int = 2001
+    seed: int = DEFAULT_SEED
     #: ``"first"`` measures wait-until-first-segment then leaves;
     #: ``"all"`` stays tuned until every segment has been received.
     want: str = "first"

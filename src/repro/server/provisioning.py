@@ -21,7 +21,7 @@ from typing import Callable, List, Sequence, Union
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.rng import RandomStreams
+from ..sim.rng import DEFAULT_SEED, RandomStreams
 from ..sim.slotted import SlottedModel, SlottedSimulation
 from ..workload.arrivals import ArrivalProcess, PoissonArrivals
 from ..workload.spec import WorkloadSpec
@@ -107,7 +107,7 @@ def provision_catalog_processes(
     slot_duration: float,
     horizon_slots: int,
     warmup_slots: int = 0,
-    seed: int = 2001,
+    seed: int = DEFAULT_SEED,
 ) -> ProvisioningResult:
     """Simulate one protocol instance per title and aggregate the loads.
 
@@ -159,7 +159,7 @@ def provision_catalog(
     slot_duration: float,
     horizon_slots: int,
     warmup_slots: int = 0,
-    seed: int = 2001,
+    seed: int = DEFAULT_SEED,
 ) -> ProvisioningResult:
     """Poisson-rates convenience wrapper over :func:`provision_catalog_processes`.
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
+#: The repository-wide default experiment seed (the paper's publication year).
+DEFAULT_SEED = 2001
+
 
 class RandomStreams:
     """A factory of named, reproducible :class:`numpy.random.Generator` objects.
