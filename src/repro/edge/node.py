@@ -9,8 +9,8 @@ the prefix allocation it is built with for the whole run.  Everything
 hierarchical — which node an arrival lands on, how shaping defers a join —
 stays behind that call, which is what keeps a zero-budget hierarchy
 bit-for-bit identical to the pure cluster: every decision degenerates to a
-*miss* and the loop's delivery path is untouched.
-``admit(title, t, slot, slot_end)`` is the same kernel for one arrival.
+*miss* and the loop's delivery path is untouched.  ``admit(title, t, slot,
+slot_end)`` is the same kernel for one arrival.
 
 Inside a chunk each node looks up its arrivals' prefixes in one table and
 hands its hits to :meth:`PolicyShaper.shape` as arrays: the class picks
